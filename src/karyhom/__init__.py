@@ -85,9 +85,7 @@ from .schur import (
     stability_check,
 )
 from .toral import (
-    ToralBoundRecord,
     refinement_bound,
-    toral_table,
     toral_table_rows,
     verify_toral,
 )

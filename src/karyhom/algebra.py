@@ -30,9 +30,14 @@ class KaryAlgebra:
     integer vectors {index: coefficient}; absent tuples bracket to zero.
     weights, when present, give every basis element an integer vector in
     Z^r such that brackets are weight-additive.
+
+    An algebra is immutable after construction: nothing may change its
+    brackets or weights.  Its chain layout (`chains.ChainLayout.of`),
+    with every boundary rank computed so far, is kept on the algebra
+    and shared by all callers.
     """
 
-    __slots__ = ("arity", "dim", "labels", "brackets", "weights")
+    __slots__ = ("arity", "dim", "labels", "brackets", "weights", "_chain_layout")
 
     def __init__(self, arity, dim, labels, brackets, weights=None):
         if arity < 2:
@@ -78,6 +83,7 @@ class KaryAlgebra:
                             f"bracket {args} is not weight-additive at output {out}"
                         )
         self.weights = weights
+        self._chain_layout = None
 
     # -- evaluation ---------------------------------------------------
 
@@ -230,14 +236,6 @@ def lower_central_series(alg: KaryAlgebra):
 
 def is_nilpotent(alg: KaryAlgebra) -> bool:
     return lower_central_series(alg)[-1].dim == 0
-
-
-def nilpotency_class(alg: KaryAlgebra) -> int:
-    """Number of nonzero terms of the lower central series (1 = abelian)."""
-    series = lower_central_series(alg)
-    if series[-1].dim != 0:
-        raise InputError("algebra is not nilpotent")
-    return len(series) - 1
 
 
 def center(alg: KaryAlgebra) -> Subspace:
@@ -399,22 +397,27 @@ def algebra_from_json_dict(doc: dict) -> KaryAlgebra:
         arity = int(doc["arity"])
         dim = int(doc["dim"])
         labels = list(doc["labels"])
-        raw = doc["brackets"]
-    except (KeyError, TypeError) as exc:
-        raise LoadError(f"missing or malformed field in algebra document: {exc}")
+        raw = list(doc["brackets"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise LoadError(f"missing or malformed field in algebra document: {exc}") from exc
 
     parsed = []
     denom = 1
     for item in raw:
-        args = tuple(int(a) for a in item["args"])
+        try:
+            args = tuple(int(a) for a in item["args"])
+            pairs = [(coeff, int(idx)) for coeff, idx in item["value"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise LoadError(
+                f"bracket {item!r} needs 'args' and a 'value' of [coefficient, index] pairs"
+            ) from exc
         if any(a >= b for a, b in zip(args, args[1:])):
             raise LoadError(f"bracket args {list(args)} must be strictly increasing")
         vec = {}
-        for pair in item["value"]:
-            coeff, idx = pair
+        for coeff, idx in pairs:
             q = _parse_coefficient(coeff)
             if q:
-                vec[int(idx)] = vec.get(int(idx), Fraction(0)) + q
+                vec[idx] = vec.get(idx, Fraction(0)) + q
         vec = {i: c for i, c in vec.items() if c}
         if not vec:
             raise LoadError(f"bracket {list(args)} has an empty value")
@@ -430,9 +433,12 @@ def algebra_from_json_dict(doc: dict) -> KaryAlgebra:
 
     weights = doc.get("weights")
     if weights is not None:
+        try:
+            weights = {i: tuple(int(x) for x in w) for i, w in enumerate(weights)}
+        except (TypeError, ValueError) as exc:
+            raise LoadError(f"weights must be lists of integers: {exc}") from exc
         if len(weights) != dim:
             raise LoadError(f"expected {dim} weight vectors, got {len(weights)}")
-        weights = {i: tuple(int(x) for x in w) for i, w in enumerate(weights)}
 
     try:
         return KaryAlgebra(arity, dim, labels, brackets, weights)
@@ -442,11 +448,15 @@ def algebra_from_json_dict(doc: dict) -> KaryAlgebra:
 
 def load_algebra(f) -> KaryAlgebra:
     if isinstance(f, (str, bytes)) or hasattr(f, "__fspath__"):
-        with open(f, "r", encoding="utf-8") as fh:
+        try:
+            fh = open(f, "r", encoding="utf-8")
+        except OSError as exc:
+            raise LoadError(f"cannot read algebra document: {exc}") from exc
+        with fh:
             return load_algebra(fh)
     try:
         doc = json.load(f)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise LoadError(f"not valid JSON: {exc}") from exc
     return algebra_from_json_dict(doc)
 

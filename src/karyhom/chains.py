@@ -19,9 +19,23 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .algebra import KaryAlgebra
-from .errors import InputError
-from .matrices import SparseIntMatrix, multiply
-from .util import insert_with_sign
+from .errors import InputError, ResourceCapError
+from .matrices import SparseIntMatrix, multiply, rank
+from .util import comb0, insert_with_sign
+
+DEFAULT_SIZE_CAP = 10**6
+
+
+def check_cap(alg: KaryAlgebra, degrees, cap) -> None:
+    """Refuse chain spaces of more than cap monomials (cap None: no limit)."""
+    if cap is None:
+        return
+    for t in degrees:
+        size = comb0(alg.dim, t)
+        if size > cap:
+            raise ResourceCapError(
+                f"chain space at degree {t} has {size} monomials (cap {cap})"
+            )
 
 
 def wedge_basis(alg: KaryAlgebra, t: int):
@@ -62,30 +76,67 @@ def boundary_image(alg: KaryAlgebra, monomial):
     return {m: v for m, v in out.items() if v}
 
 
-def differential_matrix(alg: KaryAlgebra, t: int) -> SparseIntMatrix:
-    """Matrix of d_t from the degree-t to the degree-(t-k+1) wedge basis."""
+def assemble(alg: KaryAlgebra, columns, rows) -> SparseIntMatrix:
+    """Matrix of d on the column monomials, in the basis of row monomials.
+
+    The one assembly loop: whole boundaries, weight blocks and theta maps
+    are all built here.  Every image must lie in the span of the rows.
+    """
+    row_index = {mono: i for i, mono in enumerate(rows)}
+    entries = {}
+    for col, mono in enumerate(columns):
+        for out, coeff in boundary_image(alg, mono).items():
+            entries[(row_index[out], col)] = coeff
+    return SparseIntMatrix(len(rows), len(columns), entries)
+
+
+class WeightBlock(NamedTuple):
+    weight: tuple
+    column_monomials: tuple
+    row_monomials: tuple
+    matrix: SparseIntMatrix
+
+
+def _split(alg: KaryAlgebra, t: int, key):
+    """d_t cut into blocks by key(monomial); {key: WeightBlock}, sorted."""
     k = alg.arity
     if t < k:
         raise InputError(f"boundary needs degree >= {k}, got {t}")
     if t > alg.dim:
         raise InputError(f"degree {t} exceeds dimension {alg.dim}")
-    target = wedge_basis(alg, t - k + 1)
-    row_index = {mono: i for i, mono in enumerate(target)}
-    entries = {}
-    for col, mono in enumerate(wedge_basis(alg, t)):
-        for out, coeff in boundary_image(alg, mono).items():
-            entries[(row_index[out], col)] = coeff
-    return SparseIntMatrix(len(target), len(wedge_basis(alg, t)), entries)
+    cols, rows = {}, {}
+    for mono in wedge_basis(alg, t):
+        cols.setdefault(key(mono), []).append(mono)
+    for mono in wedge_basis(alg, t - k + 1):
+        rows.setdefault(key(mono), []).append(mono)
+    blocks = {}
+    for w in sorted(cols):
+        block_cols, block_rows = tuple(cols[w]), tuple(rows.get(w, ()))
+        blocks[w] = WeightBlock(w, block_cols, block_rows, assemble(alg, block_cols, block_rows))
+    return blocks
 
 
-def verify_d_squared(alg: KaryAlgebra):
-    """Degrees t where d_{t-k+1} . d_t is not zero (empty = complex)."""
+def differential_matrix(alg: KaryAlgebra, t: int) -> SparseIntMatrix:
+    """Matrix of d_t from the degree-t to the degree-(t-k+1) wedge basis.
+
+    This is the single-block case of `weight_blocks`.
+    """
+    return _split(alg, t, lambda mono: ())[()].matrix
+
+
+def verify_d_squared(alg: KaryAlgebra, *, cap=DEFAULT_SIZE_CAP):
+    """Degrees t where d_{t-k+1} . d_t is not zero (empty = complex).
+
+    Each boundary's chain spaces are checked against cap before it is
+    assembled.
+    """
     k = alg.arity
     failing = []
     cache = {}
 
     def mat(t):
         if t not in cache:
+            check_cap(alg, (t, t - k + 1), cap)
             cache[t] = differential_matrix(alg, t)
         return cache[t]
 
@@ -106,13 +157,6 @@ def monomial_weight(alg: KaryAlgebra, monomial):
     return tuple(total)
 
 
-class WeightBlock(NamedTuple):
-    weight: tuple
-    column_monomials: tuple
-    row_monomials: tuple
-    matrix: SparseIntMatrix
-
-
 def weight_blocks(alg: KaryAlgebra, t: int):
     """Split d_t into its weight-homogeneous blocks.
 
@@ -121,52 +165,49 @@ def weight_blocks(alg: KaryAlgebra, t: int):
     monomials of the same weight.  Returns {weight: WeightBlock}, keyed
     in sorted order; the union of blocks reproduces the full matrix.
     """
-    k = alg.arity
     if alg.weights is None:
         raise InputError("algebra carries no weight grading")
-    if t < k:
-        raise InputError(f"boundary needs degree >= {k}, got {t}")
-    if t > alg.dim:
-        raise InputError(f"degree {t} exceeds dimension {alg.dim}")
-
-    cols_by_weight = {}
-    for mono in wedge_basis(alg, t):
-        cols_by_weight.setdefault(monomial_weight(alg, mono), []).append(mono)
-    rows_by_weight = {}
-    for mono in wedge_basis(alg, t - k + 1):
-        rows_by_weight.setdefault(monomial_weight(alg, mono), []).append(mono)
-
-    blocks = {}
-    for w in sorted(cols_by_weight):
-        cols = cols_by_weight[w]
-        rows = rows_by_weight.get(w, [])
-        row_index = {mono: i for i, mono in enumerate(rows)}
-        entries = {}
-        for ci, mono in enumerate(cols):
-            for out, coeff in boundary_image(alg, mono).items():
-                entries[(row_index[out], ci)] = coeff
-        blocks[w] = WeightBlock(w, tuple(cols), tuple(rows), SparseIntMatrix(len(rows), len(cols), entries))
-    return blocks
+    return _split(alg, t, lambda mono: monomial_weight(alg, mono))
 
 
 class ChainLayout:
-    """Degree bookkeeping for one algebra: 0, 1, k, 2k-1, ... up to dim."""
+    """The chain complex of one algebra and the ranks of its boundaries.
+
+    Layout degrees are 0, 1, k, 2k-1, ... up to dim.  The boundary d_t
+    splits into blocks: one per total weight for a graded algebra, a
+    single block otherwise.  The rank of each block is computed once and
+    remembered; only these integers are kept, while matrices and bases
+    are built, ranked and dropped.  `ChainLayout.of(alg)` returns the
+    layout kept on the algebra, so every caller shares one memo.
+    """
 
     def __init__(self, alg: KaryAlgebra):
         self.algebra = alg
-        k = alg.arity
-        degrees = [0]
-        t = 1
-        while t <= alg.dim:
-            degrees.append(t)
-            t += k - 1
-        self.degrees = degrees
-        self._bases = {}
+        self.degrees = [0] + list(range(1, alg.dim + 1, alg.arity - 1))
+        self._ranks = {}
 
-    def basis(self, t: int):
-        if t not in self._bases:
-            self._bases[t] = wedge_basis(self.algebra, t)
-        return self._bases[t]
+    @classmethod
+    def of(cls, alg: KaryAlgebra) -> "ChainLayout":
+        """The layout kept on alg, made on first use."""
+        if alg._chain_layout is None:
+            alg._chain_layout = cls(alg)
+        return alg._chain_layout
+
+    def block_ranks(self, t: int) -> dict:
+        """{block weight: rank} of d_t; empty where d_t is zero by degree."""
+        alg = self.algebra
+        if t < alg.arity or t > alg.dim:
+            return {}
+        if t not in self._ranks:
+            if alg.weights is None:
+                self._ranks[t] = {(): rank(differential_matrix(alg, t))}
+            else:
+                self._ranks[t] = {w: rank(b.matrix) for w, b in weight_blocks(alg, t).items()}
+        return self._ranks[t]
+
+    def boundary_rank(self, t: int) -> int:
+        """rank d_t (0 below degree k and above dim)."""
+        return sum(self.block_ranks(t).values())
 
     def matrix(self, t: int) -> SparseIntMatrix:
         """Boundary leaving degree t; degree 1 is the zero augmentation."""

@@ -21,7 +21,7 @@ import sys
 
 from . import __version__
 from .algebra import algebra_to_json_dict, check_jacobi, load_algebra
-from .chains import ChainLayout, differential_matrix, verify_d_squared
+from .chains import differential_matrix, verify_d_squared
 from .errors import InputError, ResourceCapError
 from .families import FamilySpec
 from .homology import (
@@ -81,12 +81,6 @@ def _add_source_args(p: argparse.ArgumentParser) -> None:
 def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="parallelism degree for independent blocks (never changes results)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,10 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_compute(args) -> int:
     alg, desc, _ = _resolve_algebra(args)
-    report = betti_all(alg, description=desc, cap=args.size_cap, jobs=args.jobs)
+    report = betti_all(alg, description=desc, cap=args.size_cap)
     if args.export_mm:
         os.makedirs(args.export_mm, exist_ok=True)
-        for t in ChainLayout(alg).degrees:
+        for t in report.degrees:
             if t >= alg.arity:
                 write_matrix_market(
                     differential_matrix(alg, t),
@@ -165,7 +159,7 @@ def _cmd_compute(args) -> int:
     return 0
 
 
-def _verify_checks(alg, desc, spec, cap, jobs):
+def _verify_checks(alg, desc, spec, cap):
     checks = []
 
     jac = check_jacobi(alg)
@@ -177,28 +171,28 @@ def _verify_checks(alg, desc, spec, cap, jobs):
             "sample": [list(v) for v in jac[:5]],
         }
     )
-    d2 = verify_d_squared(alg)
+    d2 = verify_d_squared(alg, cap=cap)
     checks.append({"check": "d_squared", "ok": not d2, "failing_degrees": d2})
 
-    tor = verify_toral(alg, description=desc, cap=cap, jobs=jobs)
+    tor = verify_toral(alg, description=desc, cap=cap)
     checks.append({"check": "toral", "ok": tor["ok"], "detail": tor})
 
     tag = spec.tag if spec is not None else None
     if tag == "heisenberg":
-        rec = verify_heisenberg(spec.k, spec.m, cap=cap, jobs=jobs)
+        rec = verify_heisenberg(spec.k, spec.m, cap=cap)
         checks.append({"check": "heisenberg_formula", "ok": rec["ok"], "detail": rec})
     elif tag == "acj":
-        rec = verify_acj(spec.k, spec.m, cap=cap, jobs=jobs)
+        rec = verify_acj(spec.k, spec.m, cap=cap)
         checks.append({"check": "acj_formulas", "ok": rec["ok"], "detail": rec})
     elif tag == "free3small":
-        rec = verify_free3(spec.k, cap=cap, jobs=jobs)
+        rec = verify_free3(spec.k, cap=cap)
         checks.append({"check": "free3_formula", "ok": rec["ok"], "detail": rec})
     return checks
 
 
 def _cmd_verify(args) -> int:
     alg, desc, spec = _resolve_algebra(args)
-    checks = _verify_checks(alg, desc, spec, args.size_cap, args.jobs)
+    checks = _verify_checks(alg, desc, spec, args.size_cap)
     ok = all(c["ok"] for c in checks)
     if args.format == "json":
         _json_out({"algebra": desc, "checks": checks, "ok": ok})
@@ -225,7 +219,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_decompose(args) -> int:
     alg, desc, _ = _resolve_algebra(args)
-    table = character_by_weights(alg, args.degree, jobs=args.jobs)
+    table = character_by_weights(alg, args.degree)
     n = alg.weight_rank
     decomposition = decompose_character(table, n)
     payload = [
@@ -245,8 +239,8 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_check(args) -> int:
     alg, desc, _ = _resolve_algebra(args)
+    d2 = verify_d_squared(alg, cap=args.size_cap)
     jac = check_jacobi(alg)
-    d2 = verify_d_squared(alg)
     ok = not jac and not d2
     _json_out(
         {

@@ -266,20 +266,27 @@ def write_matrix_market(matrix: SparseIntMatrix, f) -> None:
 
 
 def read_matrix_market(f) -> SparseIntMatrix:
-    """Read MatrixMarket coordinate format written by write_matrix_market."""
+    """Read MatrixMarket coordinate format written by write_matrix_market.
+
+    Only the "coordinate integer general" layout is accepted: a symmetric
+    file stores half its entries, which this reader would silently drop.
+    """
     if isinstance(f, (str, bytes)) or hasattr(f, "__fspath__"):
         with open(f, "r", encoding="ascii") as fh:
             return read_matrix_market(fh)
     header = f.readline()
     fields = header.lower().split()
-    if fields[:4] != ["%%matrixmarket", "matrix", "coordinate", "integer"]:
+    if fields != ["%%matrixmarket", "matrix", "coordinate", "integer", "general"]:
         raise LoadError(f"unsupported MatrixMarket header: {header.strip()!r}")
     line = f.readline()
     while line.startswith("%"):
         line = f.readline()
-    rows, cols, nnz = (int(x) for x in line.split())
-    entries = {}
-    for _ in range(nnz):
-        r, c, v = f.readline().split()
-        entries[(int(r) - 1, int(c) - 1)] = int(v)
+    try:
+        rows, cols, nnz = (int(x) for x in line.split())
+        entries = {}
+        for _ in range(nnz):
+            r, c, v = f.readline().split()
+            entries[(int(r) - 1, int(c) - 1)] = int(v)
+    except ValueError as exc:
+        raise LoadError(f"truncated or malformed MatrixMarket body: {exc}") from exc
     return SparseIntMatrix(rows, cols, entries)

@@ -17,9 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import KaryAlgebra
-from .chains import monomial_weight, wedge_basis, weight_blocks
+from .chains import ChainLayout, monomial_weight, wedge_basis
 from .errors import ConsistencyError, InputError
-from .matrices import rank
 from .util import comb0
 
 # -- partitions and Schur dimensions -------------------------------------
@@ -102,7 +101,7 @@ def schur_weight_multiplicities(partition: tuple, n: int) -> dict:
 # -- characters from weight blocks ----------------------------------------
 
 
-def character_by_weights(alg: KaryAlgebra, t: int, *, jobs: int = 1) -> dict:
+def character_by_weights(alg: KaryAlgebra, t: int) -> dict:
     """GL(V)-character of the homology at layout degree t.
 
     For each total weight w the multiplicity is the block kernel of d_t
@@ -114,27 +113,17 @@ def character_by_weights(alg: KaryAlgebra, t: int, *, jobs: int = 1) -> dict:
     if t < 1 or (t - 1) % (k - 1) != 0 or t > alg.dim:
         raise InputError(f"{t} is not a positive chain degree for arity {k}")
 
-    if t >= k:
-        cols = {}
-        out_rank = {}
-        for w, block in weight_blocks(alg, t).items():
-            cols[w] = len(block.column_monomials)
-            out_rank[w] = rank(block.matrix)
-    else:  # t == 1: the boundary below is the zero augmentation
-        cols = {}
-        for mono in wedge_basis(alg, t):
-            w = monomial_weight(alg, mono)
-            cols[w] = cols.get(w, 0) + 1
-        out_rank = {w: 0 for w in cols}
-
-    in_rank = {}
-    if t + k - 1 <= alg.dim:
-        for w, block in weight_blocks(alg, t + k - 1).items():
-            in_rank[w] = rank(block.matrix)
+    cols = {}
+    for mono in wedge_basis(alg, t):
+        w = monomial_weight(alg, mono)
+        cols[w] = cols.get(w, 0) + 1
+    layout = ChainLayout.of(alg)
+    out_rank = layout.block_ranks(t)  # empty at t = 1: the zero augmentation
+    in_rank = layout.block_ranks(t + k - 1)
 
     table = {}
     for w in cols:
-        mult = cols[w] - out_rank[w] - in_rank.get(w, 0)
+        mult = cols[w] - out_rank.get(w, 0) - in_rank.get(w, 0)
         if mult < 0:
             raise ConsistencyError(f"negative multiplicity {mult} at weight {w}")
         if mult:
@@ -299,7 +288,7 @@ def second_homology_summands(k: int, use_statement_exponent: bool = False):
 # -- representation stability ----------------------------------------------
 
 
-def stability_check(k: int, t: int, n_range, *, jobs: int = 1) -> dict:
+def stability_check(k: int, t: int, n_range) -> dict:
     """Decompose the degree-t homology of free 2-step algebras across n.
 
     The decomposition is reported per n; the verdict says from which n
@@ -314,7 +303,7 @@ def stability_check(k: int, t: int, n_range, *, jobs: int = 1) -> dict:
         raise InputError("empty dimension range")
     per_n = {}
     for n in n_values:
-        table = character_by_weights(free_two_step(k, n), t, jobs=jobs)
+        table = character_by_weights(free_two_step(k, n), t)
         per_n[n] = sorted(decompose_character(table, n))
 
     last = per_n[n_values[-1]]

@@ -6,7 +6,7 @@ algebras with center z and complement v there is a sharper bound
     total >= sum_{i=0}^{k-1} | sum_j (-1)^j C(|v|, kj+i) | * 2^|z|
 
 obtained from Euler characteristics of the mod-k graded subcomplexes of
-the full exterior algebra.  `toral_table` tabulates the z-free factor.
+the full exterior algebra.  `toral_table_rows` tabulates the z-free factor.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 
 from .algebra import KaryAlgebra, center, lower_central_series
 from .errors import InputError
@@ -38,18 +37,6 @@ def refinement_bound(dim_v: int, dim_z: int, k: int) -> int:
     return total * 2**dim_z
 
 
-@dataclass(frozen=True)
-class ToralBoundRecord:
-    dim_v: int
-    dim_z: int
-    k: int
-    bound: int
-
-    @property
-    def log2(self) -> float:
-        return math.log2(self.bound)
-
-
 def log2_display(x: float) -> str:
     """10 significant digits; exact integers shown as 'n.0'."""
     if abs(x - round(x)) < 1e-12:
@@ -57,17 +44,6 @@ def log2_display(x: float) -> str:
     int_digits = max(1, len(str(int(x))))
     decimals = max(1, 10 - int_digits)
     return f"{x:.{decimals}f}"
-
-
-def toral_table(n_max: int, k_list=(2, 3, 4, 5)):
-    """Bound records for n = 1..n_max, one per arity, center factored out."""
-    if n_max < 1:
-        raise InputError("n_max must be at least 1")
-    return [
-        ToralBoundRecord(n, 0, k, refinement_bound(n, 0, k))
-        for n in range(1, n_max + 1)
-        for k in k_list
-    ]
 
 
 def toral_table_rows(n_max: int, k_list=(2, 3, 4, 5)):
@@ -116,7 +92,7 @@ def toral_table_text(n_max: int, k_list=(2, 3, 4, 5)) -> str:
     return "\n".join(lines) + "\n"
 
 
-def verify_toral(alg: KaryAlgebra, *, description: str = "", cap=None, jobs: int = 1) -> dict:
+def verify_toral(alg: KaryAlgebra, *, description: str = "", cap=None) -> dict:
     """Check total homology against 2^(dim center), and for 2-step
     algebras against the refinement bound (on the all-degree total,
     which is what the bound controls)."""
@@ -127,8 +103,8 @@ def verify_toral(alg: KaryAlgebra, *, description: str = "", cap=None, jobs: int
     if series[-1].dim != 0:
         raise InputError("toral bounds apply to nilpotent algebras only")
     z = center(alg)
-    report = betti_all(alg, description=description, cap=cap, jobs=jobs)
-    total_all = total_homology_all_degrees(alg, cap=cap, jobs=jobs)
+    report = betti_all(alg, description=description, cap=cap)
+    total_all = total_homology_all_degrees(alg, cap=cap)
     two_step = len(series) <= 3
 
     result = {

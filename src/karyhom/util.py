@@ -42,17 +42,3 @@ def insert_with_sign(x: int, tup):
         return None, 0
     return tup[:p] + (x,) + tup[p:], (-1 if p % 2 else 1)
 
-
-def pmap(fn, items, jobs: int = 1):
-    """Map fn over items, optionally with a process pool.
-
-    The result list order matches the input order, so callers are
-    deterministic regardless of the parallelism degree.
-    """
-    items = list(items)
-    if jobs and jobs > 1 and len(items) > 3:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(fn, items))
-    return [fn(x) for x in items]

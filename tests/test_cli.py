@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from karyhom.cli import main
 
 
@@ -15,9 +17,9 @@ def run_cli(capsys, *argv):
 GOLDEN_HEIS31 = (
     '{"report":{"algebra":"heisenberg(k=3, m=1)","arity":3,'
     '"betti":{"0":1,"1":3,"3":3},"chain_dims":{"0":1,"1":4,"3":4},'
-    '"degrees":[0,1,3],"dim":4,"euler_ok":true,"formulas":[],'
+    '"degrees":[0,1,3],"dim":4,"euler_ok":true,'
     '"image_dims":{"0":0,"1":0,"3":1},"kernel_dims":{"0":1,"1":4,"3":3},'
-    '"schema":"karyhom-report/1","total":7,"total_excluding_h0":6},'
+    '"schema":"karyhom-report/2","total":7,"total_excluding_h0":6},'
     '"schema":"karyhom-cli/1"}\n'
 )
 
@@ -48,19 +50,12 @@ def test_compute_is_byte_deterministic(capsys):
     assert out1 == out2
 
 
-def test_jobs_flag_does_not_change_output(capsys):
-    base = ("compute", "--family", "free2", "--k", "3", "--n", "4")
-    _, out1 = run_cli(capsys, *base, "--jobs", "1")
-    _, out2 = run_cli(capsys, *base, "--jobs", "2")
-    assert out1 == out2
-
-
 def test_compute_csv_and_text(capsys):
     code, out = run_cli(
         capsys, "compute", "--family", "heisenberg", "--k", "2", "--m", "1", "--format", "csv"
     )
     assert code == 0
-    assert out.splitlines()[0] == "degree,chain_dim,kernel,image,betti,formula,match"
+    assert out.splitlines()[0] == "degree,chain_dim,kernel,image,betti"
     code, out = run_cli(
         capsys, "compute", "--family", "heisenberg", "--k", "2", "--m", "1", "--format", "text"
     )
@@ -151,10 +146,39 @@ def test_usage_errors(capsys):
     assert main(["compute", "--family", "nosuch"]) == 2  # argparse rejects choice
 
 
+HEIS21 = {"arity": 2, "dim": 3, "labels": ["x", "y", "z"]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {**HEIS21, "brackets": [{"args": [0, 1]}]},  # no "value"
+        {**HEIS21, "brackets": [{"args": [0, 1], "value": [[1]]}]},  # half a pair
+        {**HEIS21, "arity": "x", "brackets": []},
+        None,  # no such file
+    ],
+    ids=["no-value", "short-pair", "arity-not-int", "missing-file"],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, doc):
+    path = tmp_path / "alg.json"
+    if doc is not None:
+        path.write_text(json.dumps(doc))
+    code = main(["check", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_size_cap_exit_code(capsys):
     code, _ = run_cli(
         capsys, "compute", "--family", "heisenberg", "--k", "3", "--m", "2",
         "--size-cap", "5",
+    )
+    assert code == 3
+    code, _ = run_cli(
+        capsys, "check", "--family", "heisenberg", "--k", "3", "--m", "4",
+        "--size-cap", "10",
     )
     assert code == 3
 

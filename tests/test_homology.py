@@ -92,9 +92,9 @@ def test_report_consistency_fields():
         assert rep.chain_dims[t] == rep.kernel_dims[t] + rep.image_dims[t]
     doc = rep.to_json_dict()
     json.dumps(doc)  # serializable
-    assert doc["schema"] == "karyhom-report/1"
+    assert doc["schema"] == "karyhom-report/2"
     csv_text = rep.to_csv()
-    assert csv_text.splitlines()[0] == "degree,chain_dim,kernel,image,betti,formula,match"
+    assert csv_text.splitlines()[0] == "degree,chain_dim,kernel,image,betti"
     assert len(csv_text.splitlines()) == 1 + len(rep.degrees)
 
 
@@ -259,6 +259,29 @@ def test_total_all_degrees_heisenberg_5_1():
     alg = heisenberg(5, 1)
     assert betti_all(alg).total == 11
     assert total_homology_all_degrees(alg) == 62
+
+
+def test_boundary_ranks_are_computed_once(monkeypatch):
+    # betti_all and total_homology_all_degrees share the algebra's memo:
+    # matrices.rank runs at most once per boundary degree, and not again
+    import karyhom.chains
+
+    shapes = []
+
+    def counting_rank(matrix):
+        shapes.append((matrix.rows, matrix.cols))
+        return rank(matrix)
+
+    monkeypatch.setattr(karyhom.chains, "rank", counting_rank)
+    alg = heisenberg(3, 2)
+    assert betti_all(alg).total == 51
+    assert total_homology_all_degrees(alg) == 100
+    assert len(shapes) <= alg.dim - alg.arity + 1
+    assert len(set(shapes)) == len(shapes)
+    calls = len(shapes)
+    betti_all(alg)
+    total_homology_all_degrees(alg)
+    assert len(shapes) == calls
 
 
 def test_property_m_trivial_cases():

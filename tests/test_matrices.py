@@ -126,6 +126,21 @@ def test_matrix_market_round_trip():
         read_matrix_market(io.StringIO("%%MatrixMarket matrix array real\n1 1\n1\n"))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "%%MatrixMarket matrix coordinate integer symmetric\n2 2 1\n2 1 5\n",
+        "%%MatrixMarket matrix coordinate integer general\n2 2 2\n1 1 5\n",
+        "%%MatrixMarket matrix coordinate integer general\n2 2\n",
+        "%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 x 5\n",
+    ],
+    ids=["symmetric", "missing-entry", "short-size-line", "bad-index"],
+)
+def test_matrix_market_rejects_malformed(text):
+    with pytest.raises(LoadError):
+        read_matrix_market(io.StringIO(text))
+
+
 def test_primes():
     assert is_probable_prime(2**31 - 1)
     assert not is_probable_prime(561)  # Carmichael

@@ -15,7 +15,6 @@ from karyhom.algebra import KaryAlgebra
 from karyhom.toral import (
     log2_display,
     refinement_bound,
-    toral_table,
     toral_table_csv,
     toral_table_rows,
     toral_table_text,
@@ -102,9 +101,6 @@ def test_bound_factor_at_least_two():
 
 
 def test_table_outputs():
-    records = toral_table(3, (2, 3))
-    assert len(records) == 6
-    assert records[0].bound == 2 and records[0].log2 == 1.0
     rows = toral_table_rows(2)
     assert rows[0]["n"] == 1 and rows[0]["k5"] == 2
     csv_text = toral_table_csv(2)
