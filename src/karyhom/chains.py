@@ -11,10 +11,18 @@ Monomials are strictly increasing index tuples, enumerated in
 lexicographic order, so matrices are reproducible bit for bit.  The
 homology layout uses degrees 0, 1, k, 2k-1, ... (step k-1); the boundary
 itself makes sense at every degree t >= k and is exposed that way.
+
+`boundary_image` applies this definition to one monomial.  Matrices are
+built the other way round, from the bracket side (`_terms`): only the
+monomials that contain a stored bracket key have a nonzero image, so
+assembly costs about the number of nonzeros rather than C(dim, t)
+monomials times C(t, k) shuffles.  `boundary_image` stays as the
+definition the tests check the matrices against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations
 from typing import NamedTuple
 
@@ -57,7 +65,10 @@ def shuffles(t: int, k: int):
 
 
 def boundary_image(alg: KaryAlgebra, monomial):
-    """d of a single wedge monomial as {output_monomial: coefficient}."""
+    """d of a single wedge monomial as {output_monomial: coefficient}.
+
+    The per-monomial definition; matrices are assembled by `_terms`.
+    """
     k = alg.arity
     t = len(monomial)
     out = {}
@@ -76,17 +87,49 @@ def boundary_image(alg: KaryAlgebra, monomial):
     return {m: v for m, v in out.items() if v}
 
 
+def _terms(alg: KaryAlgebra, t: int):
+    """d_t from the bracket side, as (row monomial, column monomial, coeff).
+
+    For each stored key K and each (t-k)-subset R of the complement of K,
+    the column sort(K u R) receives sgn(K in K u R) [K] ^ R, where the
+    sign is that of the shuffle moving K to the front.  Only monomials
+    that contain a key are visited and each visit yields one term, so the
+    cost is about nnz.  A (row, column) pair may recur; the callers add
+    its terms, and `SparseIntMatrix` drops the zeros, as `boundary_image`
+    does per monomial.
+    """
+    k = alg.arity
+    for key, vec in alg.brackets.items():
+        for w, c in vec.items():
+            # sgn(K in K u R) * (sign of inserting w into R) is one factor
+            # -1 per entry x of R for each key entry above x, and one more
+            # if x < w.
+            odd = [(sum(i > x for i in key) + (x < w)) % 2 for x in range(alg.dim)]
+            pool = [x for x in range(alg.dim) if x != w and x not in key]
+            for rest in combinations(pool, t - k):
+                p = bisect_left(rest, w)
+                yield (
+                    rest[:p] + (w,) + rest[p:],
+                    tuple(sorted(key + rest)),
+                    -c if sum(map(odd.__getitem__, rest)) % 2 else c,
+                )
+
+
 def assemble(alg: KaryAlgebra, columns, rows) -> SparseIntMatrix:
     """Matrix of d on the column monomials, in the basis of row monomials.
 
-    The one assembly loop: whole boundaries, weight blocks and theta maps
-    are all built here.  Every image must lie in the span of the rows.
+    The columns share one degree t; terms of d_t outside the listed
+    columns are skipped.  Every image must lie in the span of the rows.
     """
+    col_index = {mono: j for j, mono in enumerate(columns)}
     row_index = {mono: i for i, mono in enumerate(rows)}
     entries = {}
-    for col, mono in enumerate(columns):
-        for out, coeff in boundary_image(alg, mono).items():
-            entries[(row_index[out], col)] = coeff
+    if columns:
+        for out, mono, v in _terms(alg, len(columns[0])):
+            j = col_index.get(mono)
+            if j is not None:
+                at = (row_index[out], j)
+                entries[at] = entries.get(at, 0) + v
     return SparseIntMatrix(len(rows), len(columns), entries)
 
 
@@ -98,21 +141,31 @@ class WeightBlock(NamedTuple):
 
 
 def _split(alg: KaryAlgebra, t: int, key):
-    """d_t cut into blocks by key(monomial); {key: WeightBlock}, sorted."""
+    """d_t cut into blocks by key(monomial); {key: WeightBlock}, sorted.
+
+    One pass over the terms of d_t sends each to the block of its column.
+    """
     k = alg.arity
     if t < k:
         raise InputError(f"boundary needs degree >= {k}, got {t}")
     if t > alg.dim:
         raise InputError(f"degree {t} exceeds dimension {alg.dim}")
     cols, rows = {}, {}
-    for mono in wedge_basis(alg, t):
-        cols.setdefault(key(mono), []).append(mono)
-    for mono in wedge_basis(alg, t - k + 1):
-        rows.setdefault(key(mono), []).append(mono)
+    for groups, degree in ((cols, t), (rows, t - k + 1)):
+        for mono in wedge_basis(alg, degree):
+            groups.setdefault(key(mono), []).append(mono)
+    col_at = {mono: (w, j) for w, group in cols.items() for j, mono in enumerate(group)}
+    row_at = {mono: i for group in rows.values() for i, mono in enumerate(group)}
+    entries = {w: {} for w in cols}
+    for out, mono, v in _terms(alg, t):
+        w, j = col_at[mono]
+        block, at = entries[w], (row_at[out], j)
+        block[at] = block.get(at, 0) + v
     blocks = {}
     for w in sorted(cols):
         block_cols, block_rows = tuple(cols[w]), tuple(rows.get(w, ()))
-        blocks[w] = WeightBlock(w, block_cols, block_rows, assemble(alg, block_cols, block_rows))
+        matrix = SparseIntMatrix(len(block_rows), len(block_cols), entries[w])
+        blocks[w] = WeightBlock(w, block_cols, block_rows, matrix)
     return blocks
 
 

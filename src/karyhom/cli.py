@@ -179,13 +179,13 @@ def _verify_checks(alg, desc, spec, cap):
 
     tag = spec.tag if spec is not None else None
     if tag == "heisenberg":
-        rec = verify_heisenberg(spec.k, spec.m, cap=cap)
+        rec = verify_heisenberg(spec.k, spec.m, cap=cap, alg=alg)
         checks.append({"check": "heisenberg_formula", "ok": rec["ok"], "detail": rec})
     elif tag == "acj":
-        rec = verify_acj(spec.k, spec.m, cap=cap)
+        rec = verify_acj(spec.k, spec.m, cap=cap, alg=alg)
         checks.append({"check": "acj_formulas", "ok": rec["ok"], "detail": rec})
     elif tag == "free3small":
-        rec = verify_free3(spec.k, cap=cap)
+        rec = verify_free3(spec.k, cap=cap, alg=alg)
         checks.append({"check": "free3_formula", "ok": rec["ok"], "detail": rec})
     return checks
 
@@ -219,7 +219,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_decompose(args) -> int:
     alg, desc, _ = _resolve_algebra(args)
-    table = character_by_weights(alg, args.degree)
+    table = character_by_weights(alg, args.degree, cap=args.size_cap)
     n = alg.weight_rank
     decomposition = decompose_character(table, n)
     payload = [

@@ -160,15 +160,17 @@ def heisenberg_in_range(k: int, m: int, i: int) -> bool:
     return i * (k - 1) + 1 <= (k * m + 1) // 2
 
 
-def verify_heisenberg(k: int, m: int, *, cap=DEFAULT_SIZE_CAP) -> dict:
+def verify_heisenberg(k: int, m: int, *, cap=DEFAULT_SIZE_CAP, alg=None) -> dict:
     """Compare direct Betti numbers and boundary ranks with the closed forms.
 
     Rows inside the validity range are asserted (feed `ok`); outside it
-    both values are reported without judgement.
+    both values are reported without judgement.  alg, when given, must
+    be heisenberg(k, m); passing it shares its memoized ranks.
     """
     from .families import heisenberg
 
-    alg = heisenberg(k, m)
+    if alg is None:
+        alg = heisenberg(k, m)
     report = betti_all(alg, description=f"heisenberg(k={k}, m={m})", cap=cap)
     rows = []
     ok = True
@@ -293,12 +295,15 @@ def acj_classical_betti(m: int, i: int) -> int:
     return comb0(m + 1, (i + 1) // 2) * comb0(m, i // 2)
 
 
-def verify_acj(k: int, m: int, *, cap=DEFAULT_SIZE_CAP) -> dict:
+def verify_acj(k: int, m: int, *, cap=DEFAULT_SIZE_CAP, alg=None) -> dict:
     """Cross-check direct ACJ Betti numbers against the theta route and
-    the closed forms (arity-2 per-degree formula; degree-k candidate)."""
+    the closed forms (arity-2 per-degree formula; degree-k candidate).
+    alg, when given, must be acj(k, m); passing it shares its memoized
+    ranks."""
     from .families import acj
 
-    alg = acj(k, m)
+    if alg is None:
+        alg = acj(k, m)
     report = betti_all(alg, description=f"acj(k={k}, m={m})", cap=cap)
     kernel_dim = cache(lambda j: theta_kernel_dim(alg, j))
     rows = []
@@ -361,10 +366,16 @@ def free3_expected_betti(k: int) -> dict:
     return expected
 
 
-def verify_free3(k: int, *, cap=DEFAULT_SIZE_CAP) -> dict:
+def verify_free3(k: int, *, cap=DEFAULT_SIZE_CAP, alg=None) -> dict:
+    """Compare direct Betti numbers with `free3_expected_betti`.
+
+    alg, when given, must be free3small(k); passing it shares its
+    memoized ranks.
+    """
     from .families import free_three_step_small
 
-    alg = free_three_step_small(k)
+    if alg is None:
+        alg = free_three_step_small(k)
     report = betti_all(alg, description=f"free3small(k={k})", cap=cap)
     expected = free3_expected_betti(k)
     rows = []

@@ -5,7 +5,9 @@ cross-multiplied through the gcd of the pivot pair and stripped of their
 content, so no fractions (and no floating point, hence no tolerances)
 ever appear.  Pivots are chosen by Markowitz cost with deterministic tie
 breaking, which keeps fill-in low on the incidence-like matrices produced
-by boundary maps and makes every run bit-reproducible.
+by boundary maps and makes every run bit-reproducible.  A lazy heap
+finds each pivot, so pivot search costs about the entries a pivot
+touches rather than a rescan of the whole matrix.
 
 A second, structurally independent elimination modulo a random word-size
 prime serves as a cross-check: rank mod p never exceeds the rational
@@ -15,6 +17,7 @@ rank, and agreement at a few random primes confirms the exact value.
 from __future__ import annotations
 
 import random
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .errors import InputError, LoadError
@@ -110,6 +113,12 @@ def rank(matrix: SparseIntMatrix) -> int:
 
     Pivot selection: lowest Markowitz cost (nnz_row-1)*(nnz_col-1),
     ties broken by smallest row index, then smallest column index.
+    Candidates wait in a lazy min-heap of (cost, row, col).  A popped
+    item whose entry is gone or whose cost is no longer current is
+    dropped.  A pivot changes the costs only of the rows eliminated
+    against it and of the columns of the pivot row, so exactly those
+    entries are pushed again; the heap minimum is then the minimum over
+    all remaining entries, the pivot a full scan would choose.
     """
     rows = {}
     for (r, c), v in matrix.entries.items():
@@ -118,20 +127,22 @@ def rank(matrix: SparseIntMatrix) -> int:
     for r, row in rows.items():
         for c in row:
             col_rows.setdefault(c, set()).add(r)
+    heap = [
+        ((len(rows[r]) - 1) * (len(col_rows[c]) - 1), r, c) for r, c in matrix.entries
+    ]
+    heapify(heap)
 
     rk = 0
     while rows:
-        best = None
-        for r, row in rows.items():
-            lr = len(row) - 1
-            for c in row:
-                key = (lr * (len(col_rows[c]) - 1), r, c)
-                if best is None or key < best:
-                    best = key
-        _, pr, pc = best
+        cost, pr, pc = heappop(heap)
+        prow = rows.get(pr)
+        if prow is None or pc not in prow:
+            continue
+        if cost != (len(prow) - 1) * (len(col_rows[pc]) - 1):
+            continue
         rk += 1
 
-        prow = rows.pop(pr)
+        del rows[pr]
         for c in prow:
             s = col_rows[c]
             s.discard(pr)
@@ -139,7 +150,8 @@ def rank(matrix: SparseIntMatrix) -> int:
                 del col_rows[c]
 
         piv = prow[pc]
-        for r in sorted(col_rows.get(pc, ())):
+        eliminated = col_rows.pop(pc, set())
+        for r in sorted(eliminated):
             row = rows[r]
             f = row.pop(pc)
             g = gcd(piv, f)
@@ -172,7 +184,20 @@ def rank(matrix: SparseIntMatrix) -> int:
                         row[c] //= content
             else:
                 del rows[r]
-        col_rows.pop(pc, None)
+
+        for r in eliminated:
+            row = rows.get(r)
+            if row:
+                lr = len(row) - 1
+                for c in row:
+                    heappush(heap, (lr * (len(col_rows[c]) - 1), r, c))
+        for c in prow:
+            s = col_rows.get(c)
+            if s:
+                lc = len(s) - 1
+                for r in s:
+                    if r not in eliminated:
+                        heappush(heap, ((len(rows[r]) - 1) * lc, r, c))
     return rk
 
 

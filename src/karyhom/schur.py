@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import KaryAlgebra
-from .chains import ChainLayout, monomial_weight, wedge_basis
+from .chains import DEFAULT_SIZE_CAP, ChainLayout, check_cap, monomial_weight, wedge_basis
 from .errors import ConsistencyError, InputError
 from .util import comb0
 
@@ -101,17 +101,19 @@ def schur_weight_multiplicities(partition: tuple, n: int) -> dict:
 # -- characters from weight blocks ----------------------------------------
 
 
-def character_by_weights(alg: KaryAlgebra, t: int) -> dict:
+def character_by_weights(alg: KaryAlgebra, t: int, *, cap=DEFAULT_SIZE_CAP) -> dict:
     """GL(V)-character of the homology at layout degree t.
 
     For each total weight w the multiplicity is the block kernel of d_t
-    minus the block rank of d_{t+k-1}; zero entries are dropped.
+    minus the block rank of d_{t+k-1}; zero entries are dropped.  The
+    chain spaces of both boundaries are checked against cap first.
     """
     if alg.weights is None:
         raise InputError("character requires a weight-graded algebra")
     k = alg.arity
     if t < 1 or (t - 1) % (k - 1) != 0 or t > alg.dim:
         raise InputError(f"{t} is not a positive chain degree for arity {k}")
+    check_cap(alg, (t, t - k + 1, t + k - 1), cap)
 
     cols = {}
     for mono in wedge_basis(alg, t):

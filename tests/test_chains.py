@@ -1,8 +1,10 @@
+import random
+from itertools import combinations
 from math import comb
 
 import pytest
 
-from conftest import dense_rank
+from conftest import dense_rank, flip_bracket_signs
 from karyhom.algebra import KaryAlgebra
 from karyhom.chains import (
     ChainLayout,
@@ -23,7 +25,7 @@ from karyhom.families import (
     free_two_step,
     heisenberg,
 )
-from karyhom.matrices import multiply, rank
+from karyhom.matrices import SparseIntMatrix, multiply, rank
 
 
 def test_wedge_basis_counts_and_order():
@@ -192,3 +194,55 @@ def test_rank_oracle_on_differentials():
     for alg, t in ((acj(3, 2), 5), (free_two_step(2, 4), 4), (heisenberg(4, 2), 7)):
         m = differential_matrix(alg, t)
         assert rank(m) == dense_rank(m.to_dense())
+
+
+def _matrix_from_images(alg, columns, rows):
+    """The matrix of d built column by column from `boundary_image`."""
+    row_index = {mono: i for i, mono in enumerate(rows)}
+    entries = {}
+    for j, mono in enumerate(columns):
+        for out, v in boundary_image(alg, mono).items():
+            entries[(row_index[out], j)] = v
+    return SparseIntMatrix(len(rows), len(columns), entries)
+
+
+def _random_bracket_table(rng, arity, dim):
+    """Brackets with outputs inside their own keys, so that terms from
+    different keys land on one entry, add up and sometimes cancel."""
+    brackets = {}
+    for key in combinations(range(dim), arity):
+        if rng.random() < 0.6:
+            outs = rng.sample(range(dim), rng.randrange(1, 3))
+            brackets[key] = {w: rng.choice((1, -1, 2)) for w in outs}
+    return KaryAlgebra(arity, dim, [f"e{i}" for i in range(dim)], brackets)
+
+
+def test_assembly_matches_boundary_image_oracle():
+    rng = random.Random(41)
+    algebras = [
+        heisenberg(3, 2),
+        acj(3, 2),
+        free_three_step_small(4),
+        current_algebra(heisenberg(2, 1), 2),
+        flip_bracket_signs(acj(2, 3), rng),
+        _random_bracket_table(rng, 2, 6),
+        _random_bracket_table(rng, 3, 7),
+    ]
+    for alg in algebras:
+        k = alg.arity
+        for t in range(k, alg.dim + 1):
+            expected = _matrix_from_images(alg, wedge_basis(alg, t), wedge_basis(alg, t - k + 1))
+            assert differential_matrix(alg, t) == expected, (alg, t)
+
+    f = free_two_step(2, 4)
+    for t in range(2, f.dim + 1):
+        cols, rows = wedge_basis(f, t), wedge_basis(f, t - 1)
+        col_idx = {m: i for i, m in enumerate(cols)}
+        row_idx = {m: i for i, m in enumerate(rows)}
+        whole = {}
+        for blk in weight_blocks(f, t).values():
+            assert blk.matrix == _matrix_from_images(f, blk.column_monomials, blk.row_monomials)
+            for (r, c), v in blk.matrix.entries.items():
+                whole[(row_idx[blk.row_monomials[r]], col_idx[blk.column_monomials[c]])] = v
+        expected = _matrix_from_images(f, cols, rows)
+        assert SparseIntMatrix(len(rows), len(cols), whole) == expected == differential_matrix(f, t)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -86,6 +87,26 @@ def test_verify_reports_formula_failures(capsys):
     }
     jac = next(c for c in doc["checks"] if c["check"] == "jacobi")
     assert jac["ok"]
+
+
+def test_verify_ranks_each_boundary_once(monkeypatch, capsys):
+    # the validators share the CLI algebra's memo, so no boundary is
+    # ranked a second time on a rebuilt algebra
+    import karyhom.matrices
+
+    original = karyhom.matrices.rank
+    calls = Counter()
+
+    def counting_rank(matrix):
+        calls[matrix] += 1
+        return original(matrix)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "karyhom" or name.startswith("karyhom.")) and getattr(module, "rank", None) is original:
+            monkeypatch.setattr(module, "rank", counting_rank)
+    code, out = run_cli(capsys, "verify", "--family", "heisenberg", "--k", "2", "--m", "3")
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert calls and max(calls.values()) == 1
 
 
 def test_table_text_and_json(capsys):
@@ -179,6 +200,11 @@ def test_size_cap_exit_code(capsys):
     code, _ = run_cli(
         capsys, "check", "--family", "heisenberg", "--k", "3", "--m", "4",
         "--size-cap", "10",
+    )
+    assert code == 3
+    code, _ = run_cli(
+        capsys, "decompose", "--family", "free2", "--k", "2", "--n", "4",
+        "--degree", "3", "--size-cap", "2",
     )
     assert code == 3
 

@@ -4,8 +4,13 @@ from math import comb
 
 import pytest
 
-from conftest import dense_rank, flip_bracket_signs
-from karyhom.chains import differential_matrix
+from conftest import (
+    acj_betti_closed_form,
+    dense_rank,
+    flip_bracket_signs,
+    heisenberg_betti_closed_form,
+)
+from karyhom.chains import ChainLayout, differential_matrix
 from karyhom.errors import InputError, ResourceCapError
 from karyhom.families import (
     abelian,
@@ -282,6 +287,19 @@ def test_boundary_ranks_are_computed_once(monkeypatch):
     betti_all(alg)
     total_homology_all_degrees(alg)
     assert len(shapes) == calls
+
+
+def test_large_instances_match_proved_closed_forms():
+    # every layout degree, on boundaries of up to a few thousand columns
+    for alg, closed_form in (
+        (heisenberg(2, 7), heisenberg_betti_closed_form),
+        (acj(2, 7), acj_betti_closed_form),
+    ):
+        report = betti_all(alg)
+        for t in report.degrees:
+            assert report.betti[t] == closed_form(2, 7, t), (alg, t)
+    # exact and mod-p elimination agree on 1350 here; the candidate formula says 1365
+    assert ChainLayout.of(heisenberg(3, 5)).boundary_rank(7) == 1350
 
 
 def test_property_m_trivial_cases():

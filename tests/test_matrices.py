@@ -88,6 +88,46 @@ def test_rank_invariances_randomized():
         assert rank(SparseIntMatrix(rows, cols, flipped)) == r
 
 
+def _dependent_sparse(rng):
+    """A sparse matrix whose rows repeat, negate, scale and add base rows.
+
+    Elimination on it fills in (sums of rows) and cancels (dependent
+    rows vanish), and every entry shares a random common factor.
+    """
+    rows, cols = rng.randrange(20, 61), rng.randrange(15, 41)
+    density = rng.uniform(0.05, 0.15)
+    dense = [
+        [rng.choice((1, -1, 1, -1, 2, -2, 3, 6)) if rng.random() < density else 0 for _ in range(cols)]
+        for _ in range(rng.randrange(rows // 3, rows // 2 + 1))
+    ]
+    while len(dense) < rows:
+        a, b = rng.choice(dense), rng.choice(dense)
+        kind = rng.randrange(3)
+        if kind == 0:
+            dense.append([-v for v in a])
+        elif kind == 1:
+            dense.append([rng.choice((2, 3, 6)) * v for v in a])
+        else:
+            dense.append([x - y for x, y in zip(a, b)])
+    rng.shuffle(dense)
+    factor = rng.choice((1, 1, 2, 6))
+    return [[factor * v for v in row] for row in dense]
+
+
+def test_rank_oracle_at_realistic_sizes():
+    rng = random.Random(20261018)
+    deficient = 0
+    for trial in range(60):
+        dense = _dependent_sparse(rng)
+        m = from_dense(dense)
+        expected = dense_rank(dense)
+        deficient += expected < min(m.rows, m.cols)
+        assert rank(m) == expected, trial
+        for p in (2**31 - 1, 2147483659, 2305843009213693951):
+            assert rank_mod_p(m, p) == expected, (trial, p)
+    assert deficient >= 50
+
+
 def test_boundary_ranks_heisenberg_3_2():
     h = heisenberg(3, 2)
     m3 = differential_matrix(h, 3)
