@@ -17,10 +17,12 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 
-from .errors import InputError, LoadError
+from .errors import InputError, LoadError, ResourceCapError
 from .util import sort_with_sign
+
+DEFAULT_SIZE_CAP = 10**6
 
 
 class KaryAlgebra:
@@ -76,7 +78,7 @@ class KaryAlgebra:
             if len(ranks) != 1:
                 raise InputError("weight vectors must share a common length")
             for args, vec in stored.items():
-                total = _vector_sum(weights[i] for i in args)
+                total = tuple(map(sum, zip(*(weights[i] for i in args))))
                 for out in vec:
                     if weights[out] != total:
                         raise InputError(
@@ -165,21 +167,10 @@ class KaryAlgebra:
         return cls(arity, dim, labels, merged, weights)
 
 
-def _vector_sum(vectors):
-    total = None
-    for v in vectors:
-        if total is None:
-            total = list(v)
-        else:
-            for i, x in enumerate(v):
-                total[i] += x
-    return tuple(total) if total is not None else ()
-
-
 # -- structural checkers ----------------------------------------------
 
 
-def check_jacobi(alg: KaryAlgebra):
+def check_jacobi(alg: KaryAlgebra, *, cap=DEFAULT_SIZE_CAP):
     """All basis tuples violating the generalized Jacobi identity.
 
     Exhausts strictly increasing inner k-tuples against strictly
@@ -187,8 +178,13 @@ def check_jacobi(alg: KaryAlgebra):
     case by multilinearity, since tuples with a repeat inside either
     group vanish identically on both sides.  Returns the violating
     (2k-1)-tuples, inner part first; empty means the identity holds.
+    More than cap (inner, outer) pairs are refused before any work
+    (cap None: no limit).
     """
     k = alg.arity
+    pairs = comb(alg.dim, k) * comb(alg.dim, k - 1)
+    if cap is not None and pairs > cap:
+        raise ResourceCapError(f"Jacobi check visits {pairs} (inner, outer) pairs (cap {cap})")
     violations = []
     inner_tuples = list(combinations(range(alg.dim), k))
     outer_tuples = list(combinations(range(alg.dim), k - 1))

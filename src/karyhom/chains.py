@@ -16,8 +16,11 @@ itself makes sense at every degree t >= k and is exposed that way.
 built the other way round, from the bracket side (`_terms`): only the
 monomials that contain a stored bracket key have a nonzero image, so
 assembly costs about the number of nonzeros rather than C(dim, t)
-monomials times C(t, k) shuffles.  `boundary_image` stays as the
-definition the tests check the matrices against.
+monomials times C(t, k) shuffles.  `_split` is the one assembler: the
+whole boundary, its weight blocks and the theta maps of
+`homology.theta_matrix` are all blocks of d_t it cuts out.
+`boundary_image` stays as the definition the tests check the matrices
+against.
 """
 
 from __future__ import annotations
@@ -26,12 +29,10 @@ from bisect import bisect_left
 from itertools import combinations
 from typing import NamedTuple
 
-from .algebra import KaryAlgebra
+from .algebra import DEFAULT_SIZE_CAP, KaryAlgebra
 from .errors import InputError, ResourceCapError
 from .matrices import SparseIntMatrix, multiply, rank
 from .util import comb0, insert_with_sign
-
-DEFAULT_SIZE_CAP = 10**6
 
 
 def check_cap(alg: KaryAlgebra, degrees, cap) -> None:
@@ -67,7 +68,7 @@ def shuffles(t: int, k: int):
 def boundary_image(alg: KaryAlgebra, monomial):
     """d of a single wedge monomial as {output_monomial: coefficient}.
 
-    The per-monomial definition; matrices are assembled by `_terms`.
+    The per-monomial definition; matrices are assembled by `_split`.
     """
     k = alg.arity
     t = len(monomial)
@@ -94,7 +95,7 @@ def _terms(alg: KaryAlgebra, t: int):
     the column sort(K u R) receives sgn(K in K u R) [K] ^ R, where the
     sign is that of the shuffle moving K to the front.  Only monomials
     that contain a key are visited and each visit yields one term, so the
-    cost is about nnz.  A (row, column) pair may recur; the callers add
+    cost is about nnz.  A (row, column) pair may recur; `_split` adds
     its terms, and `SparseIntMatrix` drops the zeros, as `boundary_image`
     does per monomial.
     """
@@ -115,24 +116,6 @@ def _terms(alg: KaryAlgebra, t: int):
                 )
 
 
-def assemble(alg: KaryAlgebra, columns, rows) -> SparseIntMatrix:
-    """Matrix of d on the column monomials, in the basis of row monomials.
-
-    The columns share one degree t; terms of d_t outside the listed
-    columns are skipped.  Every image must lie in the span of the rows.
-    """
-    col_index = {mono: j for j, mono in enumerate(columns)}
-    row_index = {mono: i for i, mono in enumerate(rows)}
-    entries = {}
-    if columns:
-        for out, mono, v in _terms(alg, len(columns[0])):
-            j = col_index.get(mono)
-            if j is not None:
-                at = (row_index[out], j)
-                entries[at] = entries.get(at, 0) + v
-    return SparseIntMatrix(len(rows), len(columns), entries)
-
-
 class WeightBlock(NamedTuple):
     weight: tuple
     column_monomials: tuple
@@ -143,7 +126,11 @@ class WeightBlock(NamedTuple):
 def _split(alg: KaryAlgebra, t: int, key):
     """d_t cut into blocks by key(monomial); {key: WeightBlock}, sorted.
 
-    One pass over the terms of d_t sends each to the block of its column.
+    This is the one place where the terms of d_t become matrices.  One
+    pass over the terms sends each to the block of its column.  A key of
+    None puts a monomial in no block: it is left out of the rows, and
+    the terms of its column are dropped.  The image of every kept column
+    must lie in the rows of its block.
     """
     k = alg.arity
     if t < k:
@@ -153,14 +140,18 @@ def _split(alg: KaryAlgebra, t: int, key):
     cols, rows = {}, {}
     for groups, degree in ((cols, t), (rows, t - k + 1)):
         for mono in wedge_basis(alg, degree):
-            groups.setdefault(key(mono), []).append(mono)
+            w = key(mono)
+            if w is not None:
+                groups.setdefault(w, []).append(mono)
     col_at = {mono: (w, j) for w, group in cols.items() for j, mono in enumerate(group)}
     row_at = {mono: i for group in rows.values() for i, mono in enumerate(group)}
     entries = {w: {} for w in cols}
     for out, mono, v in _terms(alg, t):
-        w, j = col_at[mono]
-        block, at = entries[w], (row_at[out], j)
-        block[at] = block.get(at, 0) + v
+        place = col_at.get(mono)
+        if place is not None:
+            w, j = place
+            block, at = entries[w], (row_at[out], j)
+            block[at] = block.get(at, 0) + v
     blocks = {}
     for w in sorted(cols):
         block_cols, block_rows = tuple(cols[w]), tuple(rows.get(w, ()))
@@ -203,11 +194,8 @@ def monomial_weight(alg: KaryAlgebra, monomial):
     """Total torus weight of a wedge monomial (requires a graded algebra)."""
     if alg.weights is None:
         raise InputError("algebra carries no weight grading")
-    total = [0] * alg.weight_rank
-    for i in monomial:
-        for a, x in enumerate(alg.weights[i]):
-            total[a] += x
-    return tuple(total)
+    zero = (0,) * alg.weight_rank
+    return tuple(map(sum, zip(zero, *map(alg.weights.__getitem__, monomial))))
 
 
 def weight_blocks(alg: KaryAlgebra, t: int):
@@ -261,9 +249,3 @@ class ChainLayout:
     def boundary_rank(self, t: int) -> int:
         """rank d_t (0 below degree k and above dim)."""
         return sum(self.block_ranks(t).values())
-
-    def matrix(self, t: int) -> SparseIntMatrix:
-        """Boundary leaving degree t; degree 1 is the zero augmentation."""
-        if t == 1:
-            return SparseIntMatrix(1, self.algebra.dim, {})
-        return differential_matrix(self.algebra, t)

@@ -78,8 +78,7 @@ def _add_source_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--inner", help="inner family for --family current")
 
 
-def _add_common_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+def _add_size_cap(p: argparse.ArgumentParser) -> None:
     p.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
 
 
@@ -93,13 +92,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="Betti numbers of one algebra")
     _add_source_args(p)
-    _add_common_args(p)
+    _add_size_cap(p)
+    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.add_argument("--degree", type=int, help="restrict the report to one chain degree")
     p.add_argument("--export-mm", metavar="DIR", help="write boundary matrices in MatrixMarket format")
 
     p = sub.add_parser("verify", help="run all validators applicable to the algebra")
     _add_source_args(p)
-    _add_common_args(p)
+    _add_size_cap(p)
+    p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("table", help="toral lower-bound table")
     p.add_argument("--nmax", type=int, default=20)
@@ -108,12 +109,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="Schur decomposition of one homology group")
     _add_source_args(p)
-    _add_common_args(p)
+    _add_size_cap(p)
+    p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--degree", type=int, required=True)
 
-    p = sub.add_parser("check", help="Jacobi identity and d^2 = 0 only")
+    p = sub.add_parser("check", help="Jacobi identity and d^2 = 0 only (JSON)")
     _add_source_args(p)
-    _add_common_args(p)
+    _add_size_cap(p)
 
     p = sub.add_parser("dump", help="emit the algebra JSON document")
     _add_source_args(p)
@@ -162,7 +164,7 @@ def _cmd_compute(args) -> int:
 def _verify_checks(alg, desc, spec, cap):
     checks = []
 
-    jac = check_jacobi(alg)
+    jac = check_jacobi(alg, cap=cap)
     checks.append(
         {
             "check": "jacobi",
@@ -240,7 +242,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_check(args) -> int:
     alg, desc, _ = _resolve_algebra(args)
     d2 = verify_d_squared(alg, cap=args.size_cap)
-    jac = check_jacobi(alg)
+    jac = check_jacobi(alg, cap=args.size_cap)
     ok = not jac and not d2
     _json_out(
         {

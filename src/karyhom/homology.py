@@ -14,17 +14,15 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
 
 from .algebra import KaryAlgebra, lower_central_series
-from .chains import DEFAULT_SIZE_CAP, ChainLayout, assemble, check_cap
+from .chains import DEFAULT_SIZE_CAP, ChainLayout, _split, check_cap
 from .errors import InputError
-from .families import current_algebra
+from .families import acj, current_algebra, free_three_step_small, heisenberg
 from .matrices import SparseIntMatrix, rank
-from .util import comb0, sort_with_sign
+from .util import comb0
 
 
 def betti(alg: KaryAlgebra, t: int, *, cap=DEFAULT_SIZE_CAP) -> int:
@@ -87,9 +85,6 @@ class HomologyReport:
                 ]
             )
         return buf.getvalue()
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
 def betti_all(
@@ -167,8 +162,6 @@ def verify_heisenberg(k: int, m: int, *, cap=DEFAULT_SIZE_CAP, alg=None) -> dict
     both values are reported without judgement.  alg, when given, must
     be heisenberg(k, m); passing it shares its memoized ranks.
     """
-    from .families import heisenberg
-
     if alg is None:
         alg = heisenberg(k, m)
     report = betti_all(alg, description=f"heisenberg(k={k}, m={m})", cap=cap)
@@ -234,20 +227,31 @@ def theta_matrix(alg: KaryAlgebra, j: int) -> SparseIntMatrix:
     theta_j(x_1 ^ ... ^ x_j) sums ad(z) over all (k-1)-subsets of the
     factors, with shuffle signs; equivalently the boundary of z ^ omega
     read in the coordinates of the abelian complement a.
+
+    It is thus one block of d_{j+1}: the columns are the (j+1)-monomials
+    that contain z, the rows the (j-k+2)-monomials that do not.  z lies
+    in every stored key and in no output, so d_{j+1} is zero on the
+    columns without z, and its images land in rows without z.  Dropping z
+    from a sorted monomial keeps lexicographic order, so the columns come
+    in the order of the j-subsets of a; each is multiplied by the sign of
+    moving z to its front, which makes it z ^ omega.
     """
     k = alg.arity
     z, a = _acj_split(alg)
     ma = len(a)
     td = j - k + 2
-    rows = comb0(ma, td) if td >= 0 else 0
+    rows = comb0(ma, td)
     cols = comb0(ma, j)
     if j < k - 1 or rows == 0 or cols == 0:
         return SparseIntMatrix(rows, cols, {})
 
-    columns = [sort_with_sign((z,) + combo) for combo in combinations(a, j)]
-    mat = assemble(alg, [mono for mono, _ in columns], list(combinations(a, td)))
+    def key(mono):
+        return () if (z in mono) == (len(mono) == j + 1) else None
+
+    block = _split(alg, j + 1, key)[()]
+    sign = [-1 if mono.index(z) % 2 else 1 for mono in block.column_monomials]
     return SparseIntMatrix(
-        rows, cols, {(r, c): columns[c][1] * v for (r, c), v in mat.entries.items()}
+        rows, cols, {(r, c): sign[c] * v for (r, c), v in block.matrix.entries.items()}
     )
 
 
@@ -300,8 +304,6 @@ def verify_acj(k: int, m: int, *, cap=DEFAULT_SIZE_CAP, alg=None) -> dict:
     the closed forms (arity-2 per-degree formula; degree-k candidate).
     alg, when given, must be acj(k, m); passing it shares its memoized
     ranks."""
-    from .families import acj
-
     if alg is None:
         alg = acj(k, m)
     report = betti_all(alg, description=f"acj(k={k}, m={m})", cap=cap)
@@ -372,8 +374,6 @@ def verify_free3(k: int, *, cap=DEFAULT_SIZE_CAP, alg=None) -> dict:
     alg, when given, must be free3small(k); passing it shares its
     memoized ranks.
     """
-    from .families import free_three_step_small
-
     if alg is None:
         alg = free_three_step_small(k)
     report = betti_all(alg, description=f"free3small(k={k})", cap=cap)

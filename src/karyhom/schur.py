@@ -13,6 +13,7 @@ hook content formula.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -115,10 +116,7 @@ def character_by_weights(alg: KaryAlgebra, t: int, *, cap=DEFAULT_SIZE_CAP) -> d
         raise InputError(f"{t} is not a positive chain degree for arity {k}")
     check_cap(alg, (t, t - k + 1, t + k - 1), cap)
 
-    cols = {}
-    for mono in wedge_basis(alg, t):
-        w = monomial_weight(alg, mono)
-        cols[w] = cols.get(w, 0) + 1
+    cols = Counter(monomial_weight(alg, mono) for mono in wedge_basis(alg, t))
     layout = ChainLayout.of(alg)
     out_rank = layout.block_ranks(t)  # empty at t = 1: the zero augmentation
     in_rank = layout.block_ranks(t + k - 1)
@@ -148,11 +146,8 @@ def check_weight_symmetry(table: dict) -> None:
 
 
 def _distinct_permutation_count(values) -> int:
-    counts = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
     total = math.factorial(len(values))
-    for c in counts.values():
+    for c in Counter(values).values():
         total //= math.factorial(c)
     return total
 

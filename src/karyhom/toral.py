@@ -16,7 +16,9 @@ import io
 import math
 
 from .algebra import KaryAlgebra, center, lower_central_series
+from .chains import DEFAULT_SIZE_CAP
 from .errors import InputError
+from .homology import betti_all, total_homology_all_degrees
 from .util import comb0
 
 
@@ -92,13 +94,10 @@ def toral_table_text(n_max: int, k_list=(2, 3, 4, 5)) -> str:
     return "\n".join(lines) + "\n"
 
 
-def verify_toral(alg: KaryAlgebra, *, description: str = "", cap=None) -> dict:
+def verify_toral(alg: KaryAlgebra, *, description: str = "", cap=DEFAULT_SIZE_CAP) -> dict:
     """Check total homology against 2^(dim center), and for 2-step
     algebras against the refinement bound (on the all-degree total,
     which is what the bound controls)."""
-    from .homology import DEFAULT_SIZE_CAP, betti_all, total_homology_all_degrees
-
-    cap = DEFAULT_SIZE_CAP if cap is None else cap
     series = lower_central_series(alg)
     if series[-1].dim != 0:
         raise InputError("toral bounds apply to nilpotent algebras only")

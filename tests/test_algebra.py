@@ -17,7 +17,7 @@ from karyhom.algebra import (
     load_algebra,
     lower_central_series,
 )
-from karyhom.errors import InputError, LoadError
+from karyhom.errors import InputError, LoadError, ResourceCapError
 from karyhom.families import abelian, acj, free_three_step_small, free_two_step, heisenberg
 
 
@@ -269,3 +269,12 @@ def test_json_dict_is_serializable_and_stable():
     text1 = json.dumps(doc, sort_keys=True)
     text2 = json.dumps(algebra_to_json_dict(free_two_step(3, 3)), sort_keys=True)
     assert text1 == text2
+
+
+def test_jacobi_refuses_more_pairs_than_cap():
+    # heisenberg(3, 2): C(7, 3) inner triples times C(7, 2) outer pairs
+    alg = heisenberg(3, 2)
+    with pytest.raises(ResourceCapError):
+        check_jacobi(alg, cap=734)
+    assert check_jacobi(alg, cap=735) == []
+    assert check_jacobi(alg, cap=None) == []

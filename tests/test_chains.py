@@ -184,9 +184,6 @@ def test_chain_layout_degrees():
     assert ChainLayout(heisenberg(3, 2)).degrees == [0, 1, 3, 5, 7]
     assert ChainLayout(heisenberg(2, 2)).degrees == [0, 1, 2, 3, 4, 5]
     assert ChainLayout(heisenberg(5, 1)).degrees == [0, 1, 5]
-    layout = ChainLayout(heisenberg(3, 1))
-    aug = layout.matrix(1)
-    assert (aug.rows, aug.cols) == (1, 4) and aug.is_zero()
 
 
 def test_rank_oracle_on_differentials():
@@ -246,3 +243,27 @@ def test_assembly_matches_boundary_image_oracle():
                 whole[(row_idx[blk.row_monomials[r]], col_idx[blk.column_monomials[c]])] = v
         expected = _matrix_from_images(f, cols, rows)
         assert SparseIntMatrix(len(rows), len(cols), whole) == expected == differential_matrix(f, t)
+
+
+def test_boundary_ranks_are_dual():
+    # rank d_t = rank d_{dim+k-1-t} for nilpotent algebras (traceless ad)
+    algebras = [
+        family(k, m)
+        for family in (heisenberg, acj)
+        for k in (2, 3, 4)
+        for m in range(1, 5)
+        if k * m + 1 <= 10
+    ]
+    algebras += [
+        free_two_step(2, 4),
+        free_two_step(3, 4),
+        free_three_step_small(3),
+        free_three_step_small(4),
+        current_algebra(heisenberg(2, 1), 2),
+        current_algebra(heisenberg(3, 1), 2),
+        abelian(3, 5),
+    ]
+    for alg in algebras:
+        layout, top = ChainLayout.of(alg), alg.dim + alg.arity - 1
+        for t in range(top + 1):
+            assert layout.boundary_rank(t) == layout.boundary_rank(top - t), (alg, t)

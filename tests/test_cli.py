@@ -231,3 +231,30 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1] == "1,2,1.0,2,1.0,2,1.0,2,1.0"
+
+
+def test_jacobi_check_obeys_size_cap(capsys):
+    # 735 (inner, outer) pairs; the largest chain space has 35 monomials
+    for verb in ("check", "verify"):
+        code, _ = run_cli(
+            capsys, verb, "--family", "heisenberg", "--k", "3", "--m", "2",
+            "--size-cap", "100",
+        )
+        assert code == 3, verb
+
+
+@pytest.mark.parametrize(
+    "verb, extra, fmt",
+    [
+        ("verify", (), "csv"),
+        ("decompose", ("--degree", "3"), "csv"),
+        ("check", (), "json"),
+        ("check", (), "csv"),
+        ("check", (), "text"),
+    ],
+)
+def test_format_outside_verb_choices_exits_2(capsys, verb, extra, fmt):
+    code, _ = run_cli(
+        capsys, verb, "--family", "free2", "--k", "2", "--n", "3", *extra, "--format", fmt
+    )
+    assert code == 2

@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -10,7 +11,8 @@ from conftest import (
     flip_bracket_signs,
     heisenberg_betti_closed_form,
 )
-from karyhom.chains import ChainLayout, differential_matrix
+from karyhom.algebra import KaryAlgebra
+from karyhom.chains import ChainLayout, boundary_image, differential_matrix
 from karyhom.errors import InputError, ResourceCapError
 from karyhom.families import (
     abelian,
@@ -37,7 +39,8 @@ from karyhom.homology import (
     verify_free3,
     verify_heisenberg,
 )
-from karyhom.matrices import rank
+from karyhom.matrices import SparseIntMatrix, rank
+from karyhom.util import sort_with_sign
 
 
 # -- direct Betti numbers ---------------------------------------------------
@@ -174,6 +177,44 @@ def test_theta_requires_acj_shape():
         theta_matrix(heisenberg(3, 2), 2)
     with pytest.raises(InputError):
         theta_matrix(abelian(2, 3), 1)
+
+
+def _permuted(alg, rng):
+    """alg in a shuffled basis: index i becomes perm[i]."""
+    perm = list(range(alg.dim))
+    rng.shuffle(perm)
+    items = [
+        (tuple(perm[i] for i in args), {perm[w]: c for w, c in vec.items()})
+        for args, vec in alg.brackets.items()
+    ]
+    return KaryAlgebra.from_brackets(alg.arity, alg.dim, alg.labels, items), perm[0]
+
+
+def test_theta_matrix_matches_boundary_image_oracle():
+    # column omega of theta_j is d(z ^ omega) = sgn * d(sort(z, omega)),
+    # read in the z-free rows; acj puts z at index 0, the copies elsewhere
+    rng = random.Random(5)
+    cases = []
+    for base in (acj(2, 3), acj(3, 2)):
+        cases.append((base, 0))
+        for _ in range(3):
+            alg, z = _permuted(base, rng)
+            if z == 0:
+                continue
+            cases.append((alg, z))
+    assert sum(z != 0 for _, z in cases) >= 4
+    for alg, z in cases:
+        k = alg.arity
+        a = [i for i in range(alg.dim) if i != z]
+        for j in range(k - 1, len(a) + 1):
+            rows = {mono: r for r, mono in enumerate(combinations(a, j - k + 2))}
+            entries = {}
+            for c, combo in enumerate(combinations(a, j)):
+                mono, sign = sort_with_sign((z,) + combo)
+                for out, v in boundary_image(alg, mono).items():
+                    entries[(rows[out], c)] = sign * v
+            expected = SparseIntMatrix(len(rows), comb(len(a), j), entries)
+            assert theta_matrix(alg, j) == expected, (alg, z, j)
 
 
 def test_theta_reproduces_betti_everywhere():

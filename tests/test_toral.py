@@ -11,6 +11,7 @@ from karyhom.families import (
     free_two_step,
     heisenberg,
 )
+from karyhom import homology
 from karyhom.algebra import KaryAlgebra
 from karyhom.toral import (
     log2_display,
@@ -148,3 +149,8 @@ def test_verify_toral_two_step_instances():
         assert rec["holds_refinement"]
         # the 2-step bound strictly beats the plain power of two
         assert rec["refinement_bound"] >= rec["power_bound"] + 1
+
+
+def test_verify_toral_cap_none_means_no_limit(monkeypatch):
+    monkeypatch.setattr(homology, "DEFAULT_SIZE_CAP", 10)
+    assert verify_toral(heisenberg(3, 2), cap=None)["ok"]
