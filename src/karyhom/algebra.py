@@ -20,6 +20,7 @@ from itertools import combinations
 from math import comb, lcm
 
 from .errors import InputError, LoadError, ResourceCapError
+from .matrices import SparseIntMatrix, kernel_basis, rank, row_basis
 from .util import sort_with_sign
 
 DEFAULT_SIZE_CAP = 10**6
@@ -236,119 +237,80 @@ def is_nilpotent(alg: KaryAlgebra) -> bool:
 
 def center(alg: KaryAlgebra) -> Subspace:
     """Common kernel of v -> [v, b_{i_2}, ..., b_{i_k}] over basis subsets."""
-    echelon = _Echelon(alg.dim)
-    for rest in combinations(range(alg.dim), alg.arity - 1):
-        images = {}
-        for j in range(alg.dim):
+    n = alg.dim
+    entries = {}
+    for r, rest in enumerate(combinations(range(n), alg.arity - 1)):
+        for j in range(n):
             for out, c in alg.bracket((j,) + rest).items():
-                images.setdefault(out, [0] * alg.dim)[j] = c
-        for row in images.values():
-            echelon.add(row)
-    return Subspace(alg.dim, echelon.kernel_basis())
+                entries[(r * n + out, j)] = c
+    ad = SparseIntMatrix(comb(n, alg.arity - 1) * n, n, entries)
+    return Subspace.span(n, kernel_basis(ad))
 
 
 # -- subspaces ---------------------------------------------------------
 
 
-class _Echelon:
-    """Incremental reduced row echelon form over Q (dense rows)."""
-
-    def __init__(self, width: int):
-        self.width = width
-        self.rows = []  # list[(pivot_col, list[Fraction])], sorted by pivot
-
-    def reduce(self, vec):
-        vec = [Fraction(x) for x in vec]
-        for piv, row in self.rows:
-            c = vec[piv]
-            if c:
-                for i in range(piv, self.width):
-                    vec[i] -= c * row[i]
-        return vec
-
-    def add(self, vec) -> bool:
-        """Insert a vector; True if it enlarged the span."""
-        vec = self.reduce(vec)
-        piv = next((i for i, x in enumerate(vec) if x), None)
-        if piv is None:
-            return False
-        inv = 1 / vec[piv]
-        vec = [x * inv for x in vec]
-        for _, row in self.rows:
-            c = row[piv]
-            if c:
-                for i in range(piv, self.width):
-                    row[i] -= c * vec[i]
-        self.rows.append((piv, vec))
-        self.rows.sort(key=lambda t: t[0])
-        return True
-
-    def kernel_basis(self):
-        """RREF basis of the null space of the stacked rows."""
-        pivots = [p for p, _ in self.rows]
-        free = [i for i in range(self.width) if i not in pivots]
-        basis = []
-        for f in free:
-            vec = [Fraction(0)] * self.width
-            vec[f] = Fraction(1)
-            for piv, row in self.rows:
-                vec[piv] = -row[f]
-            basis.append(vec)
-        return basis
-
-
 class Subspace:
-    """A subspace of Q^n held as the unique reduced row echelon basis."""
+    """A subspace of Q^n held as integer basis rows.
+
+    The rows come from `matrices.row_basis` and are not canonical: equal
+    subspaces built from different generators may keep different rows,
+    so equality is tested by containment.
+    """
 
     __slots__ = ("ambient_dim", "basis_vectors")
 
     def __init__(self, ambient_dim: int, vectors):
-        ech = _Echelon(ambient_dim)
-        for v in vectors:
-            ech.add(list(v))
         self.ambient_dim = ambient_dim
-        self.basis_vectors = tuple(tuple(row) for _, row in ech.rows)
+        self.basis_vectors = tuple(
+            tuple(row.get(c, 0) for c in range(ambient_dim))
+            for row in row_basis(_stack(ambient_dim, vectors))
+        )
 
     @classmethod
     def span(cls, ambient_dim, sparse_vectors):
-        dense = []
-        for sv in sparse_vectors:
-            row = [0] * ambient_dim
-            for i, c in sv.items():
-                row[i] = c
-            dense.append(row)
-        return cls(ambient_dim, dense)
+        return cls(ambient_dim, [[v.get(i, 0) for i in range(ambient_dim)] for v in sparse_vectors])
 
     @classmethod
     def full(cls, ambient_dim):
-        eye = [[1 if i == j else 0 for j in range(ambient_dim)] for i in range(ambient_dim)]
-        return cls(ambient_dim, eye)
+        return cls(ambient_dim, [[int(i == j) for j in range(ambient_dim)] for i in range(ambient_dim)])
 
     @property
     def dim(self) -> int:
         return len(self.basis_vectors)
 
     def contains_vector(self, vec) -> bool:
-        ech = _Echelon(self.ambient_dim)
-        for row in self.basis_vectors:
-            ech.add(list(row))
-        return all(x == 0 for x in ech.reduce(list(vec)))
+        return self.contains(Subspace(self.ambient_dim, [vec]))
 
     def contains(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(v) for v in other.basis_vectors)
+        union = _stack(self.ambient_dim, self.basis_vectors + other.basis_vectors)
+        return rank(union) == self.dim
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis_vectors == other.basis_vectors
+            and self.dim == other.dim
+            and self.contains(other)
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis_vectors))
+        return hash((self.ambient_dim, self.dim))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of Q^{self.ambient_dim})"
+
+
+def _stack(ambient_dim, vectors) -> SparseIntMatrix:
+    """Dense rational rows as an integer matrix, each row scaled to integers."""
+    entries = {}
+    vectors = list(vectors)
+    for r, vec in enumerate(vectors):
+        nonzero = {c: Fraction(x) for c, x in enumerate(vec) if x}
+        scale = lcm(*(x.denominator for x in nonzero.values()))
+        for c, x in nonzero.items():
+            entries[(r, c)] = int(x * scale)
+    return SparseIntMatrix(len(vectors), ambient_dim, entries)
 
 
 # -- JSON interchange ---------------------------------------------------

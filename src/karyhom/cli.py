@@ -23,7 +23,7 @@ from . import __version__
 from .algebra import algebra_to_json_dict, check_jacobi, load_algebra
 from .chains import differential_matrix, verify_d_squared
 from .errors import InputError, ResourceCapError
-from .families import FamilySpec
+from .families import FAMILY_TAGS, FamilySpec
 from .homology import (
     DEFAULT_SIZE_CAP,
     betti_all,
@@ -45,14 +45,13 @@ def _json_out(payload) -> None:
 
 
 def _family_spec(args) -> FamilySpec:
-    inner = None
-    if args.family == "current":
-        if not args.inner:
-            raise InputError("--family current requires --inner")
-        inner = FamilySpec(tag=args.inner, k=args.k, m=args.m, n=args.n)
-    return FamilySpec(
-        tag=args.family, k=args.k, m=args.m, n=args.n, j=args.j, inner=inner
-    )
+    """The spec of --family; for current, --k/--m/--n go to the inner family."""
+    inner = FamilySpec(tag=args.inner, k=args.k, m=args.m, n=args.n) if args.inner else None
+    if args.family != "current":
+        return FamilySpec(tag=args.family, k=args.k, m=args.m, n=args.n, j=args.j, inner=inner)
+    if inner is None:
+        raise InputError("--family current requires --inner")
+    return FamilySpec(tag="current", j=args.j, inner=inner)
 
 
 def _resolve_algebra(args):
@@ -69,7 +68,7 @@ def _resolve_algebra(args):
 
 
 def _add_source_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=("heisenberg", "acj", "free2", "free3small", "current", "abelian"))
+    p.add_argument("--family", choices=FAMILY_TAGS)
     p.add_argument("--input", help="path to an algebra JSON document")
     p.add_argument("--k", type=int, help="bracket arity")
     p.add_argument("--m", type=int, help="number of bracket blocks")
@@ -123,6 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_compute(args) -> int:
+    if args.degree is not None and args.format != "json":
+        raise InputError(f"--degree prints JSON only, not --format {args.format}")
     alg, desc, _ = _resolve_algebra(args)
     report = betti_all(alg, description=desc, cap=args.size_cap)
     if args.export_mm:

@@ -120,7 +120,16 @@ def abelian(k: int, n: int) -> KaryAlgebra:
     return KaryAlgebra(k, n, [f"a{i + 1}" for i in range(n)], {})
 
 
-FAMILY_TAGS = ("heisenberg", "acj", "free2", "free3small", "current", "abelian")
+# tag -> (constructor, the FamilySpec fields it takes, in order)
+_FAMILIES = {
+    "heisenberg": (heisenberg, ("k", "m")),
+    "acj": (acj, ("k", "m")),
+    "free2": (free_two_step, ("k", "n")),
+    "free3small": (free_three_step_small, ("k",)),
+    "current": (lambda inner, j: current_algebra(inner.build(), j), ("inner", "j")),
+    "abelian": (abelian, ("k", "n")),
+}
+FAMILY_TAGS = tuple(_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -135,28 +144,17 @@ class FamilySpec:
     inner: Optional["FamilySpec"] = None
 
     def build(self) -> KaryAlgebra:
-        tag = self.tag
-        if tag == "heisenberg":
-            return heisenberg(self._need("k"), self._need("m"))
-        if tag == "acj":
-            return acj(self._need("k"), self._need("m"))
-        if tag == "free2":
-            return free_two_step(self._need("k"), self._need("n"))
-        if tag == "free3small":
-            return free_three_step_small(self._need("k"))
-        if tag == "current":
-            if self.inner is None:
-                raise InputError("current needs an inner family")
-            return current_algebra(self.inner.build(), self._need("j"))
-        if tag == "abelian":
-            return abelian(self._need("k"), self._need("n"))
-        raise InputError(f"unknown family {tag!r} (expected one of {FAMILY_TAGS})")
-
-    def _need(self, name: str) -> int:
-        value = getattr(self, name)
-        if value is None:
-            raise InputError(f"family {self.tag!r} needs parameter --{name}")
-        return value
+        """Build the algebra, refusing a parameter its family does not take."""
+        if self.tag not in _FAMILIES:
+            raise InputError(f"unknown family {self.tag!r} (expected one of {FAMILY_TAGS})")
+        constructor, params = _FAMILIES[self.tag]
+        for name in ("k", "m", "n", "j", "inner"):
+            given = getattr(self, name) is not None
+            if given and name not in params:
+                raise InputError(f"family {self.tag!r} does not take --{name}")
+            if not given and name in params:
+                raise InputError(f"family {self.tag!r} needs parameter --{name}")
+        return constructor(*(getattr(self, name) for name in params))
 
     def describe(self) -> str:
         if self.tag == "current":

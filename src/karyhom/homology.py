@@ -21,7 +21,7 @@ from .algebra import KaryAlgebra, lower_central_series
 from .chains import DEFAULT_SIZE_CAP, ChainLayout, _split, check_cap
 from .errors import InputError
 from .families import acj, current_algebra, free_three_step_small, heisenberg
-from .matrices import SparseIntMatrix, rank
+from .matrices import SparseIntMatrix, kernel_dim
 from .util import comb0
 
 
@@ -260,7 +260,7 @@ def theta_kernel_dim(alg: KaryAlgebra, j: int) -> int:
     if j < 0 or j > len(a):
         return 0
     mat = theta_matrix(alg, j)
-    return mat.cols - rank(mat)
+    return kernel_dim(mat)
 
 
 def acj_homology_via_theta(alg: KaryAlgebra, alpha: int) -> int:

@@ -1,9 +1,10 @@
 """Sparse exact linear algebra over the integers.
 
-Rank over Q is computed by integer-preserving elimination: rows are
-cross-multiplied through the gcd of the pivot pair and stripped of their
-content, so no fractions (and no floating point, hence no tolerances)
-ever appear.  Pivots are chosen by Markowitz cost with deterministic tie
+Rank, row-space bases and kernel bases over Q all come from one
+integer-preserving elimination, `_eliminate`: rows are cross-multiplied
+through the gcd of the pivot pair and stripped of their content, so no
+fractions (and no floating point, hence no tolerances) appear in it.
+Pivots are chosen by Markowitz cost with deterministic tie
 breaking, which keeps fill-in low on the incidence-like matrices produced
 by boundary maps and makes every run bit-reproducible.  A lazy heap
 finds each pivot, so pivot search costs about the entries a pivot
@@ -17,8 +18,9 @@ rank, and agreement at a few random primes confirms the exact value.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InputError, LoadError
 
@@ -108,8 +110,13 @@ def multiply(a: SparseIntMatrix, b: SparseIntMatrix) -> SparseIntMatrix:
     return SparseIntMatrix(a.rows, b.cols, {k: v for k, v in out.items() if v})
 
 
-def rank(matrix: SparseIntMatrix) -> int:
-    """Rank over the rationals by fraction-free sparse elimination.
+def _eliminate(matrix: SparseIntMatrix):
+    """Fraction-free sparse elimination, yielding (pivot_col, pivot_row).
+
+    The pivot rows are {col: int} dicts spanning the row space.  A pivot
+    row is zero at the pivot columns of every row yielded before it: a
+    pivot clears its column from every remaining row.  No row is kept
+    after its yield, so counting the yields costs what rank costs.
 
     Pivot selection: lowest Markowitz cost (nnz_row-1)*(nnz_col-1),
     ties broken by smallest row index, then smallest column index.
@@ -132,7 +139,6 @@ def rank(matrix: SparseIntMatrix) -> int:
     ]
     heapify(heap)
 
-    rk = 0
     while rows:
         cost, pr, pc = heappop(heap)
         prow = rows.get(pr)
@@ -140,7 +146,7 @@ def rank(matrix: SparseIntMatrix) -> int:
             continue
         if cost != (len(prow) - 1) * (len(col_rows[pc]) - 1):
             continue
-        rk += 1
+        yield pc, prow
 
         del rows[pr]
         for c in prow:
@@ -198,12 +204,43 @@ def rank(matrix: SparseIntMatrix) -> int:
                 for r in s:
                     if r not in eliminated:
                         heappush(heap, ((len(rows[r]) - 1) * lc, r, c))
-    return rk
+
+
+def rank(matrix: SparseIntMatrix) -> int:
+    """Rank over the rationals: the number of pivots `_eliminate` finds."""
+    return sum(1 for _ in _eliminate(matrix))
 
 
 def kernel_dim(matrix: SparseIntMatrix) -> int:
     """Dimension of the rational null space: cols - rank."""
     return matrix.cols - rank(matrix)
+
+
+def row_basis(matrix: SparseIntMatrix) -> list:
+    """A basis of the row space over Q, as {col: int} rows."""
+    return [row for _, row in _eliminate(matrix)]
+
+
+def kernel_basis(matrix: SparseIntMatrix) -> list:
+    """A basis of the rational null space, as {col: int} vectors.
+
+    One vector per non-pivot column f: x_f = 1, the other non-pivot
+    coordinates 0, the pivot coordinates solved from the last pivot row
+    back (a pivot row involves only its own and later pivot columns),
+    then scaled to coprime integers.
+    """
+    pivots = list(_eliminate(matrix))
+    free = set(range(matrix.cols)).difference(pc for pc, _ in pivots)
+    basis = []
+    for f in sorted(free):
+        x = {f: Fraction(1)}
+        for pc, row in reversed(pivots):
+            s = sum(v * x[c] for c, v in row.items() if c in x)
+            if s:
+                x[pc] = -s / row[pc]
+        d = lcm(*(v.denominator for v in x.values()))
+        basis.append({c: int(v * d) for c, v in x.items()})
+    return basis
 
 
 def rank_mod_p(matrix: SparseIntMatrix, p: int) -> int:

@@ -1,5 +1,6 @@
 import io
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -205,6 +206,38 @@ def test_subspace_canonical_form():
     assert s3.contains_vector([1, 2, 0])
     assert not s3.contains_vector([1, 0, 0])
     assert Subspace.full(3).contains(s3)
+
+
+def test_center_need_not_be_a_coordinate_subspace():
+    # Lie brackets [x1, y] = z and [x2, y] = z: the center is span{z, x1 - x2}
+    alg = KaryAlgebra(2, 4, ["x1", "x2", "y", "z"], {(0, 2): {3: 1}, (1, 2): {3: 1}})
+    z = center(alg)
+    assert z.dim == 2
+    assert z.contains_vector([1, -1, 0, 0])
+    assert z.contains_vector([0, 0, 0, 5])
+    assert not z.contains_vector([1, 0, 0, 0])
+    assert not z.contains_vector([0, 0, 1, 0])
+    assert z == Subspace(4, [[1, -1, 0, 0], [0, 0, 0, 1]])
+
+
+def test_subspace_of_fraction_rows():
+    s = Subspace(3, [[Fraction(1, 2), Fraction(1, 3), 0], [Fraction(3, 4), Fraction(1, 2), 0]])
+    assert s.dim == 1
+    assert s.contains_vector([3, 2, 0])
+    assert s.contains_vector([Fraction(-3, 7), Fraction(-2, 7), 0])
+    assert not s.contains_vector([1, 1, 0])
+    assert s == Subspace(3, [[3, 2, 0]])
+    assert all(type(x) is int for row in s.basis_vectors for x in row)
+
+
+def test_equal_subspaces_from_different_generators_hash_equal():
+    a = Subspace(3, [[1, 1, 0], [1, -1, 0]])
+    b = Subspace(3, [[2, 0, 0], [0, 3, 0], [1, 1, 0]])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert Subspace(3, [[1, 0, 0]]) != Subspace(3, [[0, 1, 0]])
+    assert Subspace(3, [[1, 0, 0]]) != Subspace(3, [[1, 0, 0], [0, 1, 0]])
+    assert Subspace(2, [[1, 0]]) != Subspace(3, [[1, 0, 0]])
 
 
 # -- JSON interchange --------------------------------------------------------

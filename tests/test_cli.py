@@ -258,3 +258,30 @@ def test_format_outside_verb_choices_exits_2(capsys, verb, extra, fmt):
         capsys, verb, "--family", "free2", "--k", "2", "--n", "3", *extra, "--format", fmt
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "--family", "heisenberg", "--k", "2", "--m", "1", "--n", "5"),
+        ("compute", "--family", "free2", "--k", "2", "--n", "3", "--m", "1"),
+        ("verify", "--family", "acj", "--k", "2", "--m", "1", "--j", "2"),
+        ("compute", "--family", "abelian", "--k", "2", "--n", "3", "--inner", "heisenberg"),
+        ("compute", "--family", "current", "--inner", "heisenberg", "--k", "2", "--m", "1",
+         "--n", "3", "--j", "2"),
+        ("compute", "--family", "heisenberg", "--k", "2", "--m", "1", "--degree", "2",
+         "--format", "csv"),
+        ("compute", "--family", "heisenberg", "--k", "2", "--m", "1", "--degree", "2",
+         "--format", "text"),
+    ],
+    ids=[
+        "heisenberg-n", "free2-m", "acj-j", "abelian-inner", "current-inner-n",
+        "degree-csv", "degree-text",
+    ],
+)
+def test_unused_parameters_and_degree_formats_exit_2(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -137,3 +137,18 @@ def test_family_spec_builds_and_describes():
         FamilySpec(tag="nope", k=2).build()
     with pytest.raises(InputError):
         FamilySpec(tag="heisenberg", k=3).build()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FamilySpec(tag="heisenberg", k=2, m=1, n=5),
+        FamilySpec(tag="free3small", k=3, j=2),
+        FamilySpec(tag="acj", k=2, m=1, inner=FamilySpec(tag="heisenberg", k=2, m=1)),
+        FamilySpec(tag="current", k=2, j=2, inner=FamilySpec(tag="heisenberg", k=2, m=1)),
+    ],
+    ids=["heisenberg-n", "free3small-j", "acj-inner", "current-k"],
+)
+def test_family_spec_rejects_parameters_it_does_not_take(spec):
+    with pytest.raises(InputError, match="does not take"):
+        spec.build()

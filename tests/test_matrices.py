@@ -10,12 +10,14 @@ from karyhom.families import heisenberg
 from karyhom.matrices import (
     SparseIntMatrix,
     is_probable_prime,
+    kernel_basis,
     kernel_dim,
     multiply,
     random_prime,
     rank,
     rank_mod_p,
     read_matrix_market,
+    row_basis,
     write_matrix_market,
 )
 
@@ -61,6 +63,64 @@ def test_rank_against_dense_oracle_randomized():
         assert rank(m.transpose()) == expected
         for p in (2**31 - 1, 2147483659, 2305843009213693951):
             assert rank_mod_p(m, p) == expected
+
+
+def _with_dependent_rows(rng, dense):
+    """dense plus repeated, scaled and summed copies of its rows."""
+    dense = [list(row) for row in dense]
+    for _ in range(rng.randrange(4)):
+        a, b = rng.randrange(len(dense)), rng.randrange(len(dense))
+        kind = rng.randrange(3)
+        if kind == 0:
+            new = list(dense[a])
+        elif kind == 1:
+            new = [rng.choice((-3, 2, 5)) * x for x in dense[a]]
+        else:
+            new = [x + y for x, y in zip(dense[a], dense[b])]
+        dense.insert(rng.randrange(len(dense) + 1), new)
+    return dense
+
+
+def _assert_bases(m, dense):
+    expected = dense_rank(dense)
+    as_dense = lambda vecs: [[v.get(c, 0) for c in range(m.cols)] for v in vecs]
+
+    kernel = kernel_basis(m)
+    assert len(kernel) == m.cols - expected
+    for v in kernel:
+        assert all(type(x) is int for x in v.values())
+        assert all(sum(row[c] * x for c, x in v.items()) == 0 for row in dense)
+    assert dense_rank(as_dense(kernel)) == len(kernel)
+
+    basis = row_basis(m)
+    assert len(basis) == expected
+    assert dense_rank(as_dense(basis)) == expected
+    assert dense_rank(dense + as_dense(basis)) == expected
+
+
+def test_kernel_and_row_basis_against_dense_oracle_randomized():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        rows, cols = rng.randrange(1, 8), rng.randrange(1, 9)
+        dense = [
+            [rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        dense = _with_dependent_rows(rng, dense)
+        _assert_bases(from_dense(dense), dense)
+
+
+def test_kernel_and_row_basis_edge_shapes():
+    no_rows = SparseIntMatrix(0, 4, {})
+    _assert_bases(no_rows, [])
+    assert sorted(sorted(v.items()) for v in kernel_basis(no_rows)) == [
+        [(c, 1)] for c in range(4)
+    ]
+    full = [[2, 1, 0], [0, 3, 1], [1, 0, 1]]  # determinant 7
+    _assert_bases(from_dense(full), full)
+    assert kernel_basis(from_dense(full)) == []
+    wide = [[1, 2, 0, 4], [0, 0, 3, 6]]
+    _assert_bases(from_dense(wide), wide)
 
 
 def test_rank_invariances_randomized():
