@@ -8,8 +8,8 @@ of the sorting permutation.  The generalized (Filippov) Jacobi identity
     [[x_1,...,x_k], y_2,...,y_k]
         = sum_i [x_1,...,[x_i, y_2,...,y_k],...,x_k]
 
-is not assumed; `check_jacobi` verifies it exhaustively on basis tuples,
-which suffices by multilinearity.
+is not assumed; `check_jacobi` verifies it on every basis-tuple pair
+whose residual can be nonzero, which suffices by multilinearity.
 """
 
 from __future__ import annotations
@@ -174,36 +174,57 @@ class KaryAlgebra:
 def check_jacobi(alg: KaryAlgebra, *, cap=DEFAULT_SIZE_CAP):
     """All basis tuples violating the generalized Jacobi identity.
 
-    Exhausts strictly increasing inner k-tuples against strictly
-    increasing outer (k-1)-tuples (overlaps allowed); this covers every
+    Checks strictly increasing inner k-tuples I against strictly
+    increasing outer (k-1)-tuples O (overlaps allowed); this covers every
     case by multilinearity, since tuples with a repeat inside either
-    group vanish identically on both sides.  Returns the violating
-    (2k-1)-tuples, inner part first; empty means the identity holds.
-    More than cap (inner, outer) pairs are refused before any work
-    (cap None: no limit).
+    group vanish identically on both sides.  The residual of (I, O) is
+    [[I], O] - sum_i [I_1, ..., [I_i, O], ..., I_k], so it can be nonzero
+    only if I is a stored key or some sorted {I_i} + O is one.  Only those
+    pairs are visited: for each stored key K, (K, every O) and, for each
+    e in K, (every I containing e, K without e).  Returns the violating
+    (2k-1)-tuples, inner part first, in lexicographic order; empty means
+    the identity holds.  The pairs are at most
+    |keys| * (C(n, k-1) + k * C(n-1, k-1)); a bound over cap is refused
+    before any work (cap None: no limit).
     """
-    k = alg.arity
-    pairs = comb(alg.dim, k) * comb(alg.dim, k - 1)
-    if cap is not None and pairs > cap:
-        raise ResourceCapError(f"Jacobi check visits {pairs} (inner, outer) pairs (cap {cap})")
-    violations = []
-    inner_tuples = list(combinations(range(alg.dim), k))
-    outer_tuples = list(combinations(range(alg.dim), k - 1))
-    for inner in inner_tuples:
-        inner_vec = alg.brackets.get(inner, {})
-        for outer in outer_tuples:
-            residual = dict(alg.bracket_with_vector(inner_vec, outer))
-            for i in range(k):
-                moved = alg.bracket((inner[i],) + outer)
-                if not moved:
-                    continue
-                for w, c in moved.items():
-                    replaced = inner[:i] + (w,) + inner[i + 1 :]
-                    for j, cj in alg.bracket(replaced).items():
-                        residual[j] = residual.get(j, 0) - c * cj
-            if any(residual.values()):
-                violations.append(inner + outer)
-    return violations
+    n, k = alg.dim, alg.arity
+    bound = len(alg.brackets) * (comb(n, k - 1) + k * comb(n - 1, k - 1))
+    if cap is not None and bound > cap:
+        raise ResourceCapError(
+            f"Jacobi check visits up to {bound} (inner, outer) pairs (cap {cap})"
+        )
+    outers = list(combinations(range(n), k - 1)) if alg.brackets else []
+    containing = {}
+    pairs = set()
+    for key in alg.brackets:
+        pairs.update((key, outer) for outer in outers)
+        for i, e in enumerate(key):
+            if e not in containing:
+                others = [x for x in range(n) if x != e]
+                containing[e] = [
+                    tuple(sorted(rest + (e,))) for rest in combinations(others, k - 1)
+                ]
+            outer = key[:i] + key[i + 1 :]
+            pairs.update((inner, outer) for inner in containing[e])
+    return [
+        inner + outer
+        for inner, outer in sorted(pairs)
+        if _jacobi_fails(alg, inner, outer)
+    ]
+
+
+def _jacobi_fails(alg, inner, outer):
+    """Whether [[inner], outer] - sum_i [..., [inner_i, outer], ...] is nonzero."""
+    residual = dict(alg.bracket_with_vector(alg.brackets.get(inner, {}), outer))
+    for i in range(alg.arity):
+        moved = alg.bracket((inner[i],) + outer)
+        if not moved:
+            continue
+        for w, c in moved.items():
+            replaced = inner[:i] + (w,) + inner[i + 1 :]
+            for j, cj in alg.bracket(replaced).items():
+                residual[j] = residual.get(j, 0) - c * cj
+    return any(residual.values())
 
 
 def lower_central_series(alg: KaryAlgebra):

@@ -1,7 +1,7 @@
 import io
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -140,6 +140,54 @@ def test_jacobi_detects_violation():
     assert violations
     assert jacobi_residuals_exhaustive(mutant)
     assert (0, 1, 2, 1, 3) in violations
+
+
+def increasing_oracle(alg):
+    """The exhaustive oracle restricted to strictly increasing inner and outer parts."""
+    k = alg.arity
+    return [
+        t
+        for t in jacobi_residuals_exhaustive(alg)
+        if all(a < b for a, b in zip(t[: k - 1], t[1:k]))
+        and all(a < b for a, b in zip(t[k : 2 * k - 2], t[k + 1 :]))
+    ]
+
+
+def test_jacobi_matches_exhaustive_oracle_randomized():
+    # random bracket tables, mostly upper-triangular: some satisfy the
+    # identity, most do not; the candidate-pair sweep must report exactly
+    # the oracle's violations, in the oracle's order
+    rng = random.Random(20261018)
+    broken = 0
+    for _ in range(40):
+        n, k = rng.choice([(5, 2), (6, 2), (5, 3), (6, 3)])
+        brackets = {}
+        for K in rng.sample(list(combinations(range(n), k)), rng.randint(1, 4)):
+            pool = range(K[-1] + 1, n) if rng.random() < 0.8 else range(n)
+            if pool:
+                outs = rng.sample(pool, rng.randint(1, min(2, len(pool))))
+                brackets[K] = {w: rng.choice([-2, -1, 1, 3]) for w in outs}
+        alg = KaryAlgebra(k, n, [f"e{i}" for i in range(n)], brackets)
+        expected = increasing_oracle(alg)
+        assert check_jacobi(alg) == expected, brackets
+        broken += bool(expected)
+    assert 5 <= broken <= 35
+
+
+def test_jacobi_finds_violations_whose_inner_tuple_is_not_a_key():
+    # [e0,e1,e2] = e3 and [e3,e4,e5] = e6: the pair ((0,4,5), (1,2)) has
+    # residual -[[e0,e1,e2],e4,e5] = -e6 although (0,4,5) brackets to zero
+    alg = KaryAlgebra(
+        3, 7, [f"e{i}" for i in range(7)], {(0, 1, 2): {3: 1}, (3, 4, 5): {6: 1}}
+    )
+    violations = check_jacobi(alg)
+    assert violations == increasing_oracle(alg)
+    assert (0, 4, 5, 1, 2) in violations
+    assert any(v[:3] not in alg.brackets for v in violations)
+
+
+def test_jacobi_free3small_6_fits_default_cap():
+    assert check_jacobi(free_three_step_small(6)) == []
 
 
 def test_jacobi_quirk_x3_valued_mutant_is_consistent():
@@ -305,9 +353,9 @@ def test_json_dict_is_serializable_and_stable():
 
 
 def test_jacobi_refuses_more_pairs_than_cap():
-    # heisenberg(3, 2): C(7, 3) inner triples times C(7, 2) outer pairs
+    # heisenberg(3, 2): 2 stored keys times (C(7, 2) + 3 * C(6, 2)) candidate pairs
     alg = heisenberg(3, 2)
     with pytest.raises(ResourceCapError):
-        check_jacobi(alg, cap=734)
-    assert check_jacobi(alg, cap=735) == []
+        check_jacobi(alg, cap=131)
+    assert check_jacobi(alg, cap=132) == []
     assert check_jacobi(alg, cap=None) == []

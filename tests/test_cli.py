@@ -222,7 +222,9 @@ def test_export_matrix_market(tmp_path, capsys):
 
 
 def test_module_entry_point():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "karyhom.cli", "table", "--nmax", "1", "--format", "csv"],
         capture_output=True,
@@ -234,7 +236,7 @@ def test_module_entry_point():
 
 
 def test_jacobi_check_obeys_size_cap(capsys):
-    # 735 (inner, outer) pairs; the largest chain space has 35 monomials
+    # up to 132 (inner, outer) pairs; the largest chain space has 35 monomials
     for verb in ("check", "verify"):
         code, _ = run_cli(
             capsys, verb, "--family", "heisenberg", "--k", "3", "--m", "2",
