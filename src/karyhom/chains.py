@@ -214,11 +214,11 @@ def weight_blocks(alg: KaryAlgebra, t: int):
 class ChainLayout:
     """The chain complex of one algebra and the ranks of its boundaries.
 
-    Layout degrees are 0, 1, k, 2k-1, ... up to dim.  The boundary d_t
-    splits into blocks: one per total weight for a graded algebra, a
-    single block otherwise.  The rank of each block is computed once and
-    remembered; only these integers are kept, while matrices and bases
-    are built, ranked and dropped.  `ChainLayout.of(alg)` returns the
+    Layout degrees are 0, 1, k, 2k-1, ... up to dim.  Each boundary d_t
+    is assembled whole, ranked once and dropped; only {t: rank d_t} is
+    kept.  Weights play no part here: Betti numbers need whole ranks
+    only, and the weight blocks that characters need are ranked by
+    `schur.character_by_weights`.  `ChainLayout.of(alg)` returns the
     layout kept on the algebra, so every caller shares one memo.
     """
 
@@ -234,18 +234,18 @@ class ChainLayout:
             alg._chain_layout = cls(alg)
         return alg._chain_layout
 
-    def block_ranks(self, t: int) -> dict:
-        """{block weight: rank} of d_t; empty where d_t is zero by degree."""
-        alg = self.algebra
-        if t < alg.arity or t > alg.dim:
-            return {}
-        if t not in self._ranks:
-            if alg.weights is None:
-                self._ranks[t] = {(): rank(differential_matrix(alg, t))}
-            else:
-                self._ranks[t] = {w: rank(b.matrix) for w, b in weight_blocks(alg, t).items()}
-        return self._ranks[t]
-
     def boundary_rank(self, t: int) -> int:
         """rank d_t (0 below degree k and above dim)."""
-        return sum(self.block_ranks(t).values())
+        alg = self.algebra
+        if t < alg.arity or t > alg.dim:
+            return 0
+        if t not in self._ranks:
+            self._ranks[t] = rank(differential_matrix(alg, t))
+        return self._ranks[t]
+
+    def betti(self, t: int) -> int:
+        """C(dim, t) - rank d_t - rank d_{t+k-1}: the Betti number at a
+        layout degree t (1 at t = 0, where both boundaries are zero)."""
+        alg = self.algebra
+        kernel = comb0(alg.dim, t) - self.boundary_rank(t)
+        return kernel - self.boundary_rank(t + alg.arity - 1)

@@ -21,11 +21,12 @@ import sys
 
 from . import __version__
 from .algebra import algebra_to_json_dict, check_jacobi, load_algebra
-from .chains import differential_matrix, verify_d_squared
+from .chains import ChainLayout, check_cap, differential_matrix, verify_d_squared
 from .errors import InputError, ResourceCapError
 from .families import FAMILY_TAGS, FamilySpec
 from .homology import (
     DEFAULT_SIZE_CAP,
+    betti,
     betti_all,
     verify_acj,
     verify_free3,
@@ -34,6 +35,7 @@ from .homology import (
 from .matrices import write_matrix_market
 from .schur import character_by_weights, decompose_character, schur_dim
 from .toral import toral_table_csv, toral_table_rows, toral_table_text, verify_toral
+from .util import comb0
 
 SCHEMA = "karyhom-cli/1"
 
@@ -125,31 +127,26 @@ def _cmd_compute(args) -> int:
     if args.degree is not None and args.format != "json":
         raise InputError(f"--degree prints JSON only, not --format {args.format}")
     alg, desc, _ = _resolve_algebra(args)
-    report = betti_all(alg, description=desc, cap=args.size_cap)
+    layout = ChainLayout.of(alg)
+    t = args.degree
+    if t is not None and t not in layout.degrees:
+        raise InputError(f"degree {t} is not in the layout {layout.degrees}")
     if args.export_mm:
+        check_cap(alg, layout.degrees, args.size_cap)
         os.makedirs(args.export_mm, exist_ok=True)
-        for t in report.degrees:
-            if t >= alg.arity:
+        for d in layout.degrees:
+            if d >= alg.arity:
                 write_matrix_market(
-                    differential_matrix(alg, t),
-                    os.path.join(args.export_mm, f"boundary_{t}.mtx"),
+                    differential_matrix(alg, d),
+                    os.path.join(args.export_mm, f"boundary_{d}.mtx"),
                 )
-    if args.degree is not None:
-        if args.degree not in report.degrees:
-            raise InputError(
-                f"degree {args.degree} is not in the layout {report.degrees}"
-            )
-        t = args.degree
-        _json_out(
-            {
-                "algebra": desc,
-                "degree": t,
-                "betti": report.betti[t],
-                "kernel": report.kernel_dims[t],
-                "image": report.image_dims[t],
-            }
-        )
+    if t is not None:
+        h = betti(alg, t, cap=args.size_cap)  # ranks d_t and d_{t+k-1} only
+        image = layout.boundary_rank(t)
+        kernel = comb0(alg.dim, t) - image
+        _json_out({"algebra": desc, "degree": t, "betti": h, "kernel": kernel, "image": image})
         return 0
+    report = betti_all(alg, description=desc, cap=args.size_cap)
     if args.format == "json":
         _json_out({"report": report.to_json_dict()})
     elif args.format == "csv":
@@ -177,7 +174,10 @@ def _verify_checks(alg, desc, spec, cap):
     d2 = verify_d_squared(alg, cap=cap)
     checks.append({"check": "d_squared", "ok": not d2, "failing_degrees": d2})
 
-    tor = verify_toral(alg, description=desc, cap=cap)
+    try:
+        tor = verify_toral(alg, description=desc, cap=cap)
+    except InputError as exc:  # not nilpotent: no toral bound applies
+        tor = {"ok": False, "error": str(exc)}
     checks.append({"check": "toral", "ok": tor["ok"], "detail": tor})
 
     tag = spec.tag if spec is not None else None

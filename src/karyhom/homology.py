@@ -34,8 +34,7 @@ def betti(alg: KaryAlgebra, t: int, *, cap=DEFAULT_SIZE_CAP) -> int:
         return 1
     k = alg.arity
     check_cap(alg, (t, t - k + 1, t + k - 1), cap)
-    kernel = comb0(alg.dim, t) - layout.boundary_rank(t)
-    return kernel - layout.boundary_rank(t + k - 1)
+    return layout.betti(t)
 
 
 @dataclass
@@ -97,16 +96,10 @@ def betti_all(
     layout = ChainLayout.of(alg)
     degrees = layout.degrees
     check_cap(alg, degrees, cap)
-    ranks = {t: layout.boundary_rank(t) for t in degrees}
-
     chain_dims = {t: comb0(alg.dim, t) for t in degrees}
-    kernel_dims = {t: chain_dims[t] - ranks[t] for t in degrees}
-    image_dims = dict(ranks)
-    bettis = {}
-    for i, t in enumerate(degrees):
-        nxt = degrees[i + 1] if i + 1 < len(degrees) else None
-        incoming = ranks.get(nxt, 0) if nxt is not None else 0
-        bettis[t] = kernel_dims[t] - incoming
+    image_dims = {t: layout.boundary_rank(t) for t in degrees}
+    kernel_dims = {t: chain_dims[t] - image_dims[t] for t in degrees}
+    bettis = {t: layout.betti(t) for t in degrees}
 
     total = sum(bettis.values())
     report = HomologyReport(

@@ -18,8 +18,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import KaryAlgebra
-from .chains import DEFAULT_SIZE_CAP, ChainLayout, check_cap, monomial_weight, wedge_basis
+from .chains import DEFAULT_SIZE_CAP, check_cap, monomial_weight, wedge_basis, weight_blocks
 from .errors import ConsistencyError, InputError
+from .matrices import rank
 from .util import comb0
 
 # -- partitions and Schur dimensions -------------------------------------
@@ -107,7 +108,10 @@ def character_by_weights(alg: KaryAlgebra, t: int, *, cap=DEFAULT_SIZE_CAP) -> d
 
     For each total weight w the multiplicity is the block kernel of d_t
     minus the block rank of d_{t+k-1}; zero entries are dropped.  The
-    chain spaces of both boundaries are checked against cap first.
+    blocks are assembled and ranked here, once per call: Betti numbers
+    come from whole boundaries (`ChainLayout`), which do not remember
+    per-weight ranks.  The chain spaces of both boundaries are checked
+    against cap first.
     """
     if alg.weights is None:
         raise InputError("character requires a weight-graded algebra")
@@ -117,13 +121,15 @@ def character_by_weights(alg: KaryAlgebra, t: int, *, cap=DEFAULT_SIZE_CAP) -> d
     check_cap(alg, (t, t - k + 1, t + k - 1), cap)
 
     cols = Counter(monomial_weight(alg, mono) for mono in wedge_basis(alg, t))
-    layout = ChainLayout.of(alg)
-    out_rank = layout.block_ranks(t)  # empty at t = 1: the zero augmentation
-    in_rank = layout.block_ranks(t + k - 1)
+    ranks = Counter()  # d_t is the zero augmentation at t = 1
+    for d in (t, t + k - 1):
+        if k <= d <= alg.dim:
+            for w, block in weight_blocks(alg, d).items():
+                ranks[w] += rank(block.matrix)
 
     table = {}
     for w in cols:
-        mult = cols[w] - out_rank.get(w, 0) - in_rank.get(w, 0)
+        mult = cols[w] - ranks[w]
         if mult < 0:
             raise ConsistencyError(f"negative multiplicity {mult} at weight {w}")
         if mult:
@@ -265,21 +271,14 @@ def pieri_dimension_check(x: int, alpha: int) -> bool:
     return x * comb0(x, alpha) == comb0(x, alpha + 1) + schur_dim(lam, x)
 
 
-def second_homology_summands(k: int, use_statement_exponent: bool = False):
+def second_homology_summands(k: int):
     """Schur modules guaranteed inside the degree-k homology of the free
     2-step algebra: S_{2^j 1^{2k-2j-1}} for j = 1..k-1.
 
-    The alternative exponent 2k-2j+1 is exposed for comparison; it gives
+    Read with the exponent 2k-2j+1 in place of 2k-2j-1, the list has
     the wrong total degree and is not contained (see tests).
     """
-    shift = 1 if use_statement_exponent else -1
-    out = []
-    for j in range(1, k):
-        ones = 2 * k - 2 * j + shift
-        if ones < 0:
-            continue
-        out.append((2,) * j + (1,) * ones)
-    return out
+    return [(2,) * j + (1,) * (2 * k - 2 * j - 1) for j in range(1, k)]
 
 
 # -- representation stability ----------------------------------------------

@@ -267,3 +267,19 @@ def test_boundary_ranks_are_dual():
         layout, top = ChainLayout.of(alg), alg.dim + alg.arity - 1
         for t in range(top + 1):
             assert layout.boundary_rank(t) == layout.boundary_rank(top - t), (alg, t)
+
+
+def test_weight_block_ranks_sum_to_whole_rank():
+    # Betti numbers come from whole boundaries and characters from weight
+    # blocks; the two must agree at every boundary degree
+    e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    filiform3 = KaryAlgebra(  # [x0, x1, x_i] = x_{i+1}, graded by hand
+        3, 6, "abcdef",
+        {(0, 1, 2): {3: 1}, (0, 1, 3): {4: 1}, (0, 1, 4): {5: 1}},
+        {0: e[0], 1: e[1], 2: e[2], 3: (1, 1, 1), 4: (2, 2, 1), 5: (3, 3, 1)},
+    )
+    for alg in (free_two_step(2, 4), free_two_step(3, 4), filiform3):
+        for t in range(alg.arity, alg.dim + 1):
+            blocks = weight_blocks(alg, t).values()
+            whole = rank(differential_matrix(alg, t))
+            assert sum(rank(b.matrix) for b in blocks) == whole, (alg, t)

@@ -109,6 +109,78 @@ def test_verify_ranks_each_boundary_once(monkeypatch, capsys):
     assert calls and max(calls.values()) == 1
 
 
+def _count_rank_calls(monkeypatch):
+    """Replace rank in every karyhom module; returns the list of shapes ranked."""
+    import karyhom.matrices
+
+    original = karyhom.matrices.rank
+    shapes = []
+
+    def counting_rank(matrix):
+        shapes.append((matrix.rows, matrix.cols))
+        return original(matrix)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "karyhom" or name.startswith("karyhom.")) and getattr(module, "rank", None) is original:
+            monkeypatch.setattr(module, "rank", counting_rank)
+    return shapes
+
+
+def test_compute_single_degree_ranks_two_boundaries(monkeypatch, capsys):
+    shapes = _count_rank_calls(monkeypatch)
+    code, out = run_cli(
+        capsys, "compute", "--family", "heisenberg", "--k", "3", "--m", "2", "--degree", "3"
+    )
+    assert code == 0
+    assert json.loads(out) == {
+        "schema": "karyhom-cli/1",
+        "algebra": "heisenberg(k=3, m=2)",
+        "degree": 3,
+        "betti": 28,
+        "kernel": 34,
+        "image": 1,
+    }
+    # d_3: wedge^3 -> wedge^1 and d_5: wedge^5 -> wedge^3 of a 7-dim algebra; not d_7
+    assert sorted(shapes) == [(7, 35), (35, 21)]
+
+
+def test_compute_single_degree_caps_only_its_boundaries(capsys):
+    # heisenberg(2, 4) has 84 monomials at degree 3, which --degree 1 never touches
+    argv = ("compute", "--family", "heisenberg", "--k", "2", "--m", "4", "--size-cap", "40")
+    code, out = run_cli(capsys, *argv, "--degree", "1")
+    assert code == 0 and json.loads(out)["betti"] == 8
+    code, _ = run_cli(capsys, *argv)
+    assert code == 3
+
+
+def test_compute_degree_outside_layout_ranks_nothing(monkeypatch, capsys):
+    shapes = _count_rank_calls(monkeypatch)
+    code = main(["compute", "--family", "heisenberg", "--k", "3", "--m", "2", "--degree", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "not in the layout" in captured.err
+    assert shapes == []
+
+
+def test_verify_reports_non_nilpotent_algebra(tmp_path, capsys):
+    # [x1, x2, z] = x1 on heisenberg(3, 1) breaks the Jacobi identity and
+    # nilpotency; verify reports both failures instead of a usage error
+    code, out = run_cli(capsys, "dump", "--family", "heisenberg", "--k", "3", "--m", "1")
+    doc = json.loads(out)
+    doc["brackets"].append({"args": [0, 1, 3], "value": [[1, 0]]})
+    path = tmp_path / "mutant.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "verify", "--input", str(path))
+    assert code == 1
+    rec = json.loads(out)
+    assert not rec["ok"]
+    checks = {c["check"]: c for c in rec["checks"]}
+    assert list(checks) == ["jacobi", "d_squared", "toral"]
+    assert checks["jacobi"]["violations"] == 3 and not checks["jacobi"]["ok"]
+    assert not checks["toral"]["ok"]
+    assert "nilpotent" in checks["toral"]["detail"]["error"]
+
+
 def test_table_text_and_json(capsys):
     code, out = run_cli(capsys, "table", "--nmax", "20")
     assert code == 0

@@ -330,6 +330,26 @@ def test_boundary_ranks_are_computed_once(monkeypatch):
     assert len(shapes) == calls
 
 
+def test_graded_betti_ranks_whole_boundaries_once(monkeypatch):
+    # weights do not split the boundaries Betti numbers are read from:
+    # one rank call per boundary degree, none on a second pass
+    import karyhom.chains
+
+    calls = []
+
+    def counting_rank(matrix):
+        calls.append(matrix)
+        return rank(matrix)
+
+    monkeypatch.setattr(karyhom.chains, "rank", counting_rank)
+    for alg, boundaries in ((free_two_step(3, 4), 3), (free_two_step(2, 4), 9)):
+        calls.clear()
+        betti_all(alg)
+        assert len(calls) == boundaries
+        betti_all(alg)
+        assert len(calls) == boundaries
+
+
 def test_large_instances_match_proved_closed_forms():
     # every layout degree, on boundaries of up to a few thousand columns
     for alg, closed_form in (
