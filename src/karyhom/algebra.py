@@ -15,7 +15,6 @@ whose residual can be nonzero, which suffices by multilinearity.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
 
@@ -323,11 +322,12 @@ class Subspace:
 
 
 def _stack(ambient_dim, vectors) -> SparseIntMatrix:
-    """Dense rational rows as an integer matrix, each row scaled to integers."""
+    """Dense rational rows (int or Fraction entries) as an integer matrix,
+    each row scaled to integers."""
     entries = {}
     vectors = list(vectors)
     for r, vec in enumerate(vectors):
-        nonzero = {c: Fraction(x) for c, x in enumerate(vec) if x}
+        nonzero = {c: x for c, x in enumerate(vec) if x}
         scale = lcm(*(x.denominator for x in nonzero.values()))
         for c, x in nonzero.items():
             entries[(r, c)] = int(x * scale)
@@ -352,12 +352,15 @@ def algebra_to_json_dict(alg: KaryAlgebra) -> dict:
     return doc
 
 
-def _parse_coefficient(x) -> Fraction:
+def _parse_coefficient(x):
+    """An int, or a Fraction parsed from a 'p/q' string."""
     if isinstance(x, bool):
         raise LoadError(f"bad coefficient {x!r}")
     if isinstance(x, int):
-        return Fraction(x)
+        return x
     if isinstance(x, str):
+        from fractions import Fraction
+
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
@@ -396,7 +399,7 @@ def algebra_from_json_dict(doc: dict) -> KaryAlgebra:
         for coeff, idx in pairs:
             q = _parse_coefficient(coeff)
             if q:
-                vec[idx] = vec.get(idx, Fraction(0)) + q
+                vec[idx] = vec.get(idx, 0) + q
         vec = {i: c for i, c in vec.items() if c}
         if not vec:
             raise LoadError(f"bracket {list(args)} has an empty value")

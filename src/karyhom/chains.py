@@ -26,8 +26,8 @@ against.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from itertools import combinations
-from typing import NamedTuple
 
 from .algebra import DEFAULT_SIZE_CAP, KaryAlgebra
 from .errors import InputError, ResourceCapError
@@ -116,11 +116,7 @@ def _terms(alg: KaryAlgebra, t: int):
                 )
 
 
-class WeightBlock(NamedTuple):
-    weight: tuple
-    column_monomials: tuple
-    row_monomials: tuple
-    matrix: SparseIntMatrix
+WeightBlock = namedtuple("WeightBlock", "weight column_monomials row_monomials matrix")
 
 
 def _split(alg: KaryAlgebra, t: int, key):

@@ -10,6 +10,10 @@ Subcommands:
 
 Exit status: 0 success, 1 a validator assertion failed, 2 usage error,
 3 size cap exceeded.  JSON output is byte-deterministic.
+
+Only argument parsing and algebra sources are imported with this
+module; each verb imports the engine modules it runs when it runs, so a
+process pays start-up only for its own verb.
 """
 
 from __future__ import annotations
@@ -20,22 +24,9 @@ import os
 import sys
 
 from . import __version__
-from .algebra import algebra_to_json_dict, check_jacobi, load_algebra
-from .chains import ChainLayout, check_cap, differential_matrix, verify_d_squared
+from .algebra import DEFAULT_SIZE_CAP, algebra_to_json_dict, check_jacobi, load_algebra
 from .errors import InputError, ResourceCapError
 from .families import FAMILY_TAGS, FamilySpec
-from .homology import (
-    DEFAULT_SIZE_CAP,
-    betti,
-    betti_all,
-    verify_acj,
-    verify_free3,
-    verify_heisenberg,
-)
-from .matrices import write_matrix_market
-from .schur import character_by_weights, decompose_character, schur_dim
-from .toral import toral_table_csv, toral_table_rows, toral_table_text, verify_toral
-from .util import comb0
 
 SCHEMA = "karyhom-cli/1"
 
@@ -124,6 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_compute(args) -> int:
+    from .chains import ChainLayout, check_cap, differential_matrix
+    from .homology import betti, betti_all
+    from .matrices import write_matrix_market
+    from .util import comb0
+
     if args.degree is not None and args.format != "json":
         raise InputError(f"--degree prints JSON only, not --format {args.format}")
     alg, desc, _ = _resolve_algebra(args)
@@ -160,6 +156,10 @@ def _cmd_compute(args) -> int:
 
 
 def _verify_checks(alg, desc, spec, cap):
+    from .chains import verify_d_squared
+    from .homology import verify_acj, verify_free3, verify_heisenberg
+    from .toral import verify_toral
+
     checks = []
 
     jac = check_jacobi(alg, cap=cap)
@@ -207,6 +207,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from .toral import toral_table_csv, toral_table_rows, toral_table_text
+
     try:
         k_list = tuple(int(x) for x in args.k.split(","))
     except ValueError:
@@ -221,6 +223,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .schur import character_by_weights, decompose_character, schur_dim
+
     alg, desc, _ = _resolve_algebra(args)
     table = character_by_weights(alg, args.degree, cap=args.size_cap)
     n = alg.weight_rank
@@ -241,6 +245,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .chains import verify_d_squared
+
     alg, desc, _ = _resolve_algebra(args)
     d2 = verify_d_squared(alg, cap=args.size_cap)
     jac = check_jacobi(alg, cap=args.size_cap)

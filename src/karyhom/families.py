@@ -7,9 +7,8 @@ leaves every computed rank unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, product
-from typing import Optional
 
 from .algebra import KaryAlgebra
 from .errors import InputError
@@ -132,16 +131,14 @@ _FAMILIES = {
 FAMILY_TAGS = tuple(_FAMILIES)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Parameter carrier for the constructors above (CLI-facing)."""
+class FamilySpec(namedtuple("FamilySpec", "tag k m n j inner", defaults=(None,) * 5)):
+    """Parameter carrier for the constructors above (CLI-facing).
 
-    tag: str
-    k: Optional[int] = None
-    m: Optional[int] = None
-    n: Optional[int] = None
-    j: Optional[int] = None
-    inner: Optional["FamilySpec"] = None
+    An immutable, hashable record: tag, then the optional parameters
+    k, m, n, j and inner (the spec of a current algebra's base).
+    """
+
+    __slots__ = ()
 
     def build(self) -> KaryAlgebra:
         """Build the algebra, refusing a parameter its family does not take."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 from .algebra import KaryAlgebra, lower_central_series
@@ -37,21 +37,20 @@ def betti(alg: KaryAlgebra, t: int, *, cap=DEFAULT_SIZE_CAP) -> int:
     return layout.betti(t)
 
 
-@dataclass
-class HomologyReport:
-    """Per-degree Betti numbers of one algebra, plus totals."""
+class HomologyReport(
+    namedtuple(
+        "HomologyReport",
+        "algebra arity dim degrees chain_dims kernel_dims image_dims betti"
+        " total total_excluding_h0 euler_ok",
+    )
+):
+    """Per-degree Betti numbers of one algebra, plus totals.
 
-    algebra: str
-    arity: int
-    dim: int
-    degrees: list
-    chain_dims: dict
-    kernel_dims: dict
-    image_dims: dict  # rank of the boundary leaving each degree
-    betti: dict
-    total: int
-    total_excluding_h0: int
-    euler_ok: bool
+    The dicts are keyed by layout degree; image_dims holds the rank of
+    the boundary leaving each degree.
+    """
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -102,7 +101,7 @@ def betti_all(
     bettis = {t: layout.betti(t) for t in degrees}
 
     total = sum(bettis.values())
-    report = HomologyReport(
+    return HomologyReport(
         algebra=description or repr(alg),
         arity=alg.arity,
         dim=alg.dim,
@@ -113,10 +112,8 @@ def betti_all(
         betti=bettis,
         total=total,
         total_excluding_h0=total - 1,
-        euler_ok=False,
+        euler_ok=_euler_ok(degrees, bettis, chain_dims),
     )
-    report.euler_ok = euler_characteristic_ok(report)
-    return report
 
 
 def total_homology_all_degrees(alg: KaryAlgebra, *, cap=DEFAULT_SIZE_CAP) -> int:
@@ -426,6 +423,11 @@ def property_m_check(alg: KaryAlgebra, j: int, *, cap=DEFAULT_SIZE_CAP) -> dict:
 
 
 def euler_characteristic_ok(report: HomologyReport) -> bool:
-    lhs = sum((-1) ** i * report.betti[t] for i, t in enumerate(report.degrees))
-    rhs = sum((-1) ** i * report.chain_dims[t] for i, t in enumerate(report.degrees))
+    return _euler_ok(report.degrees, report.betti, report.chain_dims)
+
+
+def _euler_ok(degrees, betti, chain_dims) -> bool:
+    """The alternating sums of Betti numbers and chain dimensions agree."""
+    lhs = sum((-1) ** i * betti[t] for i, t in enumerate(degrees))
+    rhs = sum((-1) ** i * chain_dims[t] for i, t in enumerate(degrees))
     return lhs == rhs

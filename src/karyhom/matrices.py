@@ -17,10 +17,8 @@ rank, and agreement at a few random primes confirms the exact value.
 
 from __future__ import annotations
 
-import random
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 
 from .errors import InputError, LoadError
 
@@ -228,18 +226,30 @@ def kernel_basis(matrix: SparseIntMatrix) -> list:
     coordinates 0, the pivot coordinates solved from the last pivot row
     back (a pivot row involves only its own and later pivot columns),
     then scaled to coprime integers.
+
+    The solve stays in integers: x holds a positive multiple of the
+    rational solution, and solving a pivot coordinate first multiplies x
+    by a = |pivot| / g, g = gcd(sum, pivot), then sets the new
+    coordinate to -sign(pivot) * sum / g, which is prime to a.  So x
+    stays primitive from x_f = 1 on, and ends as the one primitive
+    vector with x_f > 0.
     """
     pivots = list(_eliminate(matrix))
     free = set(range(matrix.cols)).difference(pc for pc, _ in pivots)
     basis = []
     for f in sorted(free):
-        x = {f: Fraction(1)}
+        x = {f: 1}
         for pc, row in reversed(pivots):
             s = sum(v * x[c] for c, v in row.items() if c in x)
             if s:
-                x[pc] = -s / row[pc]
-        d = lcm(*(v.denominator for v in x.values()))
-        basis.append({c: int(v * d) for c, v in x.items()})
+                p = row[pc]
+                g = gcd(s, p)
+                a = abs(p) // g
+                if a != 1:
+                    for c in x:
+                        x[c] *= a
+                x[pc] = -s // g if p > 0 else s // g
+        basis.append(x)
     return basis
 
 

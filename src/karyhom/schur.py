@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import KaryAlgebra
@@ -44,19 +43,23 @@ def conjugate_partition(parts) -> tuple:
 
 
 def schur_dim(partition, n: int) -> int:
-    """dim S_lambda(C^n) by the hook content formula; 0 if rows exceed n."""
+    """dim S_lambda(C^n) by the hook content formula; 0 if rows exceed n.
+
+    The product of (n + content) over the cells of lambda, divided by
+    the product of their hook lengths; the quotient is exact.
+    """
     lam = normalize_partition(partition)
     if len(lam) > n:
         return 0
     conj = conjugate_partition(lam)
-    value = Fraction(1)
+    contents = hooks = 1
     for r, row_len in enumerate(lam):
         for c in range(row_len):
-            content = c - r
-            hook = (row_len - c) + (conj[c] - r) - 1
-            value *= Fraction(n + content, hook)
-    assert value.denominator == 1
-    return int(value)
+            contents *= n + c - r
+            hooks *= (row_len - c) + (conj[c] - r) - 1
+    value, remainder = divmod(contents, hooks)
+    assert remainder == 0
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -120,12 +123,18 @@ def character_by_weights(alg: KaryAlgebra, t: int, *, cap=DEFAULT_SIZE_CAP) -> d
         raise InputError(f"{t} is not a positive chain degree for arity {k}")
     check_cap(alg, (t, t - k + 1, t + k - 1), cap)
 
-    cols = Counter(monomial_weight(alg, mono) for mono in wedge_basis(alg, t))
-    ranks = Counter()  # d_t is the zero augmentation at t = 1
+    # The blocks of d_t hold every degree-t monomial as a column, so they
+    # give the chain-space counts; at t = 1 d_t is the zero augmentation.
+    cols = Counter()
+    if t < k:
+        cols.update(monomial_weight(alg, mono) for mono in wedge_basis(alg, t))
+    ranks = Counter()
     for d in (t, t + k - 1):
         if k <= d <= alg.dim:
             for w, block in weight_blocks(alg, d).items():
                 ranks[w] += rank(block.matrix)
+                if d == t:
+                    cols[w] = len(block.column_monomials)
 
     table = {}
     for w in cols:

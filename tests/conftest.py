@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, lcm
 
 from karyhom.algebra import KaryAlgebra
 
@@ -29,6 +29,27 @@ def dense_rank(dense_rows):
         if rank == rows:
             break
     return rank
+
+
+def kernel_by_fraction_back_substitution(cols, pivots):
+    """Kernel basis from (pivot_col, pivot_row) pairs in elimination order.
+
+    One vector per non-pivot column f: x_f = 1, the other non-pivot
+    coordinates 0, each pivot coordinate solved in Fractions from the
+    last pivot row back, then scaled by the lcm of the denominators to
+    the primitive integer vector.
+    """
+    free = sorted(set(range(cols)).difference(pc for pc, _ in pivots))
+    basis = []
+    for f in free:
+        x = {f: Fraction(1)}
+        for pc, row in reversed(pivots):
+            s = sum(v * x[c] for c, v in row.items() if c in x)
+            if s:
+                x[pc] = -s / row[pc]
+        d = lcm(*(v.denominator for v in x.values()))
+        basis.append({c: int(v * d) for c, v in x.items()})
+    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from conftest import dense_rank
+from conftest import dense_rank, kernel_by_fraction_back_substitution
 from karyhom.chains import differential_matrix
 from karyhom.errors import InputError, LoadError
 from karyhom.families import heisenberg
 from karyhom.matrices import (
     SparseIntMatrix,
+    _eliminate,
     is_probable_prime,
     kernel_basis,
     kernel_dim,
@@ -86,6 +87,7 @@ def _assert_bases(m, dense):
     as_dense = lambda vecs: [[v.get(c, 0) for c in range(m.cols)] for v in vecs]
 
     kernel = kernel_basis(m)
+    assert kernel == kernel_by_fraction_back_substitution(m.cols, list(_eliminate(m)))
     assert len(kernel) == m.cols - expected
     for v in kernel:
         assert all(type(x) is int for x in v.values())

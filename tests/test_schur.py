@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -40,6 +41,36 @@ def test_schur_dim_exterior_powers():
     for n in range(1, 7):
         for k in range(0, n + 1):
             assert schur_dim((1,) * k, n) == comb(n, k)
+
+
+def _partitions(size, largest=None):
+    if size == 0:
+        yield ()
+        return
+    for first in range(min(size, largest or size), 0, -1):
+        for rest in _partitions(size - first, first):
+            yield (first,) + rest
+
+
+def _schur_dim_fraction(lam, n):
+    """The hook content formula as a product of Fractions."""
+    if len(lam) > n:
+        return 0
+    conj = conjugate_partition(lam)
+    value = Fraction(1)
+    for r, row_len in enumerate(lam):
+        for c in range(row_len):
+            value *= Fraction(n + c - r, (row_len - c) + (conj[c] - r) - 1)
+    assert value.denominator == 1
+    return int(value)
+
+
+def test_schur_dim_matches_fraction_hook_content_product():
+    lams = [lam for size in range(9) for lam in _partitions(size)]
+    assert len(lams) == 1 + 1 + 2 + 3 + 5 + 7 + 11 + 15 + 22
+    for lam in lams:
+        for n in range(9):
+            assert schur_dim(lam, n) == _schur_dim_fraction(lam, n), (lam, n)
 
 
 def test_schur_dim_vanishes_beyond_row_count():
