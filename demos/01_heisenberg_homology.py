@@ -17,7 +17,7 @@ print()
 print("Comparison with the closed form C(km, i(k-1)+1) - C(km, (i-1)(k-1)),")
 print("asserted only inside its validity range (degrees up to the middle):")
 for k, m in ((2, 2), (3, 1), (3, 2), (3, 3)):
-    rec = verify_heisenberg(k, m)
+    rec = verify_heisenberg(heisenberg(k, m))
     for row in rec["rows"]:
         tag = "asserted" if row["in_range"] else "report-only"
         mark = "ok" if row["betti_match"] else "MISMATCH"

@@ -19,10 +19,14 @@ from itertools import combinations
 from math import comb, lcm
 
 from .errors import InputError, LoadError, ResourceCapError
-from .matrices import SparseIntMatrix, kernel_basis, rank, row_basis
 from .util import sort_with_sign
 
 DEFAULT_SIZE_CAP = 10**6
+
+
+def _all_int(values) -> bool:
+    """Whether every value is an int proper (bool, float and str are not)."""
+    return all(type(x) is int for x in values)
 
 
 class KaryAlgebra:
@@ -33,6 +37,9 @@ class KaryAlgebra:
     weights, when present, give every basis element an integer vector in
     Z^r such that brackets are weight-additive.
 
+    The constructor is the one validator of all of this: arity,
+    dimension, keys, output indices, coefficients and weights must be
+    ints (bool, float and str are refused), in range and consistent.
     An algebra is immutable after construction: nothing may change its
     brackets or weights.  Its chain layout (`chains.ChainLayout.of`),
     with every boundary rank computed so far, is kept on the algebra
@@ -42,6 +49,8 @@ class KaryAlgebra:
     __slots__ = ("arity", "dim", "labels", "brackets", "weights", "_chain_layout")
 
     def __init__(self, arity, dim, labels, brackets, weights=None):
+        if not _all_int((arity, dim)):
+            raise InputError(f"arity and dimension must be integers, got {arity!r}, {dim!r}")
         if arity < 2:
             raise InputError(f"arity must be at least 2, got {arity}")
         if dim < 1:
@@ -56,13 +65,15 @@ class KaryAlgebra:
         stored = {}
         for args, vec in brackets.items():
             args = tuple(args)
-            if len(args) != arity:
-                raise InputError(f"bracket key {args} does not have {arity} entries")
+            if len(args) != arity or not _all_int(args):
+                raise InputError(f"bracket key {args} is not {arity} integers")
             if any(not 0 <= i < dim for i in args):
                 raise InputError(f"bracket key {args} out of range")
             if any(a >= b for a, b in zip(args, args[1:])):
                 raise InputError(f"bracket key {args} is not strictly increasing")
-            vec = {int(i): int(c) for i, c in vec.items() if c}
+            if not _all_int(vec) or not _all_int(vec.values()):
+                raise InputError(f"bracket {args} has a non-integer index or coefficient")
+            vec = {i: c for i, c in vec.items() if c}
             if not vec:
                 raise InputError(f"bracket {args} stores a zero vector")
             if any(not 0 <= i < dim for i in vec):
@@ -71,9 +82,11 @@ class KaryAlgebra:
         self.brackets = stored
 
         if weights is not None:
-            weights = {int(i): tuple(int(x) for x in w) for i, w in weights.items()}
-            if sorted(weights) != list(range(dim)):
+            weights = {i: tuple(w) for i, w in weights.items()}
+            if not _all_int(weights) or sorted(weights) != list(range(dim)):
                 raise InputError("weights must cover every basis index exactly once")
+            if not all(map(_all_int, weights.values())):
+                raise InputError("weight vectors must hold integers")
             ranks = {len(w) for w in weights.values()}
             if len(ranks) != 1:
                 raise InputError("weight vectors must share a common length")
@@ -257,6 +270,8 @@ def is_nilpotent(alg: KaryAlgebra) -> bool:
 
 def center(alg: KaryAlgebra) -> Subspace:
     """Common kernel of v -> [v, b_{i_2}, ..., b_{i_k}] over basis subsets."""
+    from .matrices import SparseIntMatrix, kernel_basis
+
     n = alg.dim
     entries = {}
     for r, rest in enumerate(combinations(range(n), alg.arity - 1)):
@@ -281,6 +296,8 @@ class Subspace:
     __slots__ = ("ambient_dim", "basis_vectors")
 
     def __init__(self, ambient_dim: int, vectors):
+        from .matrices import row_basis
+
         self.ambient_dim = ambient_dim
         self.basis_vectors = tuple(
             tuple(row.get(c, 0) for c in range(ambient_dim))
@@ -303,6 +320,8 @@ class Subspace:
         return self.contains(Subspace(self.ambient_dim, [vec]))
 
     def contains(self, other: "Subspace") -> bool:
+        from .matrices import rank
+
         union = _stack(self.ambient_dim, self.basis_vectors + other.basis_vectors)
         return rank(union) == self.dim
 
@@ -324,6 +343,8 @@ class Subspace:
 def _stack(ambient_dim, vectors) -> SparseIntMatrix:
     """Dense rational rows (int or Fraction entries) as an integer matrix,
     each row scaled to integers."""
+    from .matrices import SparseIntMatrix
+
     entries = {}
     vectors = list(vectors)
     for r, vec in enumerate(vectors):
@@ -354,9 +375,7 @@ def algebra_to_json_dict(alg: KaryAlgebra) -> dict:
 
 def _parse_coefficient(x):
     """An int, or a Fraction parsed from a 'p/q' string."""
-    if isinstance(x, bool):
-        raise LoadError(f"bad coefficient {x!r}")
-    if isinstance(x, int):
+    if type(x) is int:
         return x
     if isinstance(x, str):
         from fractions import Fraction
@@ -371,57 +390,41 @@ def _parse_coefficient(x):
 def algebra_from_json_dict(doc: dict) -> KaryAlgebra:
     """Load an algebra document.
 
-    Rational coefficients are accepted and cleared to integers by one
-    global scaling of the bracket (multiplying the whole k-linear map by
-    a positive constant preserves the Jacobi identity and every rank).
+    Only the document's shape is checked here; every value goes to the
+    `KaryAlgebra` constructor as it stands, which validates it.  Rational
+    coefficients are accepted and cleared to integers by one global
+    scaling of the bracket (multiplying the whole k-linear map by a
+    positive constant preserves the Jacobi identity and every rank).
     """
     try:
-        arity = int(doc["arity"])
-        dim = int(doc["dim"])
-        labels = list(doc["labels"])
+        arity, dim, labels = doc["arity"], doc["dim"], list(doc["labels"])
         raw = list(doc["brackets"])
-    except (KeyError, TypeError, ValueError) as exc:
+        weights = doc.get("weights")
+        if weights is not None:
+            weights = {i: tuple(w) for i, w in enumerate(weights)}
+    except (KeyError, TypeError) as exc:
         raise LoadError(f"missing or malformed field in algebra document: {exc}") from exc
 
-    parsed = []
+    brackets = {}
     denom = 1
     for item in raw:
         try:
-            args = tuple(int(a) for a in item["args"])
-            pairs = [(coeff, int(idx)) for coeff, idx in item["value"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise LoadError(
-                f"bracket {item!r} needs 'args' and a 'value' of [coefficient, index] pairs"
-            ) from exc
-        if any(a >= b for a, b in zip(args, args[1:])):
-            raise LoadError(f"bracket args {list(args)} must be strictly increasing")
-        vec = {}
-        for coeff, idx in pairs:
-            q = _parse_coefficient(coeff)
-            if q:
+            args = tuple(item["args"])
+            if args in brackets:
+                raise LoadError(f"duplicate bracket args {list(args)}")
+            vec = brackets[args] = {}
+            for coeff, idx in item["value"]:
+                q = _parse_coefficient(coeff)
                 vec[idx] = vec.get(idx, 0) + q
-        vec = {i: c for i, c in vec.items() if c}
-        if not vec:
-            raise LoadError(f"bracket {list(args)} has an empty value")
-        for c in vec.values():
-            denom = lcm(denom, c.denominator)
-        parsed.append((args, vec))
+                denom = lcm(denom, q.denominator)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise LoadError(f"malformed bracket {item!r}: {exc}") from exc
 
-    brackets = {}
-    for args, vec in parsed:
-        if args in brackets:
-            raise LoadError(f"duplicate bracket args {list(args)}")
-        brackets[args] = {i: int(c * denom) for i, c in vec.items()}
-
-    weights = doc.get("weights")
-    if weights is not None:
-        try:
-            weights = {i: tuple(int(x) for x in w) for i, w in enumerate(weights)}
-        except (TypeError, ValueError) as exc:
-            raise LoadError(f"weights must be lists of integers: {exc}") from exc
-        if len(weights) != dim:
-            raise LoadError(f"expected {dim} weight vectors, got {len(weights)}")
-
+    # every scaled coefficient is integral, so its numerator is its value
+    brackets = {
+        args: {i: (c * denom).numerator for i, c in vec.items()}
+        for args, vec in brackets.items()
+    }
     try:
         return KaryAlgebra(arity, dim, labels, brackets, weights)
     except InputError as exc:

@@ -8,8 +8,9 @@ Subcommands:
     check      Jacobi identity and d^2 = 0 only
     dump       emit the algebra in the JSON interchange format
 
-Exit status: 0 success, 1 a validator assertion failed, 2 usage error,
-3 size cap exceeded.  JSON output is byte-deterministic.
+Exit status: 0 success, 1 a validator assertion failed, 2 usage error
+(including a character that is not a sum of Schur characters), 3 size
+cap exceeded.  JSON output is byte-deterministic.
 
 Only argument parsing and algebra sources are imported with this
 module; each verb imports the engine modules it runs when it runs, so a
@@ -25,7 +26,7 @@ import sys
 
 from . import __version__
 from .algebra import DEFAULT_SIZE_CAP, algebra_to_json_dict, check_jacobi, load_algebra
-from .errors import InputError, ResourceCapError
+from .errors import ConsistencyError, InputError, ResourceCapError
 from .families import FAMILY_TAGS, FamilySpec
 
 SCHEMA = "karyhom-cli/1"
@@ -129,13 +130,16 @@ def _cmd_compute(args) -> int:
         raise InputError(f"degree {t} is not in the layout {layout.degrees}")
     if args.export_mm:
         check_cap(alg, layout.degrees, args.size_cap)
-        os.makedirs(args.export_mm, exist_ok=True)
-        for d in layout.degrees:
-            if d >= alg.arity:
-                write_matrix_market(
-                    differential_matrix(alg, d),
-                    os.path.join(args.export_mm, f"boundary_{d}.mtx"),
-                )
+        try:
+            os.makedirs(args.export_mm, exist_ok=True)
+            for d in layout.degrees:
+                if d >= alg.arity:
+                    write_matrix_market(
+                        differential_matrix(alg, d),
+                        os.path.join(args.export_mm, f"boundary_{d}.mtx"),
+                    )
+        except OSError as exc:
+            raise InputError(f"cannot export to {args.export_mm}: {exc}") from exc
     if t is not None:
         h = betti(alg, t, cap=args.size_cap)  # ranks d_t and d_{t+k-1} only
         image = layout.boundary_rank(t)
@@ -180,16 +184,15 @@ def _verify_checks(alg, desc, spec, cap):
         tor = {"ok": False, "error": str(exc)}
     checks.append({"check": "toral", "ok": tor["ok"], "detail": tor})
 
-    tag = spec.tag if spec is not None else None
-    if tag == "heisenberg":
-        rec = verify_heisenberg(spec.k, spec.m, cap=cap, alg=alg)
-        checks.append({"check": "heisenberg_formula", "ok": rec["ok"], "detail": rec})
-    elif tag == "acj":
-        rec = verify_acj(spec.k, spec.m, cap=cap, alg=alg)
-        checks.append({"check": "acj_formulas", "ok": rec["ok"], "detail": rec})
-    elif tag == "free3small":
-        rec = verify_free3(spec.k, cap=cap, alg=alg)
-        checks.append({"check": "free3_formula", "ok": rec["ok"], "detail": rec})
+    family_checks = {
+        "heisenberg": ("heisenberg_formula", verify_heisenberg),
+        "acj": ("acj_formulas", verify_acj),
+        "free3small": ("free3_formula", verify_free3),
+    }
+    if spec is not None and spec.tag in family_checks:
+        name, validator = family_checks[spec.tag]
+        rec = validator(alg, cap=cap)
+        checks.append({"check": name, "ok": rec["ok"], "detail": rec})
     return checks
 
 
@@ -293,7 +296,7 @@ def main(argv=None) -> int:
     except ResourceCapError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except InputError as exc:
+    except (InputError, ConsistencyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

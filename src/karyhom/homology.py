@@ -20,7 +20,7 @@ from functools import cache
 from .algebra import KaryAlgebra, lower_central_series
 from .chains import DEFAULT_SIZE_CAP, ChainLayout, _split, check_cap
 from .errors import InputError
-from .families import acj, current_algebra, free_three_step_small, heisenberg
+from .families import current_algebra
 from .matrices import SparseIntMatrix, kernel_dim
 from .util import comb0
 
@@ -30,8 +30,6 @@ def betti(alg: KaryAlgebra, t: int, *, cap=DEFAULT_SIZE_CAP) -> int:
     layout = ChainLayout.of(alg)
     if t not in layout.degrees:
         raise InputError(f"{t} is not a chain degree of the layout {layout.degrees}")
-    if t == 0:
-        return 1
     k = alg.arity
     check_cap(alg, (t, t - k + 1, t + k - 1), cap)
     return layout.betti(t)
@@ -145,24 +143,20 @@ def heisenberg_in_range(k: int, m: int, i: int) -> bool:
     return i * (k - 1) + 1 <= (k * m + 1) // 2
 
 
-def verify_heisenberg(k: int, m: int, *, cap=DEFAULT_SIZE_CAP, alg=None) -> dict:
-    """Compare direct Betti numbers and boundary ranks with the closed forms.
+def verify_heisenberg(alg: KaryAlgebra, *, cap=DEFAULT_SIZE_CAP) -> dict:
+    """Compare direct Betti numbers and boundary ranks of heisenberg(k, m)
+    with the closed forms; k and m are read off alg.
 
     Rows inside the validity range are asserted (feed `ok`); outside it
-    both values are reported without judgement.  alg, when given, must
-    be heisenberg(k, m); passing it shares its memoized ranks.
+    both values are reported without judgement.
     """
-    if alg is None:
-        alg = heisenberg(k, m)
-    report = betti_all(alg, description=f"heisenberg(k={k}, m={m})", cap=cap)
+    k = alg.arity
+    m = (alg.dim - 1) // k
+    report = betti_all(alg, cap=cap)
     rows = []
     ok = True
-    for i, t in enumerate(report.degrees):
-        if t < 1 or i == 0:
-            continue
+    for t in report.degrees[2:]:  # degrees k, 2k-1, ...: i = 1, 2, ...
         idx = (t - 1) // (k - 1)
-        if idx < 1:
-            continue
         in_range = heisenberg_in_range(k, m, idx)
         brow = {
             "i": idx,
@@ -246,11 +240,8 @@ def theta_matrix(alg: KaryAlgebra, j: int) -> SparseIntMatrix:
 
 
 def theta_kernel_dim(alg: KaryAlgebra, j: int) -> int:
-    _, a = _acj_split(alg)
-    if j < 0 or j > len(a):
-        return 0
-    mat = theta_matrix(alg, j)
-    return kernel_dim(mat)
+    """dim ker theta_j; 0 outside [0, |a|], where theta_j has no columns."""
+    return kernel_dim(theta_matrix(alg, j))
 
 
 def acj_homology_via_theta(alg: KaryAlgebra, alpha: int) -> int:
@@ -289,14 +280,13 @@ def acj_classical_betti(m: int, i: int) -> int:
     return comb0(m + 1, (i + 1) // 2) * comb0(m, i // 2)
 
 
-def verify_acj(k: int, m: int, *, cap=DEFAULT_SIZE_CAP, alg=None) -> dict:
-    """Cross-check direct ACJ Betti numbers against the theta route and
-    the closed forms (arity-2 per-degree formula; degree-k candidate).
-    alg, when given, must be acj(k, m); passing it shares its memoized
-    ranks."""
-    if alg is None:
-        alg = acj(k, m)
-    report = betti_all(alg, description=f"acj(k={k}, m={m})", cap=cap)
+def verify_acj(alg: KaryAlgebra, *, cap=DEFAULT_SIZE_CAP) -> dict:
+    """Cross-check direct Betti numbers of acj(k, m) against the theta
+    route and the closed forms (arity-2 per-degree formula; degree-k
+    candidate); k and m are read off alg."""
+    k = alg.arity
+    m = (alg.dim - 1) // k
+    report = betti_all(alg, cap=cap)
     kernel_dim = cache(lambda j: theta_kernel_dim(alg, j))
     rows = []
     theta_ok = True
@@ -358,15 +348,11 @@ def free3_expected_betti(k: int) -> dict:
     return expected
 
 
-def verify_free3(k: int, *, cap=DEFAULT_SIZE_CAP, alg=None) -> dict:
-    """Compare direct Betti numbers with `free3_expected_betti`.
-
-    alg, when given, must be free3small(k); passing it shares its
-    memoized ranks.
-    """
-    if alg is None:
-        alg = free_three_step_small(k)
-    report = betti_all(alg, description=f"free3small(k={k})", cap=cap)
+def verify_free3(alg: KaryAlgebra, *, cap=DEFAULT_SIZE_CAP) -> dict:
+    """Compare direct Betti numbers of free3small(k), k = alg.arity, with
+    `free3_expected_betti`."""
+    k = alg.arity
+    report = betti_all(alg, cap=cap)
     expected = free3_expected_betti(k)
     rows = []
     ok = True

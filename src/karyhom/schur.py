@@ -17,7 +17,7 @@ from collections import Counter
 from functools import lru_cache
 
 from .algebra import KaryAlgebra
-from .chains import DEFAULT_SIZE_CAP, check_cap, monomial_weight, wedge_basis, weight_blocks
+from .chains import DEFAULT_SIZE_CAP, ChainLayout, check_cap, monomial_weight, wedge_basis, weight_blocks
 from .errors import ConsistencyError, InputError
 from .matrices import rank
 from .util import comb0
@@ -119,12 +119,13 @@ def character_by_weights(alg: KaryAlgebra, t: int, *, cap=DEFAULT_SIZE_CAP) -> d
     if alg.weights is None:
         raise InputError("character requires a weight-graded algebra")
     k = alg.arity
-    if t < 1 or (t - 1) % (k - 1) != 0 or t > alg.dim:
-        raise InputError(f"{t} is not a positive chain degree for arity {k}")
+    degrees = ChainLayout.of(alg).degrees
+    if t not in degrees:
+        raise InputError(f"{t} is not a chain degree of the layout {degrees}")
     check_cap(alg, (t, t - k + 1, t + k - 1), cap)
 
     # The blocks of d_t hold every degree-t monomial as a column, so they
-    # give the chain-space counts; at t = 1 d_t is the zero augmentation.
+    # give the chain-space counts; below degree k d_t is zero.
     cols = Counter()
     if t < k:
         cols.update(monomial_weight(alg, mono) for mono in wedge_basis(alg, t))
@@ -146,39 +147,19 @@ def character_by_weights(alg: KaryAlgebra, t: int, *, cap=DEFAULT_SIZE_CAP) -> d
     return table
 
 
-def check_weight_symmetry(table: dict) -> None:
-    """A polynomial character is symmetric under permuting coordinates."""
-    orbits = {}
-    for w, m in table.items():
-        orbits.setdefault(tuple(sorted(w, reverse=True)), []).append((w, m))
-    for dom, members in orbits.items():
-        mults = {m for _, m in members}
-        orbit_size = _distinct_permutation_count(dom)
-        if len(mults) != 1 or len(members) != orbit_size:
-            raise ConsistencyError(
-                f"weight table is not symmetric on the orbit of {dom}"
-            )
-
-
-def _distinct_permutation_count(values) -> int:
-    total = math.factorial(len(values))
-    for c in Counter(values).values():
-        total //= math.factorial(c)
-    return total
-
-
 def decompose_character(table: dict, n: int):
-    """Highest-weight peeling of a symmetric weight table.
+    """Highest-weight peeling of a weight table.
 
     Returns [(partition, multiplicity), ...] in peeling order (dominance
     downward); re-expanding through Schur characters reproduces the
-    input exactly, otherwise a ConsistencyError is raised.
+    input exactly, otherwise a ConsistencyError is raised.  Peeling only
+    lowers entries and refuses to drive one negative, so a table peels
+    to empty exactly when it is a sum of Schur characters.
     """
     work = {tuple(w): int(m) for w, m in table.items() if m}
     for w in work:
         if len(w) != n:
             raise InputError(f"weight {w} does not live in Z^{n}")
-    check_weight_symmetry(work)
 
     out = []
     while work:

@@ -15,10 +15,8 @@ import csv
 import io
 import math
 
-from .algebra import KaryAlgebra, center, lower_central_series
-from .chains import DEFAULT_SIZE_CAP
+from .algebra import DEFAULT_SIZE_CAP, KaryAlgebra, center, lower_central_series
 from .errors import InputError
-from .homology import betti_all, total_homology_all_degrees
 from .util import comb0
 
 
@@ -98,6 +96,8 @@ def verify_toral(alg: KaryAlgebra, *, description: str = "", cap=DEFAULT_SIZE_CA
     """Check total homology against 2^(dim center), and for 2-step
     algebras against the refinement bound (on the all-degree total,
     which is what the bound controls)."""
+    from .homology import betti_all, total_homology_all_degrees
+
     series = lower_central_series(alg)
     if series[-1].dim != 0:
         raise InputError("toral bounds apply to nilpotent algebras only")

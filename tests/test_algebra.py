@@ -91,6 +91,13 @@ def test_storage_invariants_enforced():
         KaryAlgebra(3, 4, list("abcd"), {(0, 1, 5): {3: 1}})
     with pytest.raises(InputError):
         KaryAlgebra(3, 4, list("abc"), {})
+    # integers are strict: nothing is truncated or coerced
+    with pytest.raises(InputError):
+        KaryAlgebra(2, 3, list("abc"), {(0.5, 1): {2: 1}})
+    with pytest.raises(InputError):
+        KaryAlgebra(2, 3, list("abc"), {(0, 1): {2: 1.5}})
+    with pytest.raises(InputError):
+        KaryAlgebra(2, 3, list("abc"), {(0, 1): {2: 1}}, {0: (0.7,), 1: (0,), 2: (0.7,)})
 
 
 def test_weight_additivity_enforced():

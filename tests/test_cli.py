@@ -255,8 +255,14 @@ HEIS21 = {"arity": 2, "dim": 3, "labels": ["x", "y", "z"]}
         {**HEIS21, "brackets": [{"args": [0, 1], "value": [[1]]}]},  # half a pair
         {**HEIS21, "arity": "x", "brackets": []},
         None,  # no such file
+        {**HEIS21, "arity": 2.9, "brackets": [{"args": [0.2, 1.7], "value": [[1, 2.6]]}]},
+        {**HEIS21, "brackets": [{"args": [0, 1], "value": [[True, 2]]}]},
+        {**HEIS21, "dim": "3", "brackets": [{"args": [0, 1], "value": [[1, 2]]}]},
     ],
-    ids=["no-value", "short-pair", "arity-not-int", "missing-file"],
+    ids=[
+        "no-value", "short-pair", "arity-not-int", "missing-file",
+        "floats", "bool-coefficient", "dim-string",
+    ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, doc):
     path = tmp_path / "alg.json"
@@ -267,6 +273,34 @@ def test_malformed_input_exits_2(tmp_path, capsys, doc):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _assert_one_line_error(capsys, code):
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_decompose_non_schur_character_exits_2(tmp_path, capsys):
+    # weights (1,0) and (0,0) on an abelian algebra: H^1 has the weights
+    # of no sum of Schur characters, so peeling S_(1) fails at (0,1)
+    doc = {"arity": 2, "dim": 2, "labels": ["a", "b"], "brackets": [],
+           "weights": [[1, 0], [0, 0]]}
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(doc))
+    code = main(["decompose", "--input", str(path), "--degree", "1"])
+    _assert_one_line_error(capsys, code)
+
+
+def test_export_to_unwritable_place_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main([
+        "compute", "--family", "heisenberg", "--k", "2", "--m", "1",
+        "--export-mm", str(blocker / "x"),
+    ])
+    _assert_one_line_error(capsys, code)
 
 
 def test_size_cap_exit_code(capsys):

@@ -126,12 +126,12 @@ def test_block_and_monolithic_ranks_agree():
 
 
 def test_verify_heisenberg_in_range_cases():
-    rec = verify_heisenberg(2, 2)
+    rec = verify_heisenberg(heisenberg(2, 2))
     assert rec["ok"]
     row = next(r for r in rec["rows"] if r["i"] == 1)
     assert row["betti"] == 5 and row["in_range"]
 
-    rec31 = verify_heisenberg(3, 1)
+    rec31 = verify_heisenberg(heisenberg(3, 1))
     assert rec31["ok"]  # nothing is asserted: no index is in range
     assert not any(r["in_range"] for r in rec31["rows"])
     row = next(r for r in rec31["rows"] if r["i"] == 1)
@@ -141,7 +141,7 @@ def test_verify_heisenberg_in_range_cases():
 def test_verify_heisenberg_flags_formula_gap():
     # the closed form undercounts when a complementary monomial set can
     # meet every bracketing block; smallest case (3, 2)
-    rec = verify_heisenberg(3, 2)
+    rec = verify_heisenberg(heisenberg(3, 2))
     assert not rec["ok"]
     row = next(r for r in rec["rows"] if r["i"] == 1)
     assert row["in_range"] and row["betti"] == 28 and row["formula"] == 19
@@ -150,7 +150,7 @@ def test_verify_heisenberg_flags_formula_gap():
 
 def test_heisenberg_image_ranks_in_range():
     for k, m in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2)):
-        rec = verify_heisenberg(k, m)
+        rec = verify_heisenberg(heisenberg(k, m))
         for row in rec["rows"]:
             if row["in_range"]:
                 assert row["image_match"], (k, m, row)
@@ -170,6 +170,12 @@ def test_theta_matrix_ranks():
     th1 = theta_matrix(a22, 1)
     assert rank(th1) == 2  # x1_i -> x2_i
     assert theta_kernel_dim(a22, 1) == 2
+
+
+def test_theta_kernel_dim_is_zero_outside_the_exterior_algebra():
+    a31 = acj(3, 1)  # |a| = 3
+    assert theta_kernel_dim(a31, -1) == 0
+    assert theta_kernel_dim(a31, 4) == 0
 
 
 def test_theta_requires_acj_shape():
@@ -249,7 +255,7 @@ def test_acj_closed_form_matches_only_for_m_1():
 
 def test_acj_classical_formula_k2():
     for m in (1, 2, 3):
-        rec = verify_acj(2, m)
+        rec = verify_acj(acj(2, m))
         assert rec["classical_ok"], rec
         rep = betti_all(acj(2, m))
         for t in rep.degrees:
@@ -257,9 +263,9 @@ def test_acj_classical_formula_k2():
 
 
 def test_verify_acj_structure():
-    rec = verify_acj(3, 1)
+    rec = verify_acj(acj(3, 1))
     assert rec["ok"] and rec["theta_ok"] and rec["h_k"]["match"]
-    rec32 = verify_acj(3, 2)
+    rec32 = verify_acj(acj(3, 2))
     assert rec32["theta_ok"] and not rec32["h_k"]["match"]
     assert rec32["h_k"]["betti"] == 28 and rec32["h_k"]["closed_form"] == 26
 
@@ -273,7 +279,7 @@ def test_free3_expected_values():
 
 
 def test_verify_free3_k3_matches():
-    rec = verify_free3(3)
+    rec = verify_free3(free_three_step_small(3))
     assert rec["ok"]
     assert rec["total"] == 43 and rec["total_excluding_h0"] == 42
 
@@ -281,7 +287,7 @@ def test_verify_free3_k3_matches():
 def test_verify_free3_k4_reports_overcount():
     # the top boundary image is k + C(k,2) + 1, which exceeds 2k+1 for
     # k >= 4, so the stated closed forms overshoot: direct values below
-    rec = verify_free3(4)
+    rec = verify_free3(free_three_step_small(4))
     assert not rec["ok"]
     direct = {r["degree"]: r["betti"] for r in rec["rows"]}
     assert direct == {1: 4, 4: 110, 7: 25}

@@ -142,6 +142,13 @@ def test_character_degree_validation():
         character_by_weights(f, 2)
 
 
+def test_character_at_degree_zero_is_trivial():
+    # 0 is a layout degree: H^0 is the trivial module
+    table = character_by_weights(free_two_step(2, 3), 0)
+    assert table == {(0, 0, 0): 1}
+    assert decompose_character(table, 3) == [((), 1)]
+
+
 # -- decomposition ----------------------------------------------------------
 
 

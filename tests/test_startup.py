@@ -38,21 +38,35 @@ sys.stdout = out
 print(json.dumps({"codes": codes, "stages": stages}))
 """
 
+TABLE = r"""
+import io, json, sys
+import karyhom.cli
+out, sys.stdout = sys.stdout, io.StringIO()
+code = karyhom.cli.main(["table", "--nmax", "3"])
+sys.stdout = out
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
 HEAVY_STDLIB = {"dataclasses", "inspect", "typing", "fractions", "decimal", "random"}
 ENGINE = {f"karyhom.{m}" for m in ("chains", "homology", "schur", "toral")}
 
 
-@pytest.fixture(scope="module")
-def footprint():
+def _run_fresh(script) -> dict:
+    """Run script in a new ``python -S`` and parse the JSON it prints."""
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", FOOTPRINT],
+        [sys.executable, "-S", "-c", script],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=SRC),
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    doc = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def footprint():
+    doc = _run_fresh(FOOTPRINT)
     assert doc["codes"] == [0, 0]
     return {stage: set(mods) for stage, mods in doc["stages"].items()}
 
@@ -68,6 +82,17 @@ def test_importing_the_cli_loads_no_engine_and_no_heavy_stdlib(footprint):
 def test_dump_and_check_load_only_their_own_modules(footprint):
     assert not footprint["dump"] & ENGINE
     assert not footprint["check"] & (ENGINE - {"karyhom.chains"})
+
+
+def test_dump_loads_no_matrices(footprint):
+    assert "karyhom.matrices" not in footprint["dump"]
+
+
+def test_table_loads_neither_homology_nor_chains():
+    doc = _run_fresh(TABLE)
+    assert doc["code"] == 0
+    assert "karyhom.toral" in doc["modules"]
+    assert not {"karyhom.homology", "karyhom.chains"} & set(doc["modules"])
 
 
 def test_lazy_namespace_resolves_every_name_from_its_home():
