@@ -9,7 +9,11 @@ of the sorting permutation.  The generalized (Filippov) Jacobi identity
         = sum_i [x_1,...,[x_i, y_2,...,y_k],...,x_k]
 
 is not assumed; `check_jacobi` verifies it on every basis-tuple pair
-whose residual can be nonzero, which suffices by multilinearity.
+whose residual can be nonzero, which suffices by multilinearity.  The
+structural checkers (`check_jacobi`, `lower_central_series`, `center`)
+read brackets from one signed adjoint table {R: {x: [x, R]}} built from
+the stored keys, not through `KaryAlgebra.bracket`; an outer tuple R in
+no stored key has ad_R = 0, so every term it could enter vanishes.
 """
 
 from __future__ import annotations
@@ -125,16 +129,6 @@ class KaryAlgebra:
             return dict(vec)
         return {i: -c for i, c in vec.items()}
 
-    def bracket_with_vector(self, vec, rest):
-        """Bracket [v, b_{rest}] for a sparse vector v in the first slot."""
-        out = {}
-        for i, c in vec.items():
-            if not c:
-                continue
-            for j, cj in self.bracket((i,) + tuple(rest)).items():
-                out[j] = out.get(j, 0) + c * cj
-        return {j: c for j, c in out.items() if c}
-
     # -- misc ---------------------------------------------------------
 
     @property
@@ -183,21 +177,45 @@ class KaryAlgebra:
 # -- structural checkers ----------------------------------------------
 
 
+_ZERO = {}  # the zero vector, shared by lookups that miss; never written
+
+
+def _adjoint(alg: KaryAlgebra):
+    """{R: {x: [x, R]}} over the sorted (k-1)-tuples R inside some stored key.
+
+    Moving entry i of a key K to the front takes i transpositions, so
+    [K_i, K without K_i] = (-1)^i [K]; every other [x, R] with R sorted
+    is zero (x in R, or sorted R + {x} not a key).  The rows share the
+    stored vectors and must not be changed.
+    """
+    ad = {}
+    for key, vec in alg.brackets.items():
+        neg = {j: -c for j, c in vec.items()}
+        for i, x in enumerate(key):
+            ad.setdefault(key[:i] + key[i + 1 :], {})[x] = neg if i % 2 else vec
+    return ad
+
+
 def check_jacobi(alg: KaryAlgebra, *, cap=DEFAULT_SIZE_CAP):
     """All basis tuples violating the generalized Jacobi identity.
 
     Checks strictly increasing inner k-tuples I against strictly
     increasing outer (k-1)-tuples O (overlaps allowed); this covers every
     case by multilinearity, since tuples with a repeat inside either
-    group vanish identically on both sides.  The residual of (I, O) is
-    [[I], O] - sum_i [I_1, ..., [I_i, O], ..., I_k], so it can be nonzero
-    only if I is a stored key or some sorted {I_i} + O is one.  Only those
-    pairs are visited: for each stored key K, (K, every O) and, for each
-    e in K, (every I containing e, K without e).  Returns the violating
-    (2k-1)-tuples, inner part first, in lexicographic order; empty means
-    the identity holds.  The pairs are at most
-    |keys| * (C(n, k-1) + k * C(n-1, k-1)); a bound over cap is refused
-    before any work (cap None: no limit).
+    group vanish identically on both sides.  With ad_R(x) = [x, R] read
+    from `_adjoint`, the residual of (I, O) is
+
+        sum_w [I]_w ad_O(w) - sum_i (-1)^i sum_w ad_O(I_i)_w ad_{I - I_i}(w),
+
+    i.e. [[I], O] - sum_i [I_1, ..., [I_i, O], ..., I_k].  Both terms
+    vanish when ad_O = 0, i.e. when O lies in no stored key, and the
+    residual can be nonzero only if I is a stored key or some sorted
+    {I_i} + O is one.  Only those pairs are visited: for each stored key
+    K, (K, every O of the table) and, for each e in K, (every I
+    containing e, K without e).  Returns the violating (2k-1)-tuples,
+    inner part first, in lexicographic order; empty means the identity
+    holds.  The pairs are at most |keys| * (C(n, k-1) + k * C(n-1, k-1));
+    a bound over cap is refused before any work (cap None: no limit).
     """
     n, k = alg.dim, alg.arity
     bound = len(alg.brackets) * (comb(n, k - 1) + k * comb(n - 1, k - 1))
@@ -205,11 +223,11 @@ def check_jacobi(alg: KaryAlgebra, *, cap=DEFAULT_SIZE_CAP):
         raise ResourceCapError(
             f"Jacobi check visits up to {bound} (inner, outer) pairs (cap {cap})"
         )
-    outers = list(combinations(range(n), k - 1)) if alg.brackets else []
+    ad = _adjoint(alg)
     containing = {}
     pairs = set()
     for key in alg.brackets:
-        pairs.update((key, outer) for outer in outers)
+        pairs.update((key, outer) for outer in ad)
         for i, e in enumerate(key):
             if e not in containing:
                 others = [x for x in range(n) if x != e]
@@ -221,41 +239,55 @@ def check_jacobi(alg: KaryAlgebra, *, cap=DEFAULT_SIZE_CAP):
     return [
         inner + outer
         for inner, outer in sorted(pairs)
-        if _jacobi_fails(alg, inner, outer)
+        if _jacobi_fails(alg.brackets, ad, inner, outer)
     ]
 
 
-def _jacobi_fails(alg, inner, outer):
-    """Whether [[inner], outer] - sum_i [..., [inner_i, outer], ...] is nonzero."""
-    residual = dict(alg.bracket_with_vector(alg.brackets.get(inner, {}), outer))
-    for i in range(alg.arity):
-        moved = alg.bracket((inner[i],) + outer)
+def _jacobi_fails(brackets, ad, inner, outer):
+    """Whether the residual of (inner, outer) is nonzero; outer is in ad."""
+    ad_outer = ad[outer]
+    residual = {}
+    for w, c in brackets.get(inner, _ZERO).items():
+        for j, cj in ad_outer.get(w, _ZERO).items():
+            residual[j] = residual.get(j, 0) + c * cj
+    for i, x in enumerate(inner):
+        moved = ad_outer.get(x)
         if not moved:
             continue
+        rest = ad.get(inner[:i] + inner[i + 1 :])
+        if not rest:
+            continue
+        sign = 1 if i % 2 else -1  # the term enters as -(-1)^i
         for w, c in moved.items():
-            replaced = inner[:i] + (w,) + inner[i + 1 :]
-            for j, cj in alg.bracket(replaced).items():
-                residual[j] = residual.get(j, 0) - c * cj
+            for j, cj in rest.get(w, _ZERO).items():
+                residual[j] = residual.get(j, 0) + sign * c * cj
     return any(residual.values())
 
 
 def lower_central_series(alg: KaryAlgebra):
     """[g, C^2, C^3, ...] with C^{i+1} = span[C^i, g, ..., g].
 
-    Stops at the zero subspace or at the first repeat; the algebra is
-    nilpotent iff the last term is zero.
+    C^{i+1} is spanned by [v, R] = sum_x v_x ad_R(x) over the basis
+    vectors v of C^i and the rows R of `_adjoint`.  Stops at the zero
+    subspace or at the first repeat; the algebra is nilpotent iff the
+    last term is zero.
     """
     series = [Subspace.full(alg.dim)]
-    rests = list(combinations(range(alg.dim), alg.arity - 1))
+    rows = list(_adjoint(alg).values())
     while True:
         current = series[-1]
         if current.dim == 0:
             return series
         gens = []
         for v in current.basis_vectors:
-            vec = {i: c for i, c in enumerate(v) if c}
-            for rest in rests:
-                img = alg.bracket_with_vector(vec, rest)
+            for row in rows:
+                img = {}
+                for x, vec in row.items():
+                    c = v[x]
+                    if c:
+                        for j, cj in vec.items():
+                            img[j] = img.get(j, 0) + c * cj
+                img = {j: c for j, c in img.items() if c}
                 if img:
                     gens.append(img)
         nxt = Subspace.span(alg.dim, gens)
@@ -269,17 +301,21 @@ def is_nilpotent(alg: KaryAlgebra) -> bool:
 
 
 def center(alg: KaryAlgebra) -> Subspace:
-    """Common kernel of v -> [v, b_{i_2}, ..., b_{i_k}] over basis subsets."""
+    """Common kernel of v -> [v, R] over the rows R of `_adjoint`.
+
+    [v, R] is zero for every other sorted (k-1)-tuple R, so these rows
+    give the kernel over all basis subsets.
+    """
     from .matrices import SparseIntMatrix, kernel_basis
 
     n = alg.dim
+    ad = _adjoint(alg)
     entries = {}
-    for r, rest in enumerate(combinations(range(n), alg.arity - 1)):
-        for j in range(n):
-            for out, c in alg.bracket((j,) + rest).items():
+    for r, row in enumerate(ad.values()):
+        for j, vec in row.items():
+            for out, c in vec.items():
                 entries[(r * n + out, j)] = c
-    ad = SparseIntMatrix(comb(n, alg.arity - 1) * n, n, entries)
-    return Subspace.span(n, kernel_basis(ad))
+    return Subspace.span(n, kernel_basis(SparseIntMatrix(len(ad) * n, n, entries)))
 
 
 # -- subspaces ---------------------------------------------------------
@@ -390,11 +426,13 @@ def _parse_coefficient(x):
 def algebra_from_json_dict(doc: dict) -> KaryAlgebra:
     """Load an algebra document.
 
-    Only the document's shape is checked here; every value goes to the
-    `KaryAlgebra` constructor as it stands, which validates it.  Rational
-    coefficients are accepted and cleared to integers by one global
-    scaling of the bracket (multiplying the whole k-linear map by a
-    positive constant preserves the Jacobi identity and every rank).
+    Only the document's shape, duplicate bracket args and output indices
+    repeated within one value (JSON true and 1 are one index) are
+    checked here; every value goes to the `KaryAlgebra` constructor as
+    it stands, which validates it.  Rational coefficients are accepted
+    and cleared to integers by one global scaling of the bracket
+    (multiplying the whole k-linear map by a positive constant preserves
+    the Jacobi identity and every rank).
     """
     try:
         arity, dim, labels = doc["arity"], doc["dim"], list(doc["labels"])
@@ -414,8 +452,9 @@ def algebra_from_json_dict(doc: dict) -> KaryAlgebra:
                 raise LoadError(f"duplicate bracket args {list(args)}")
             vec = brackets[args] = {}
             for coeff, idx in item["value"]:
-                q = _parse_coefficient(coeff)
-                vec[idx] = vec.get(idx, 0) + q
+                if idx in vec:
+                    raise LoadError(f"bracket {list(args)} repeats output index {idx!r}")
+                q = vec[idx] = _parse_coefficient(coeff)
                 denom = lcm(denom, q.denominator)
         except (KeyError, TypeError, ValueError) as exc:
             raise LoadError(f"malformed bracket {item!r}: {exc}") from exc

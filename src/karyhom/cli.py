@@ -126,8 +126,8 @@ def _cmd_compute(args) -> int:
     alg, desc, _ = _resolve_algebra(args)
     layout = ChainLayout.of(alg)
     t = args.degree
-    if t is not None and t not in layout.degrees:
-        raise InputError(f"degree {t} is not in the layout {layout.degrees}")
+    if t is not None:
+        h = betti(alg, t, cap=args.size_cap)  # ranks d_t and d_{t+k-1} only
     if args.export_mm:
         check_cap(alg, layout.degrees, args.size_cap)
         try:
@@ -141,7 +141,6 @@ def _cmd_compute(args) -> int:
         except OSError as exc:
             raise InputError(f"cannot export to {args.export_mm}: {exc}") from exc
     if t is not None:
-        h = betti(alg, t, cap=args.size_cap)  # ranks d_t and d_{t+k-1} only
         image = layout.boundary_rank(t)
         kernel = comb0(alg.dim, t) - image
         _json_out({"algebra": desc, "degree": t, "betti": h, "kernel": kernel, "image": image})

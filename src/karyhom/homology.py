@@ -29,7 +29,7 @@ def betti(alg: KaryAlgebra, t: int, *, cap=DEFAULT_SIZE_CAP) -> int:
     """Betti number at a layout degree (0, 1, k, 2k-1, ...)."""
     layout = ChainLayout.of(alg)
     if t not in layout.degrees:
-        raise InputError(f"{t} is not a chain degree of the layout {layout.degrees}")
+        raise InputError(f"degree {t} is not in the layout {layout.degrees}")
     k = alg.arity
     check_cap(alg, (t, t - k + 1, t + k - 1), cap)
     return layout.betti(t)

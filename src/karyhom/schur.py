@@ -154,9 +154,12 @@ def decompose_character(table: dict, n: int):
     downward); re-expanding through Schur characters reproduces the
     input exactly, otherwise a ConsistencyError is raised.  Peeling only
     lowers entries and refuses to drive one negative, so a table peels
-    to empty exactly when it is a sum of Schur characters.
+    to empty exactly when it is a sum of Schur characters.  Multiplicities
+    must be ints; anything else is refused, never truncated.
     """
-    work = {tuple(w): int(m) for w, m in table.items() if m}
+    if not all(type(m) is int for m in table.values()):
+        raise InputError("character multiplicities must be integers")
+    work = {tuple(w): m for w, m in table.items() if m}
     for w in work:
         if len(w) != n:
             raise InputError(f"weight {w} does not live in Z^{n}")

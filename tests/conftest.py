@@ -1,7 +1,7 @@
 """Shared test oracles, deliberately independent of the library internals."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb, lcm
 
 from karyhom.algebra import KaryAlgebra
@@ -160,24 +160,109 @@ def acj_betti_closed_form(k, m, t):
     )
 
 
+def _jacobi_residual(alg: KaryAlgebra, inner, outer):
+    """[[inner], outer] - sum_i [inner_1, ..., [inner_i, outer], ..., inner_k]."""
+    residual = {}
+    for w, c in alg.bracket(inner).items():
+        for j, cj in alg.bracket((w,) + outer).items():
+            residual[j] = residual.get(j, 0) + c * cj
+    for i in range(alg.arity):
+        for w, c in alg.bracket((inner[i],) + outer).items():
+            replaced = inner[:i] + (w,) + inner[i + 1 :]
+            for j, cj in alg.bracket(replaced).items():
+                residual[j] = residual.get(j, 0) - c * cj
+    return residual
+
+
 def jacobi_residuals_exhaustive(alg: KaryAlgebra):
     """Evaluate the generalized Jacobi identity on *every* basis tuple,
     repeats included (slow; use only on small algebras)."""
     k = alg.arity
-    bad = []
-    for inner in product(range(alg.dim), repeat=k):
-        inner_vec = alg.bracket(inner)
-        for outer in product(range(alg.dim), repeat=k - 1):
-            residual = dict(alg.bracket_with_vector(inner_vec, outer))
-            for i in range(k):
-                moved = alg.bracket((inner[i],) + outer)
-                for w, c in moved.items():
-                    replaced = inner[:i] + (w,) + inner[i + 1 :]
-                    for j, cj in alg.bracket(replaced).items():
-                        residual[j] = residual.get(j, 0) - c * cj
-            if any(residual.values()):
-                bad.append(inner + outer)
-    return bad
+    return [
+        inner + outer
+        for inner in product(range(alg.dim), repeat=k)
+        for outer in product(range(alg.dim), repeat=k - 1)
+        if any(_jacobi_residual(alg, inner, outer).values())
+    ]
+
+
+def jacobi_residuals_increasing(alg: KaryAlgebra):
+    """The Jacobi identity on strictly increasing inner and outer tuples
+    only, in lexicographic order (fast enough for k = 5 on 7 elements)."""
+    k = alg.arity
+    return [
+        inner + outer
+        for inner in combinations(range(alg.dim), k)
+        for outer in combinations(range(alg.dim), k - 1)
+        if any(_jacobi_residual(alg, inner, outer).values())
+    ]
+
+
+def _reduced_rows(rows):
+    """{pivot column: row} of a reduced row echelon basis of the span of
+    dense rational rows: every row is 1 at its pivot and 0 at the others."""
+    pivots = {}
+    for row in rows:
+        if not any(row):
+            continue
+        r = [Fraction(x) for x in row]
+        for c, p in pivots.items():
+            if r[c]:
+                f = r[c]
+                r = [a - f * b for a, b in zip(r, p)]
+        lead = next((c for c, x in enumerate(r) if x), None)
+        if lead is None:
+            continue
+        r = [x / r[lead] for x in r]
+        for c, p in pivots.items():
+            if p[lead]:
+                f = p[lead]
+                pivots[c] = [a - f * b for a, b in zip(p, r)]
+        pivots[lead] = r
+    return pivots
+
+
+def lower_central_series_by_brackets(alg: KaryAlgebra):
+    """Bases (dense rows) of g, C^2, C^3, ... from `alg.bracket` on every
+    (k-1)-combination, stopping at zero or at the first repeat."""
+    n = alg.dim
+    rests = list(combinations(range(n), alg.arity - 1))
+    series = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    while series[-1]:
+        images = []
+        for v in series[-1]:
+            for rest in rests:
+                img = [0] * n
+                for x, c in enumerate(v):
+                    if c:
+                        for j, cj in alg.bracket((x,) + rest).items():
+                            img[j] += c * cj
+                images.append(img)
+        series.append(list(_reduced_rows(images).values()))
+        if len(series[-1]) == len(series[-2]):
+            break
+    return series
+
+
+def center_by_brackets(alg: KaryAlgebra):
+    """A basis (dense rows) of {v : [v, b_R] = 0 for every (k-1)-combination R},
+    from `alg.bracket`: the null space of the stacked ad matrices."""
+    n = alg.dim
+    rows = [
+        [alg.bracket((j,) + rest).get(out, 0) for j in range(n)]
+        for rest in combinations(range(n), alg.arity - 1)
+        for out in range(n)
+    ]
+    pivots = _reduced_rows(rows)
+    basis = []
+    for f in range(n):
+        if f not in pivots:
+            x = [Fraction(0)] * n
+            x[f] = Fraction(1)
+            for c, p in pivots.items():
+                x[c] = -p[f]
+            basis.append(x)
+    return basis
 
 
 def flip_bracket_signs(alg: KaryAlgebra, rng) -> KaryAlgebra:

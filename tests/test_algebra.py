@@ -2,10 +2,17 @@ import io
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
-from conftest import jacobi_residuals_exhaustive
+from conftest import (
+    center_by_brackets,
+    dense_rank,
+    jacobi_residuals_exhaustive,
+    jacobi_residuals_increasing,
+    lower_central_series_by_brackets,
+)
 from karyhom.algebra import (
     KaryAlgebra,
     Subspace,
@@ -366,3 +373,122 @@ def test_jacobi_refuses_more_pairs_than_cap():
         check_jacobi(alg, cap=131)
     assert check_jacobi(alg, cap=132) == []
     assert check_jacobi(alg, cap=None) == []
+
+
+# -- the adjoint table -------------------------------------------------------
+
+
+def _relabel(alg, rng):
+    """alg under a random basis permutation, keys re-sorted with their sign."""
+    perm = list(range(alg.dim))
+    rng.shuffle(perm)
+    items = [
+        (tuple(perm[i] for i in args), {perm[j]: c for j, c in vec.items()})
+        for args, vec in alg.brackets.items()
+    ]
+    return KaryAlgebra.from_brackets(alg.arity, alg.dim, alg.labels, items)
+
+
+def test_jacobi_matches_increasing_oracle_at_arity_4_and_5():
+    # the sign (-1)^i of moving key entry i to the front reaches i = 3, 4
+    # only at these arities; random tables mostly break the identity,
+    # relabelled families keep it
+    rng = random.Random(411)
+    broken = 0
+    for _ in range(40):
+        k = rng.choice([4, 5])
+        n = rng.randint(k + 1, 7)
+        brackets = {}
+        for K in rng.sample(list(combinations(range(n), k)), rng.randint(1, 4)):
+            pool = range(K[-1] + 1, n) if rng.random() < 0.7 else range(n)
+            if pool:
+                outs = rng.sample(pool, rng.randint(1, min(2, len(pool))))
+                brackets[K] = {w: rng.choice([-3, -2, -1, 1, 2, 3]) for w in outs}
+        alg = KaryAlgebra(k, n, [f"e{i}" for i in range(n)], brackets)
+        expected = jacobi_residuals_increasing(alg)
+        assert check_jacobi(alg) == expected, brackets
+        broken += bool(expected)
+    assert 5 <= broken <= 35
+    for alg in (heisenberg(4, 1), acj(4, 1), heisenberg(5, 1), acj(5, 1)):
+        for _ in range(3):
+            relabelled = _relabel(alg, rng)
+            assert check_jacobi(relabelled) == jacobi_residuals_increasing(relabelled) == []
+
+
+def test_jacobi_visits_only_outers_of_the_adjoint_table(monkeypatch):
+    import karyhom.algebra
+
+    original = karyhom.algebra._jacobi_fails
+    visited = []
+
+    def counting(brackets, ad, inner, outer):
+        visited.append((inner, outer))
+        return original(brackets, ad, inner, outer)
+
+    monkeypatch.setattr(karyhom.algebra, "_jacobi_fails", counting)
+    alg = free_three_step_small(4)
+    assert check_jacobi(alg) == []
+    # 1,280 pairs when every outer (k-1)-tuple was paired with every key
+    assert len(visited) == len(set(visited)) == 910
+    assert visited == sorted(visited)
+    assert all(any(set(o) <= set(K) for K in alg.brackets) for _, o in visited)
+
+
+def test_structural_checkers_read_only_the_table(monkeypatch):
+    import karyhom.algebra
+
+    def refuse(*args):
+        raise AssertionError("per-call bracket evaluation")
+
+    monkeypatch.setattr(KaryAlgebra, "bracket", refuse)
+    monkeypatch.setattr(karyhom.algebra, "sort_with_sign", refuse)
+    alg = free_three_step_small(4)
+    assert check_jacobi(alg) == []
+    assert [s.dim for s in lower_central_series(alg)] == [9, 5, 4, 0]
+    assert center(alg).dim == 4
+
+
+def _random_two_step(rng):
+    """Keys inside the first a elements, values in the last b: 2-step nilpotent."""
+    k = rng.choice([2, 3])
+    a, b = rng.randint(k, 5), rng.randint(1, 3)
+    keys = rng.sample(list(combinations(range(a), k)), rng.randint(1, comb(a, k)))
+    brackets = {}
+    for K in keys:
+        outs = rng.sample(range(a, a + b), rng.randint(1, b))
+        brackets[K] = {w: rng.choice([-3, -2, -1, 1, 2, 3]) for w in outs}
+    return KaryAlgebra(k, a + b, [f"e{i}" for i in range(a + b)], brackets)
+
+
+def _same_span(subspace, rows):
+    union = dense_rank(list(subspace.basis_vectors) + list(rows))
+    return subspace.dim == dense_rank(rows) == union
+
+
+def test_center_and_series_match_bracket_oracle():
+    from karyhom.families import current_algebra
+
+    rng = random.Random(1985)
+    algebras = [
+        free_three_step_small(3),
+        free_three_step_small(4),
+        free_three_step_small(5),
+        acj(3, 2),
+        current_algebra(heisenberg(4, 1), 2),
+    ] + [_random_two_step(rng) for _ in range(12)]
+    for alg in algebras:
+        assert _same_span(center(alg), center_by_brackets(alg)), alg.brackets
+        series = lower_central_series(alg)
+        expected = lower_central_series_by_brackets(alg)
+        assert len(series) == len(expected)
+        for term, rows in zip(series, expected):
+            assert _same_span(term, rows), alg.brackets
+
+
+def test_json_refuses_repeated_output_index():
+    base = {"arity": 2, "dim": 3, "labels": ["a", "b", "c"]}
+    for value in ([[1, 2], [1, 2]], [[1, 1], [1, True]]):
+        with pytest.raises(LoadError, match="repeats output index"):
+            algebra_from_json_dict({**base, "brackets": [{"args": [0, 1], "value": value}]})
+    with pytest.raises(LoadError):  # a lone true still reaches the constructor
+        algebra_from_json_dict({**base, "brackets": [{"args": [0, 1], "value": [[1, True]]}]})

@@ -258,10 +258,11 @@ HEIS21 = {"arity": 2, "dim": 3, "labels": ["x", "y", "z"]}
         {**HEIS21, "arity": 2.9, "brackets": [{"args": [0.2, 1.7], "value": [[1, 2.6]]}]},
         {**HEIS21, "brackets": [{"args": [0, 1], "value": [[True, 2]]}]},
         {**HEIS21, "dim": "3", "brackets": [{"args": [0, 1], "value": [[1, 2]]}]},
+        {**HEIS21, "brackets": [{"args": [0, 1], "value": [[1, 1], [1, True]]}]},
     ],
     ids=[
         "no-value", "short-pair", "arity-not-int", "missing-file",
-        "floats", "bool-coefficient", "dim-string",
+        "floats", "bool-coefficient", "dim-string", "repeated-output-index",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, doc):
@@ -301,6 +302,16 @@ def test_export_to_unwritable_place_exits_2(tmp_path, capsys):
         "--export-mm", str(blocker / "x"),
     ])
     _assert_one_line_error(capsys, code)
+
+
+def test_compute_degree_outside_layout_exports_nothing(tmp_path, capsys):
+    out_dir = tmp_path / "mm"
+    code = main([
+        "compute", "--family", "heisenberg", "--k", "3", "--m", "1",
+        "--degree", "2", "--export-mm", str(out_dir),
+    ])
+    _assert_one_line_error(capsys, code)
+    assert not out_dir.exists()
 
 
 def test_size_cap_exit_code(capsys):

@@ -176,6 +176,12 @@ def test_decompose_rejects_asymmetric_table():
         decompose_character({(1, 0): 2, (0, 1): 1}, 2)
 
 
+def test_decompose_refuses_non_integer_multiplicities():
+    # truncating 1.5 to 1 would peel to S_(1) and hide the bad input
+    with pytest.raises(InputError):
+        decompose_character({(1, 0): 1.5, (0, 1): 1.5}, 2)
+
+
 def test_first_homology_is_the_standard_module():
     for n in (2, 3, 4):
         table = character_by_weights(free_two_step(2, n), 1)
