@@ -21,6 +21,11 @@ whole boundary, its weight blocks and the theta maps of
 `homology.theta_matrix` are all blocks of d_t it cuts out.
 `boundary_image` stays as the definition the tests check the matrices
 against.
+
+When every ad(y_2, ..., y_k) is traceless, as in every nilpotent
+algebra, rank d_t = rank d_{n+k-1-t} (see `ChainLayout`), and each pair
+{t, n+k-1-t} gets one rank.  The condition is checked on each algebra's
+brackets; a custom algebra that fails it ranks every degree.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from itertools import combinations
 
-from .algebra import DEFAULT_SIZE_CAP, KaryAlgebra
+from .algebra import DEFAULT_SIZE_CAP, KaryAlgebra, _adjoint
 from .errors import InputError, ResourceCapError
 from .matrices import SparseIntMatrix, multiply, rank
 from .util import comb0, insert_with_sign
@@ -216,12 +221,48 @@ class ChainLayout:
     only, and the weight blocks that characters need are ranked by
     `schur.character_by_weights`.  `ChainLayout.of(alg)` returns the
     layout kept on the algebra, so every caller shares one memo.
+
+    Duality.  Let n = dim, top = n+k-1, S^c the complement of S in
+    {0, ..., n-1}, and e_S ^ e_{S^c} = eps(S) e_0 ^ ... ^ e_{n-1}.  If
+    tr ad(Y) = sum_x [x, Y]_x is 0 for every (k-1)-tuple Y, then
+
+        d_{top-t}[S^c, U^c] = sigma_t eps(S) eps(U) d_t[U, S]
+
+    for all monomials U, S, with one sign sigma_t per degree: d_{top-t}
+    is d_t transposed and conjugated by the signed permutation e_S ->
+    eps(S) e_{S^c} (the Hodge star), so rank d_{top-t} = rank d_t.  This
+    is Poincare duality for unimodular algebras (Koszul 1950; Hazewinkel
+    1970 for k = 2), in k-ary form.  Jacobi plays no part in it.
+
+    Proof.  Entry (U, S) of d_t collects the terms [K]_w of the k-sets
+    K inside S with U = (S - K) + {w}.  A term with w not in K has w
+    outside S, so K = S - U and w = U - S are fixed by (U, S); entry
+    (S^c, U^c) of d_{top-t} has K' = U^c - S^c = S - U and w' = S^c -
+    U^c = U - S, the same term, and the sign of the pair factors
+    through eps(S) eps(U).  The other terms have w in K, so U = S - Y
+    with Y = K - {w}: entry (S - Y, S) is, up to sign, the partial trace
+    of ad(Y) over U, and its mirror, entry (S^c, S^c + Y) of d_{top-t},
+    the partial trace of ad(Y) over S^c.  U, S^c and Y partition the
+    basis and indices x in Y give [x, Y] = 0, so the two partial traces
+    sum to tr ad(Y): d_{top-t} minus the mirrored d_t is +-tr ad(Y) at
+    these entries and 0 at all others.  In operators, with d =
+    sum [K]_w (e_w ^) i_K for the contraction i_K, moving e_w ^ back
+    past i_K after the star leaves (-1)^k d + sum_Y tr ad(Y) i_Y.
+
+    The condition is checked once, on the adjoint table: a Y in no
+    stored key has ad(Y) = 0.  When it holds, `boundary_rank(t)` with
+    top - t < t returns `boundary_rank(top - t)`, so only degrees up to
+    top / 2 are assembled and ranked.  Nilpotent ad maps are traceless;
+    an algebra that fails the check (a solvable one, say) ranks every
+    degree.
     """
 
     def __init__(self, alg: KaryAlgebra):
         self.algebra = alg
         self.degrees = [0] + list(range(1, alg.dim + 1, alg.arity - 1))
         self._ranks = {}
+        traceless = all(sum(row[x].get(x, 0) for x in row) == 0 for row in _adjoint(alg).values())
+        self.top = alg.dim + alg.arity - 1 if traceless else None
 
     @classmethod
     def of(cls, alg: KaryAlgebra) -> "ChainLayout":
@@ -231,8 +272,11 @@ class ChainLayout:
         return alg._chain_layout
 
     def boundary_rank(self, t: int) -> int:
-        """rank d_t (0 below degree k and above dim)."""
+        """rank d_t (0 below degree k and above dim); the rank of its
+        mirror d_{top-t} when that degree is lower and top is set."""
         alg = self.algebra
+        if self.top is not None and self.top - t < t:
+            t = self.top - t
         if t < alg.arity or t > alg.dim:
             return 0
         if t not in self._ranks:

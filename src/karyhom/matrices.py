@@ -24,7 +24,11 @@ from .errors import InputError, LoadError
 
 
 class SparseIntMatrix:
-    """Sparse integer matrix stored as {(row, col): nonzero int}."""
+    """Sparse integer matrix stored as {(row, col): nonzero int}.
+
+    Entries must be ints proper: a float, str or bool is refused, never
+    truncated or coerced.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -40,7 +44,8 @@ class SparseIntMatrix:
                     raise InputError(
                         f"entry ({r},{c}) out of range for a {rows}x{cols} matrix"
                     )
-                v = int(v)
+                if type(v) is not int:
+                    raise InputError(f"entry ({r},{c}) is {v!r}, not an integer")
                 if v:
                     clean[(r, c)] = v
         self.entries = clean

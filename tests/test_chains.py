@@ -245,8 +245,18 @@ def test_assembly_matches_boundary_image_oracle():
         assert SparseIntMatrix(len(rows), len(cols), whole) == expected == differential_matrix(f, t)
 
 
+def _direct_ranks(alg):
+    """{t: rank d_t} for every t in [0, dim+k-1], each matrix assembled
+    and ranked on its own, without the layout."""
+    return {
+        t: rank(differential_matrix(alg, t)) if alg.arity <= t <= alg.dim else 0
+        for t in range(alg.dim + alg.arity)
+    }
+
+
 def test_boundary_ranks_are_dual():
-    # rank d_t = rank d_{dim+k-1-t} for nilpotent algebras (traceless ad)
+    # rank d_t = rank d_{dim+k-1-t} for nilpotent algebras (traceless ad),
+    # on directly ranked matrices; the layout, which mirrors, must agree
     algebras = [
         family(k, m)
         for family in (heisenberg, acj)
@@ -263,10 +273,53 @@ def test_boundary_ranks_are_dual():
         current_algebra(heisenberg(3, 1), 2),
         abelian(3, 5),
     ]
+    assert len(algebras) >= 25
     for alg in algebras:
-        layout, top = ChainLayout.of(alg), alg.dim + alg.arity - 1
+        direct, top = _direct_ranks(alg), alg.dim + alg.arity - 1
+        layout = ChainLayout.of(alg)
+        assert layout.top == top, alg
         for t in range(top + 1):
-            assert layout.boundary_rank(t) == layout.boundary_rank(top - t), (alg, t)
+            assert direct[t] == direct[top - t], (alg, t)
+            assert layout.boundary_rank(t) == direct[t], (alg, t)
+
+
+@pytest.mark.parametrize(
+    "alg, ranks",
+    [
+        # solvable, [x, y] = y: tr ad(x) = -1; rank d_2 is 1, its mirror d_1 is 0
+        (KaryAlgebra(2, 2, "xy", {(0, 1): {1: 1}}), {2: 1}),
+        # [a, b, c] = c: tr ad(a, b) = 1; d_3, d_4 have rank 1, 1, mirrors 1, 0
+        (KaryAlgebra(3, 4, "abcd", {(0, 1, 2): {2: 1}}), {3: 1, 4: 1}),
+    ],
+    ids=["solvable-2d", "arity-3-trace"],
+)
+def test_layout_ranks_every_degree_when_an_ad_has_trace(alg, ranks):
+    direct, top = _direct_ranks(alg), alg.dim + alg.arity - 1
+    assert {t: direct[t] for t in ranks} == ranks
+    assert any(direct[top - t] != r for t, r in ranks.items())  # not dual
+    layout = ChainLayout.of(alg)
+    assert layout.top is None
+    assert {t: layout.boundary_rank(t) for t in direct} == direct
+
+
+def test_traceless_algebra_mirrors_without_being_nilpotent(monkeypatch):
+    # sl2 = [sl2, sl2], so every ad is a commutator and traceless, but sl2
+    # is not nilpotent; duality needs only the trace, so d_3 is never ranked
+    import karyhom.chains
+
+    sl2 = KaryAlgebra(2, 3, "hef", {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
+    calls = []
+
+    def counting_rank(matrix):
+        calls.append((matrix.rows, matrix.cols))
+        return rank(matrix)
+
+    monkeypatch.setattr(karyhom.chains, "rank", counting_rank)
+    layout = ChainLayout.of(sl2)
+    assert layout.top == 4
+    assert [layout.betti(t) for t in layout.degrees] == [1, 0, 0, 1]
+    assert calls == [(3, 3)]  # d_2 only
+    assert {t: layout.boundary_rank(t) for t in range(5)} == _direct_ranks(sl2)
 
 
 def test_weight_block_ranks_sum_to_whole_rank():

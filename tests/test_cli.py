@@ -146,8 +146,9 @@ def test_compute_single_degree_ranks_two_boundaries(monkeypatch, capsys):
         "kernel": 34,
         "image": 1,
     }
-    # d_3: wedge^3 -> wedge^1 and d_5: wedge^5 -> wedge^3 of a 7-dim algebra; not d_7
-    assert sorted(shapes) == [(7, 35), (35, 21)]
+    # d_3: wedge^3 -> wedge^1, and d_4: wedge^4 -> wedge^2 in place of its
+    # mirror d_5 (top = 7 + 3 - 1 = 9) of a 7-dim algebra; not d_7
+    assert sorted(shapes) == [(7, 35), (21, 35)]
 
 
 def test_compute_single_degree_caps_only_its_boundaries(capsys):

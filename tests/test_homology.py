@@ -338,7 +338,8 @@ def test_boundary_ranks_are_computed_once(monkeypatch):
 
 def test_graded_betti_ranks_whole_boundaries_once(monkeypatch):
     # weights do not split the boundaries Betti numbers are read from:
-    # one rank call per boundary degree, none on a second pass
+    # one rank call per boundary degree up to (dim+k-1)/2, whose mirrors
+    # give the rest, and none on a second pass
     import karyhom.chains
 
     calls = []
@@ -348,7 +349,7 @@ def test_graded_betti_ranks_whole_boundaries_once(monkeypatch):
         return rank(matrix)
 
     monkeypatch.setattr(karyhom.chains, "rank", counting_rank)
-    for alg, boundaries in ((free_two_step(3, 4), 3), (free_two_step(2, 4), 9)):
+    for alg, boundaries in ((free_two_step(3, 4), 2), (free_two_step(2, 4), 4)):
         calls.clear()
         betti_all(alg)
         assert len(calls) == boundaries

@@ -46,6 +46,10 @@ def test_entry_validation():
         SparseIntMatrix(2, 2, {(2, 0): 1})
     m = SparseIntMatrix(2, 2, {(0, 0): 0, (1, 1): 3})
     assert m.nnz == 1  # zeros are not stored
+    # refused, not truncated or coerced to 1, 3 and 1
+    for value in (1.5, "3", True):
+        with pytest.raises(InputError, match="not an integer"):
+            SparseIntMatrix(1, 1, {(0, 0): value})
 
 
 def test_rank_against_dense_oracle_randomized():
