@@ -19,8 +19,7 @@ no stored key has ad_R = 0, so every term it could enter vanishes.
 from __future__ import annotations
 
 import json
-from itertools import combinations
-from math import comb, lcm
+from math import lcm
 
 from .errors import InputError, LoadError, ResourceCapError
 from .util import sort_with_sign
@@ -207,35 +206,31 @@ def check_jacobi(alg: KaryAlgebra, *, cap=DEFAULT_SIZE_CAP):
 
         sum_w [I]_w ad_O(w) - sum_i (-1)^i sum_w ad_O(I_i)_w ad_{I - I_i}(w),
 
-    i.e. [[I], O] - sum_i [I_1, ..., [I_i, O], ..., I_k].  Both terms
-    vanish when ad_O = 0, i.e. when O lies in no stored key, and the
-    residual can be nonzero only if I is a stored key or some sorted
-    {I_i} + O is one.  Only those pairs are visited: for each stored key
-    K, (K, every O of the table) and, for each e in K, (every I
-    containing e, K without e).  Returns the violating (2k-1)-tuples,
-    inner part first, in lexicographic order; empty means the identity
-    holds.  The pairs are at most |keys| * (C(n, k-1) + k * C(n-1, k-1));
-    a bound over cap is refused before any work (cap None: no limit).
+    i.e. [[I], O] - sum_i [I_1, ..., [I_i, O], ..., I_k].  Only pairs
+    with a possibly nonzero term are visited, by two joins of the stored
+    keys K with the rows of the table:
+    - (K, O) for each row O meeting the outputs of K: [[I], O] needs I a
+      key and some [w, O] != 0 with w in [I];
+    - (sorted R + {e}, K - e) for each e in K and each row R without e:
+      [I_i, O] != 0 makes sorted {I_i} + O a key K, and the term needs
+      ad_{I - I_i} != 0, i.e. R = I - I_i a row.
+    Returns the violating (2k-1)-tuples, inner part first, in
+    lexicographic order; empty means the identity holds.  The joins make
+    (k+1) * |keys| * |rows| iterations; more than cap is refused before
+    they start (cap None: no limit).
     """
-    n, k = alg.dim, alg.arity
-    bound = len(alg.brackets) * (comb(n, k - 1) + k * comb(n - 1, k - 1))
+    ad = _adjoint(alg)
+    bound = (alg.arity + 1) * len(alg.brackets) * len(ad)
     if cap is not None and bound > cap:
         raise ResourceCapError(
             f"Jacobi check visits up to {bound} (inner, outer) pairs (cap {cap})"
         )
-    ad = _adjoint(alg)
-    containing = {}
     pairs = set()
-    for key in alg.brackets:
-        pairs.update((key, outer) for outer in ad)
+    for key, vec in alg.brackets.items():
+        pairs.update((key, outer) for outer, row in ad.items() if not row.keys().isdisjoint(vec))
         for i, e in enumerate(key):
-            if e not in containing:
-                others = [x for x in range(n) if x != e]
-                containing[e] = [
-                    tuple(sorted(rest + (e,))) for rest in combinations(others, k - 1)
-                ]
             outer = key[:i] + key[i + 1 :]
-            pairs.update((inner, outer) for inner in containing[e])
+            pairs.update((tuple(sorted(rest + (e,))), outer) for rest in ad if e not in rest)
     return [
         inner + outer
         for inner, outer in sorted(pairs)

@@ -26,10 +26,11 @@ from .util import comb0
 
 
 def normalize_partition(parts) -> tuple:
-    """Validate weakly decreasing positive parts; returns a tuple."""
-    parts = tuple(int(p) for p in parts if p != 0)
-    if any(p < 0 for p in parts):
-        raise InputError(f"partition parts must be nonnegative: {parts}")
+    """Weakly decreasing nonnegative ints (bool, float, str refused), zeros dropped."""
+    parts = tuple(parts)
+    if not all(type(p) is int and p >= 0 for p in parts):
+        raise InputError(f"partition parts must be nonnegative integers: {parts}")
+    parts = tuple(p for p in parts if p)
     if any(a < b for a, b in zip(parts, parts[1:])):
         raise InputError(f"parts must be weakly decreasing: {parts}")
     return parts

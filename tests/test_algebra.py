@@ -26,7 +26,14 @@ from karyhom.algebra import (
     lower_central_series,
 )
 from karyhom.errors import InputError, LoadError, ResourceCapError
-from karyhom.families import abelian, acj, free_three_step_small, free_two_step, heisenberg
+from karyhom.families import (
+    abelian,
+    acj,
+    current_algebra,
+    free_three_step_small,
+    free_two_step,
+    heisenberg,
+)
 
 
 def mutate(alg, args, vec):
@@ -367,11 +374,11 @@ def test_json_dict_is_serializable_and_stable():
 
 
 def test_jacobi_refuses_more_pairs_than_cap():
-    # heisenberg(3, 2): 2 stored keys times (C(7, 2) + 3 * C(6, 2)) candidate pairs
+    # heisenberg(3, 2): the joins make (3 + 1) * 2 stored keys * 6 table rows iterations
     alg = heisenberg(3, 2)
     with pytest.raises(ResourceCapError):
-        check_jacobi(alg, cap=131)
-    assert check_jacobi(alg, cap=132) == []
+        check_jacobi(alg, cap=47)
+    assert check_jacobi(alg, cap=48) == []
     assert check_jacobi(alg, cap=None) == []
 
 
@@ -415,7 +422,8 @@ def test_jacobi_matches_increasing_oracle_at_arity_4_and_5():
             assert check_jacobi(relabelled) == jacobi_residuals_increasing(relabelled) == []
 
 
-def test_jacobi_visits_only_outers_of_the_adjoint_table(monkeypatch):
+def _visited_pairs(monkeypatch, alg):
+    """The (inner, outer) pairs check_jacobi hands to _jacobi_fails, in order."""
     import karyhom.algebra
 
     original = karyhom.algebra._jacobi_fails
@@ -426,12 +434,55 @@ def test_jacobi_visits_only_outers_of_the_adjoint_table(monkeypatch):
         return original(brackets, ad, inner, outer)
 
     monkeypatch.setattr(karyhom.algebra, "_jacobi_fails", counting)
-    alg = free_three_step_small(4)
     assert check_jacobi(alg) == []
-    # 1,280 pairs when every outer (k-1)-tuple was paired with every key
-    assert len(visited) == len(set(visited)) == 910
+    return visited
+
+
+def test_jacobi_visits_only_outers_of_the_adjoint_table(monkeypatch):
+    alg = free_three_step_small(4)
+    visited = _visited_pairs(monkeypatch, alg)
+    assert len(visited) == len(set(visited)) == 50
     assert visited == sorted(visited)
     assert all(any(set(o) <= set(K) for K in alg.brackets) for _, o in visited)
+
+
+def _candidate_pairs_by_brackets(alg):
+    """Increasing (I, O) with a possibly nonzero Jacobi term, by bracket calls.
+
+    (I, O) qualifies when some [w, O] != 0 for an output w of [I], or when
+    some [I_i, O] != 0 and ad_{I - I_i} != 0.
+    """
+    k, n = alg.arity, alg.dim
+    ad_nonzero = {
+        rest: any(alg.bracket((x,) + rest) for x in range(n))
+        for rest in combinations(range(n), k - 1)
+    }
+    return [
+        (inner, outer)
+        for inner in combinations(range(n), k)
+        for outer in combinations(range(n), k - 1)
+        if any(alg.bracket((w,) + outer) for w in alg.bracket(inner))
+        or any(
+            alg.bracket((x,) + outer) and ad_nonzero[inner[:i] + inner[i + 1 :]]
+            for i, x in enumerate(inner)
+        )
+    ]
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [
+        free_three_step_small(4),
+        heisenberg(3, 2),
+        current_algebra(heisenberg(3, 1), 2),
+        free_two_step(2, 4),
+    ],
+    ids=["free3small4", "heisenberg32", "current_heisenberg31_2", "free2_2_4"],
+)
+def test_jacobi_visits_exactly_the_brute_force_candidates(monkeypatch, alg):
+    expected = _candidate_pairs_by_brackets(alg)
+    assert expected
+    assert _visited_pairs(monkeypatch, alg) == expected
 
 
 def test_structural_checkers_read_only_the_table(monkeypatch):

@@ -360,11 +360,11 @@ def test_module_entry_point():
 
 
 def test_jacobi_check_obeys_size_cap(capsys):
-    # up to 132 (inner, outer) pairs; the largest chain space has 35 monomials
+    # the Jacobi joins make 48 iterations; the largest chain space has 35 monomials
     for verb in ("check", "verify"):
         code, _ = run_cli(
             capsys, verb, "--family", "heisenberg", "--k", "3", "--m", "2",
-            "--size-cap", "100",
+            "--size-cap", "40",
         )
         assert code == 3, verb
 

@@ -17,6 +17,7 @@ from karyhom.schur import (
     decomposition_dimension,
     expand_decomposition,
     lower_bound_betti,
+    normalize_partition,
     pieri_dimension_check,
     schur_dim,
     schur_weight_multiplicities,
@@ -99,6 +100,12 @@ def test_partition_validation():
     assert conjugate_partition((3, 1)) == (2, 1, 1)
     with pytest.raises(InputError):
         schur_dim((1, 2), 3)
+    # parts are never truncated: 1.5 is not 1, and '2', 1.9, True are not (2, 1, 1)
+    for bad in [(1.5,), ("2", 1.9, True), ("2",), (2, 1.9), (2, 1, True), (0.0, 1)]:
+        with pytest.raises(InputError):
+            schur_dim(bad, 3)
+        with pytest.raises(InputError):
+            normalize_partition(bad)
 
 
 # -- characters ----------------------------------------------------------
