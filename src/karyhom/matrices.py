@@ -1,14 +1,14 @@
 """Sparse exact linear algebra over the integers.
 
 Rank, row-space bases and kernel bases over Q all come from one
-integer-preserving elimination, `_eliminate`: rows are cross-multiplied
+integer-preserving row echelon, `_eliminate`: rows are cross-multiplied
 through the gcd of the pivot pair and stripped of their content, so no
 fractions (and no floating point, hence no tolerances) appear in it.
-Pivots are chosen by Markowitz cost with deterministic tie
-breaking, which keeps fill-in low on the incidence-like matrices produced
-by boundary maps and makes every run bit-reproducible.  A lazy heap
-finds each pivot, so pivot search costs about the entries a pivot
-touches rather than a rescan of the whole matrix.
+Rows are taken shortest first and pivots go to the sparsest input
+column, with ties broken by index, which keeps fill-in low on the
+incidence-like matrices produced by boundary maps and makes every run
+bit-reproducible.  Each row is reduced in one sweep over the pivot rows
+it meets, oldest first.
 
 A second, structurally independent elimination modulo a random word-size
 prime serves as a cross-check: rank mod p never exceeds the rational
@@ -114,55 +114,39 @@ def multiply(a: SparseIntMatrix, b: SparseIntMatrix) -> SparseIntMatrix:
 
 
 def _eliminate(matrix: SparseIntMatrix):
-    """Fraction-free sparse elimination, yielding (pivot_col, pivot_row).
+    """Fraction-free sparse row echelon, yielding (pivot_col, pivot_row).
 
-    The pivot rows are {col: int} dicts spanning the row space.  A pivot
-    row is zero at the pivot columns of every row yielded before it: a
-    pivot clears its column from every remaining row.  No row is kept
-    after its yield, so counting the yields costs what rank costs.
+    The pivot rows are {col: int} dicts of content 1 spanning the row
+    space.  Rows are taken shortest first, ties by row index.  Each is
+    reduced against the pivot rows found so far, oldest first, by
+    cross-multiplying through gcd(pivot, entry); a row that survives is
+    stripped of its content, and its pivot is the column with the fewest
+    input nonzeros, ties by column index.  So a pivot row is zero at the
+    pivot columns of every row yielded before it: it was reduced against
+    all of them, and reducing by one pivot row cannot bring back an older
+    pivot column, since that row is itself zero there.
 
-    Pivot selection: lowest Markowitz cost (nnz_row-1)*(nnz_col-1),
-    ties broken by smallest row index, then smallest column index.
-    Candidates wait in a lazy min-heap of (cost, row, col).  A popped
-    item whose entry is gone or whose cost is no longer current is
-    dropped.  A pivot changes the costs only of the rows eliminated
-    against it and of the columns of the pivot row, so exactly those
-    entries are pushed again; the heap minimum is then the minimum over
-    all remaining entries, the pivot a full scan would choose.
+    Yielded rows are kept to reduce later rows: a caller must not change
+    one before the generator is exhausted.
     """
-    rows = {}
-    for (r, c), v in matrix.entries.items():
-        rows.setdefault(r, {})[c] = v
-    col_rows = {}
-    for r, row in rows.items():
-        for c in row:
-            col_rows.setdefault(c, set()).add(r)
-    heap = [
-        ((len(rows[r]) - 1) * (len(col_rows[c]) - 1), r, c) for r, c in matrix.entries
-    ]
-    heapify(heap)
-
-    while rows:
-        cost, pr, pc = heappop(heap)
-        prow = rows.get(pr)
-        if prow is None or pc not in prow:
-            continue
-        if cost != (len(prow) - 1) * (len(col_rows[pc]) - 1):
-            continue
-        yield pc, prow
-
-        del rows[pr]
-        for c in prow:
-            s = col_rows[c]
-            s.discard(pr)
-            if not s:
-                del col_rows[c]
-
-        piv = prow[pc]
-        eliminated = col_rows.pop(pc, set())
-        for r in sorted(eliminated):
-            row = rows[r]
-            f = row.pop(pc)
+    rows = matrix.row_dicts()
+    col_nnz = {}
+    for _, c in matrix.entries:
+        col_nnz[c] = col_nnz.get(c, 0) + 1
+    by_nnz = sorted(col_nnz, key=lambda c: (col_nnz[c], c))
+    col_order = {c: i for i, c in enumerate(by_nnz)}
+    age = {}  # pivot column -> its index in pivots
+    pivots = []
+    for r in sorted(rows, key=lambda r: (len(rows[r]), r)):
+        row = rows[r]
+        ages = [age[c] for c in row if c in age]
+        heapify(ages)
+        while ages:
+            pc, prow = pivots[heappop(ages)]
+            f = row.pop(pc, 0)
+            if not f:
+                continue
+            piv = prow[pc]
             g = gcd(piv, f)
             a, b = piv // g, f // g
             if a != 1:
@@ -171,42 +155,25 @@ def _eliminate(matrix: SparseIntMatrix):
             for c, pv in prow.items():
                 if c == pc:
                     continue
-                nv = row.get(c, 0) - b * pv
-                if nv:
-                    if c not in row:
-                        col_rows.setdefault(c, set()).add(r)
-                    row[c] = nv
-                elif c in row:
+                v = row.get(c)
+                if v is None:
+                    row[c] = -b * pv
+                    if c in age:
+                        heappush(ages, age[c])
+                elif v == b * pv:
                     del row[c]
-                    s = col_rows[c]
-                    s.discard(r)
-                    if not s:
-                        del col_rows[c]
-            if row:
-                content = 0
-                for v in row.values():
-                    content = gcd(content, v)
-                    if content == 1:
-                        break
-                if content > 1:
-                    for c in row:
-                        row[c] //= content
-            else:
-                del rows[r]
-
-        for r in eliminated:
-            row = rows.get(r)
-            if row:
-                lr = len(row) - 1
-                for c in row:
-                    heappush(heap, (lr * (len(col_rows[c]) - 1), r, c))
-        for c in prow:
-            s = col_rows.get(c)
-            if s:
-                lc = len(s) - 1
-                for r in s:
-                    if r not in eliminated:
-                        heappush(heap, ((len(rows[r]) - 1) * lc, r, c))
+                else:
+                    row[c] = v - b * pv
+        if not row:
+            continue
+        content = gcd(*row.values())
+        if content > 1:
+            for c in row:
+                row[c] //= content
+        pc = min(row, key=col_order.__getitem__)
+        age[pc] = len(pivots)
+        pivots.append((pc, row))
+        yield pc, row
 
 
 def rank(matrix: SparseIntMatrix) -> int:
@@ -322,7 +289,7 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def random_prime(rng: random.Random, lo: int = 2**30, hi: int = 2**31) -> int:
+def random_prime(rng, lo: int = 2**30, hi: int = 2**31) -> int:
     """A random prime in [lo, hi)."""
     while True:
         n = rng.randrange(lo | 1, hi, 2)
@@ -347,6 +314,8 @@ def read_matrix_market(f) -> SparseIntMatrix:
 
     Only the "coordinate integer general" layout is accepted: a symmetric
     file stores half its entries, which this reader would silently drop.
+    A body that gives an entry twice, or more entries than its size line
+    declares, is refused too.
     """
     if isinstance(f, (str, bytes)) or hasattr(f, "__fspath__"):
         with open(f, "r", encoding="ascii") as fh:
@@ -366,4 +335,8 @@ def read_matrix_market(f) -> SparseIntMatrix:
             entries[(int(r) - 1, int(c) - 1)] = int(v)
     except ValueError as exc:
         raise LoadError(f"truncated or malformed MatrixMarket body: {exc}") from exc
+    if len(entries) < nnz:
+        raise LoadError("MatrixMarket body gives an entry twice")
+    if any(line.strip() for line in f):
+        raise LoadError(f"MatrixMarket body has more than the {nnz} entries it declares")
     return SparseIntMatrix(rows, cols, entries)

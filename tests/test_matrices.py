@@ -1,12 +1,13 @@
 import io
 import random
+from math import gcd
 
 import pytest
 
 from conftest import dense_rank, kernel_by_fraction_back_substitution
-from karyhom.chains import differential_matrix
+from karyhom.chains import ChainLayout, differential_matrix
 from karyhom.errors import InputError, LoadError
-from karyhom.families import heisenberg
+from karyhom.families import acj, free_two_step, heisenberg
 from karyhom.matrices import (
     SparseIntMatrix,
     _eliminate,
@@ -194,6 +195,30 @@ def test_rank_oracle_at_realistic_sizes():
     assert deficient >= 50
 
 
+def _assert_echelon(m):
+    """_eliminate's contract: distinct pivot columns, each pivot row of
+    content 1, nonzero at its own pivot and zero at every earlier one."""
+    seen = []
+    for pc, row in _eliminate(m):
+        assert pc not in seen
+        assert row[pc]
+        assert not any(c in row for c in seen)
+        assert gcd(*row.values()) == 1
+        seen.append(pc)
+    return len(seen)
+
+
+def test_eliminate_pivot_rows_form_an_echelon():
+    for alg in (heisenberg(2, 4), acj(3, 2), free_two_step(2, 4)):
+        for t in ChainLayout.of(alg).degrees:
+            if t >= alg.arity:
+                _assert_echelon(differential_matrix(alg, t))
+    rng = random.Random(20261018)
+    for _ in range(30):
+        dense = _dependent_sparse(rng)
+        assert _assert_echelon(from_dense(dense)) == dense_rank(dense)
+
+
 def test_boundary_ranks_heisenberg_3_2():
     h = heisenberg(3, 2)
     m3 = differential_matrix(h, 3)
@@ -239,8 +264,10 @@ def test_matrix_market_round_trip():
         "%%MatrixMarket matrix coordinate integer general\n2 2 2\n1 1 5\n",
         "%%MatrixMarket matrix coordinate integer general\n2 2\n",
         "%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 x 5\n",
+        "%%MatrixMarket matrix coordinate integer general\n2 2 2\n1 1 5\n1 1 -5\n",
+        "%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 1 5\n2 2 3\n",
     ],
-    ids=["symmetric", "missing-entry", "short-size-line", "bad-index"],
+    ids=["symmetric", "missing-entry", "short-size-line", "bad-index", "repeated-entry", "extra-entry"],
 )
 def test_matrix_market_rejects_malformed(text):
     with pytest.raises(LoadError):

@@ -112,3 +112,15 @@ def test_lazy_namespace_dir_star_and_unknown_names():
     with pytest.raises(AttributeError, match="no_such_name"):
         karyhom.no_such_name
     assert not hasattr(karyhom, "no_such_name")
+
+
+def test_annotations_of_every_exported_function_resolve():
+    # Lean imports leave names such as `random` out of the engine
+    # modules, so an annotation naming one would raise NameError here.
+    import types
+    import typing
+
+    for name in karyhom.__all__:
+        obj = getattr(karyhom, name)
+        if isinstance(obj, types.FunctionType):
+            typing.get_type_hints(obj)
