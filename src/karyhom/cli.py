@@ -291,6 +291,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        if getattr(args, "size_cap", 0) < 0:
+            raise InputError(f"--size-cap must be at least 0, got {args.size_cap}")
+        if getattr(args, "nmax", 1) < 1:
+            raise InputError(f"--nmax must be at least 1, got {args.nmax}")
         return _COMMANDS[args.command](args)
     except ResourceCapError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -314,8 +314,8 @@ def read_matrix_market(f) -> SparseIntMatrix:
 
     Only the "coordinate integer general" layout is accepted: a symmetric
     file stores half its entries, which this reader would silently drop.
-    A body that gives an entry twice, or more entries than its size line
-    declares, is refused too.
+    A negative entry count, a body that gives an entry twice, or more
+    entries than its size line declares, is refused too.
     """
     if isinstance(f, (str, bytes)) or hasattr(f, "__fspath__"):
         with open(f, "r", encoding="ascii") as fh:
@@ -335,6 +335,8 @@ def read_matrix_market(f) -> SparseIntMatrix:
             entries[(int(r) - 1, int(c) - 1)] = int(v)
     except ValueError as exc:
         raise LoadError(f"truncated or malformed MatrixMarket body: {exc}") from exc
+    if nnz < 0:
+        raise LoadError(f"MatrixMarket size line declares {nnz} entries")
     if len(entries) < nnz:
         raise LoadError("MatrixMarket body gives an entry twice")
     if any(line.strip() for line in f):

@@ -198,6 +198,37 @@ def jacobi_residuals_increasing(alg: KaryAlgebra):
     ]
 
 
+def _boundary_by_definition(alg: KaryAlgebra, chain):
+    """d of a chain {increasing index tuple: coefficient} by the shuffle
+    sum: sgn(s) [x_s(1), ..., x_s(k)] ^ x_s(k+1) ^ ... ^ x_s(t), read
+    through `alg.bracket` alone."""
+    k = alg.arity
+    out = {}
+    for mono, c in chain.items():
+        for pos in combinations(range(len(mono)), k):
+            sign = -c if (sum(pos) - k * (k - 1) // 2) % 2 else c
+            rest = [x for i, x in enumerate(mono) if i not in pos]
+            for w, cw in alg.bracket(tuple(mono[i] for i in pos)).items():
+                if w not in rest:
+                    below = sum(x < w for x in rest)
+                    merged = tuple(sorted(rest + [w]))
+                    out[merged] = out.get(merged, 0) + (-1) ** below * sign * cw
+    return {mono: v for mono, v in out.items() if v}
+
+
+def d_squared_failing_degrees_all(alg: KaryAlgebra):
+    """Every degree t in [2k-1, dim] where d(d(e_S)) != 0 for some
+    t-monomial e_S: the all-degree sweep, from the definition."""
+    return [
+        t
+        for t in range(2 * alg.arity - 1, alg.dim + 1)
+        if any(
+            _boundary_by_definition(alg, _boundary_by_definition(alg, {mono: 1}))
+            for mono in combinations(range(alg.dim), t)
+        )
+    ]
+
+
 def _reduced_rows(rows):
     """{pivot column: row} of a reduced row echelon basis of the span of
     dense rational rows: every row is 1 at its pivot and 0 at the others."""

@@ -1,11 +1,12 @@
 import random
+from collections import Counter
 from itertools import combinations
 from math import comb
 
 import pytest
 
-from conftest import dense_rank, flip_bracket_signs
-from karyhom.algebra import KaryAlgebra
+from conftest import d_squared_failing_degrees_all, dense_rank, flip_bracket_signs
+from karyhom.algebra import KaryAlgebra, check_jacobi
 from karyhom.chains import (
     ChainLayout,
     boundary_image,
@@ -114,7 +115,7 @@ def test_d_squared_zero_on_families():
         current_algebra(heisenberg(2, 1), 3),
         abelian(2, 4),
     ):
-        assert verify_d_squared(alg) == [], alg
+        assert verify_d_squared(alg) == [] == d_squared_failing_degrees_all(alg), alg
 
 
 def test_d_squared_detects_broken_structure():
@@ -124,10 +125,42 @@ def test_d_squared_detects_broken_structure():
     brackets[(0, 2, 6)] = {0: 1}  # [x1_1, x2_1, z] = x1_1
     mutant = KaryAlgebra(3, 7, h.labels, brackets)
     failing = verify_d_squared(mutant)
-    assert failing == [5, 6, 7]
+    assert failing == [5, 6, 7] == d_squared_failing_degrees_all(mutant)
     m5 = differential_matrix(mutant, 5)
     m3 = differential_matrix(mutant, 3)
     assert not multiply(m3, m5).is_zero()
+
+
+def test_d_squared_at_two_degrees_matches_the_all_degree_sweep():
+    # random bracket tables, mostly not Filippov and half of the rest
+    # upper-triangular.  Every fifth draw is 2-step of arity 3 (outputs
+    # outside every key), where two disjoint keys with distinct outputs
+    # make d^2 fail first at degree 2k.  The verdict from degrees 2k-1
+    # and 2k, and the failing list when it fails, must be the sweep's.
+    rng = random.Random(20261019)
+    shapes = [(4, 2), (5, 2), (6, 2), (5, 3), (6, 3), (7, 3), (7, 4), (8, 4)]
+    broken, first_at_2k, not_filippov = Counter(), 0, 0
+    for draw in range(240):
+        two_step = draw % 5 == 0
+        n, k = (8, 3) if two_step else rng.choice(shapes)
+        keys = list(combinations(range(n - 2 if two_step else n), k))
+        brackets = {}
+        for K in rng.sample(keys, min(rng.randint(1, k + 5), len(keys))):
+            if two_step:
+                pool = range(n - 2, n)
+            else:
+                pool = range(K[-1] + 1, n) if rng.random() < 0.5 else range(n)
+            if pool:
+                outs = rng.sample(pool, rng.randint(1, min(2, len(pool))))
+                brackets[K] = {w: rng.choice([-2, -1, 1, 2]) for w in outs}
+        alg = KaryAlgebra(k, n, [f"e{i}" for i in range(n)], brackets)
+        expected = d_squared_failing_degrees_all(alg)
+        assert verify_d_squared(alg) == expected, (k, n, brackets)
+        broken[k] += bool(expected)
+        first_at_2k += expected[:1] == [2 * k]
+        not_filippov += bool(check_jacobi(alg))
+    assert 80 <= sum(broken.values()) <= 160 and min(broken[k] for k in (2, 3, 4)) >= 5
+    assert first_at_2k >= 10 and not_filippov > 120
 
 
 def test_weight_blocks_structure():

@@ -132,6 +132,38 @@ def _count_rank_calls(monkeypatch):
     return shapes
 
 
+@pytest.mark.parametrize(
+    "family, k, m, built",
+    [
+        ("heisenberg", 2, 5, [2, 2, 3, 3, 4, 4, 5, 6]),
+        ("acj", 2, 5, [2, 2, 3, 3, 4, 4, 5, 6]),
+        ("acj", 3, 3, [3, 3, 4, 4, 5, 5, 6, 6]),
+    ],
+)
+def test_verify_builds_only_the_boundaries_its_verdict_needs(
+    monkeypatch, capsys, family, k, m, built
+):
+    # the layout ranks d_k..d_6 (the rest are mirrors, top = dim + k - 1);
+    # d^2 needs d_k, d_{2k-1} and d_{k+1}, d_{2k} only; no theta map is built
+    import karyhom.chains
+
+    shapes = _count_rank_calls(monkeypatch)
+    split = karyhom.chains._split
+    degrees = []
+
+    def counting_split(alg, t, key):
+        degrees.append(t)
+        return split(alg, t, key)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "karyhom" or name.startswith("karyhom.")) and getattr(module, "_split", None) is split:
+            monkeypatch.setattr(module, "_split", counting_split)
+    code, out = run_cli(capsys, "verify", "--family", family, "--k", str(k), "--m", str(m))
+    assert code in (0, 1) and json.loads(out)["checks"]
+    assert sorted(degrees) == built
+    assert len(shapes) == len(set(built))
+
+
 def test_compute_single_degree_ranks_two_boundaries(monkeypatch, capsys):
     shapes = _count_rank_calls(monkeypatch)
     code, out = run_cli(
@@ -236,6 +268,14 @@ def test_check_flags_broken_algebra(tmp_path, capsys):
     rec = json.loads(out)
     assert rec["jacobi_violations"] > 0
     assert rec["d_squared_failing_degrees"] == [5, 6, 7]
+
+
+def test_check_decides_d_squared_without_the_middle_chain_spaces(capsys):
+    # heisenberg(2, 12) has 25 dimensions and C(25, 8) > 10^6 monomials at
+    # degree 8, but d^2 is decided by d_2, d_3 and d_4
+    code, out = run_cli(capsys, "check", "--family", "heisenberg", "--k", "2", "--m", "12")
+    assert code == 0
+    assert json.loads(out)["d_squared_failing_degrees"] == []
 
 
 def test_usage_errors(capsys):
@@ -399,10 +439,18 @@ def test_format_outside_verb_choices_exits_2(capsys, verb, extra, fmt):
          "--format", "csv"),
         ("compute", "--family", "heisenberg", "--k", "2", "--m", "1", "--degree", "2",
          "--format", "text"),
+        ("compute", "--family", "heisenberg", "--k", "2", "--m", "1", "--size-cap", "-1"),
+        ("verify", "--family", "heisenberg", "--k", "2", "--m", "1", "--size-cap", "-1"),
+        ("decompose", "--family", "free2", "--k", "2", "--n", "3", "--degree", "2",
+         "--size-cap", "-1"),
+        ("check", "--family", "heisenberg", "--k", "2", "--m", "1", "--size-cap", "-1"),
+        ("table", "--nmax", "-3"),
+        ("table", "--nmax", "0"),
     ],
     ids=[
         "heisenberg-n", "free2-m", "acj-j", "abelian-inner", "current-inner-n",
-        "degree-csv", "degree-text",
+        "degree-csv", "degree-text", "compute-negative-cap", "verify-negative-cap",
+        "decompose-negative-cap", "check-negative-cap", "table-negative-nmax", "table-zero-nmax",
     ],
 )
 def test_unused_parameters_and_degree_formats_exit_2(capsys, argv):

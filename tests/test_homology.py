@@ -264,9 +264,9 @@ def test_acj_classical_formula_k2():
 
 def test_verify_acj_structure():
     rec = verify_acj(acj(3, 1))
-    assert rec["ok"] and rec["theta_ok"] and rec["h_k"]["match"]
+    assert rec["ok"] and rec["h_k"]["match"]
     rec32 = verify_acj(acj(3, 2))
-    assert rec32["theta_ok"] and not rec32["h_k"]["match"]
+    assert not rec32["ok"] and not rec32["h_k"]["match"]
     assert rec32["h_k"]["betti"] == 28 and rec32["h_k"]["closed_form"] == 26
 
 

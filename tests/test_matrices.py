@@ -266,8 +266,12 @@ def test_matrix_market_round_trip():
         "%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 x 5\n",
         "%%MatrixMarket matrix coordinate integer general\n2 2 2\n1 1 5\n1 1 -5\n",
         "%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 1 5\n2 2 3\n",
+        "%%MatrixMarket matrix coordinate integer general\n2 2 -1\n",
     ],
-    ids=["symmetric", "missing-entry", "short-size-line", "bad-index", "repeated-entry", "extra-entry"],
+    ids=[
+        "symmetric", "missing-entry", "short-size-line", "bad-index", "repeated-entry",
+        "extra-entry", "negative-entry-count",
+    ],
 )
 def test_matrix_market_rejects_malformed(text):
     with pytest.raises(LoadError):
