@@ -29,10 +29,8 @@ _EXPORTS = {
     ),
     "chains": (
         "ChainLayout",
-        "boundary_image",
         "differential_matrix",
         "monomial_weight",
-        "shuffles",
         "verify_d_squared",
         "wedge_basis",
         "weight_blocks",
@@ -77,13 +75,11 @@ _EXPORTS = {
         "write_matrix_market",
     ),
     "schur": (
-        "asymptotic_bound",
         "character_by_weights",
         "decompose_character",
         "decomposition_dimension",
         "expand_decomposition",
         "lower_bound_betti",
-        "pieri_dimension_check",
         "schur_dim",
         "schur_weight_multiplicities",
         "second_homology_bound",

@@ -12,15 +12,12 @@ lexicographic order, so matrices are reproducible bit for bit.  The
 homology layout uses degrees 0, 1, k, 2k-1, ... (step k-1); the boundary
 itself makes sense at every degree t >= k and is exposed that way.
 
-`boundary_image` applies this definition to one monomial.  Matrices are
-built the other way round, from the bracket side (`_terms`): only the
-monomials that contain a stored bracket key have a nonzero image, so
-assembly costs about the number of nonzeros rather than C(dim, t)
-monomials times C(t, k) shuffles.  `_split` is the one assembler: the
-whole boundary, its weight blocks and the theta maps of
+Matrices are built from the bracket side (`_terms`), not monomial by
+monomial: only the monomials that contain a stored bracket key have a
+nonzero image, so assembly costs about the number of nonzeros rather
+than C(dim, t) monomials times C(t, k) shuffles.  `_split` is the one
+assembler: the whole boundary, its weight blocks and the theta maps of
 `homology.theta_matrix` are all blocks of d_t it cuts out.
-`boundary_image` stays as the definition the tests check the matrices
-against.
 
 When every ad(y_2, ..., y_k) is traceless, as in every nilpotent
 algebra, rank d_t = rank d_{n+k-1-t} (see `ChainLayout`), and each pair
@@ -37,7 +34,7 @@ from itertools import combinations
 from .algebra import DEFAULT_SIZE_CAP, KaryAlgebra, _adjoint
 from .errors import InputError, ResourceCapError
 from .matrices import SparseIntMatrix, multiply, rank
-from .util import comb0, insert_with_sign
+from .util import comb0
 
 
 def check_cap(alg: KaryAlgebra, degrees, cap) -> None:
@@ -59,40 +56,6 @@ def wedge_basis(alg: KaryAlgebra, t: int):
     return list(combinations(range(alg.dim), t))
 
 
-def shuffles(t: int, k: int):
-    """(positions, sign) for all (k, t-k)-shuffles of t slots.
-
-    positions are the k chosen 0-based slots in increasing order; the
-    complement stays in increasing order; sign is the permutation sign.
-    """
-    base = k * (k - 1) // 2
-    for pos in combinations(range(t), k):
-        yield pos, (-1 if (sum(pos) - base) % 2 else 1)
-
-
-def boundary_image(alg: KaryAlgebra, monomial):
-    """d of a single wedge monomial as {output_monomial: coefficient}.
-
-    The per-monomial definition; matrices are assembled by `_split`.
-    """
-    k = alg.arity
-    t = len(monomial)
-    out = {}
-    for pos, sign in shuffles(t, k):
-        args = tuple(monomial[p] for p in pos)
-        vec = alg.brackets.get(args)
-        if not vec:
-            continue
-        pos_set = set(pos)
-        rest = tuple(monomial[p] for p in range(t) if p not in pos_set)
-        for w, c in vec.items():
-            merged, s2 = insert_with_sign(w, rest)
-            if s2:
-                coeff = sign * s2 * c
-                out[merged] = out.get(merged, 0) + coeff
-    return {m: v for m, v in out.items() if v}
-
-
 def _terms(alg: KaryAlgebra, t: int):
     """d_t from the bracket side, as (row monomial, column monomial, coeff).
 
@@ -101,8 +64,7 @@ def _terms(alg: KaryAlgebra, t: int):
     sign is that of the shuffle moving K to the front.  Only monomials
     that contain a key are visited and each visit yields one term, so the
     cost is about nnz.  A (row, column) pair may recur; `_split` adds
-    its terms, and `SparseIntMatrix` drops the zeros, as `boundary_image`
-    does per monomial.
+    its terms, and `SparseIntMatrix` drops the zeros.
     """
     k = alg.arity
     for key, vec in alg.brackets.items():

@@ -387,10 +387,6 @@ def property_m_check(alg: KaryAlgebra, j: int, *, cap=DEFAULT_SIZE_CAP) -> dict:
     return result
 
 
-def euler_characteristic_ok(report: HomologyReport) -> bool:
-    return _euler_ok(report.degrees, report.betti, report.chain_dims)
-
-
 def _euler_ok(degrees, betti, chain_dims) -> bool:
     """The alternating sums of Betti numbers and chain dimensions agree."""
     lhs = sum((-1) ** i * betti[t] for i, t in enumerate(degrees))

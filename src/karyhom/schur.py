@@ -12,7 +12,6 @@ hook content formula.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from functools import lru_cache
 
@@ -212,6 +211,8 @@ def lower_bound_betti(n: int, k: int, i: int) -> int:
 
         C(n,k) C(x,a) - C(n,2k) C(x,a-1) - C(x,a+1),  a = (i-1)(k-1).
     """
+    if k < 2:
+        raise InputError(f"arity must be at least 2, got {k}")
     if i < 2:
         raise InputError(f"the bound applies for i >= 2, got {i}")
     if n < k:
@@ -230,39 +231,11 @@ def second_homology_bound(n: int, k: int) -> int:
 
         C(n,k) C(n,k-1) - C(n,2k-1).
     """
+    if k < 2:
+        raise InputError(f"arity must be at least 2, got {k}")
     if n < k:
         raise InputError(f"need n >= k, got n={n}, k={k}")
     return comb0(n, k) * comb0(n, k - 1) - comb0(n, 2 * k - 1)
-
-
-def asymptotic_bound(n: int, k: int, i: int) -> float:
-    """Asymptotic form of lower_bound_betti for large n (diagnostic only):
-
-        e^{2k} n^{2k} / (2 k^{2k})
-            * (1/(pi k) - (a+1) / (sqrt(pi k) 2^{2k}))
-            * C(x, a) / ((a+1)(x-a+1)),  a = (i-1)(k-1), x = C(n,k).
-    """
-    a = (i - 1) * (k - 1)
-    x = comb0(n, k)
-    leading = (math.e ** (2 * k)) * float(n) ** (2 * k) / (2 * float(k) ** (2 * k))
-    coeff = 1.0 / (math.pi * k) - (a + 1) / (math.sqrt(math.pi * k) * 2 ** (2 * k))
-    return leading * coeff * comb0(x, a) / ((a + 1) * (x - a + 1))
-
-
-def asymptotic_leading_coefficient_positive(k: int, i: int) -> bool:
-    a = (i - 1) * (k - 1)
-    return 1.0 / (math.pi * k) > (a + 1) / (math.sqrt(math.pi * k) * 2 ** (2 * k))
-
-
-def pieri_dimension_check(x: int, alpha: int) -> bool:
-    """Dimension identity behind the tensor split of W (x) wedge^a W:
-
-        x * C(x, a) == C(x, a+1) + dim S_{(2,1^{a-1})}(C^x).
-    """
-    if x < 1 or alpha < 1:
-        raise InputError("need x >= 1 and alpha >= 1")
-    lam = (2,) + (1,) * (alpha - 1)
-    return x * comb0(x, alpha) == comb0(x, alpha + 1) + schur_dim(lam, x)
 
 
 def second_homology_summands(k: int):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from math import comb
 
 
@@ -30,15 +29,3 @@ def sort_with_sign(indices):
         if idx[i - 1] == idx[i]:
             return tuple(idx), 0
     return tuple(idx), sign
-
-
-def insert_with_sign(x: int, tup):
-    """Wedge a single index into a strictly increasing tuple.
-
-    Returns (merged_tuple, sign); sign is 0 if x already occurs.
-    """
-    p = bisect_left(tup, x)
-    if p < len(tup) and tup[p] == x:
-        return None, 0
-    return tup[:p] + (x,) + tup[p:], (-1 if p % 2 else 1)
-

@@ -160,6 +160,12 @@ def acj_betti_closed_form(k, m, t):
     )
 
 
+def euler_ok_by_binomials(dim, betti):
+    """sum_i (-1)^i beta_{t_i} == sum_i (-1)^i C(dim, t_i) over the
+    degrees t_0 < t_1 < ... of a Betti dict {t: beta_t}."""
+    return sum((-1) ** i * (betti[t] - comb(dim, t)) for i, t in enumerate(sorted(betti))) == 0
+
+
 def _jacobi_residual(alg: KaryAlgebra, inner, outer):
     """[[inner], outer] - sum_i [inner_1, ..., [inner_i, outer], ..., inner_k]."""
     residual = {}
@@ -198,21 +204,28 @@ def jacobi_residuals_increasing(alg: KaryAlgebra):
     ]
 
 
-def _boundary_by_definition(alg: KaryAlgebra, chain):
+def shuffles(t, k):
+    """(positions, sign) for every (k, t-k)-shuffle of t slots: the k
+    chosen slots, in increasing order, move to the front and the others
+    keep their order; sign is the sign of that permutation."""
+    for pos in combinations(range(t), k):
+        yield pos, -1 if (sum(pos) - k * (k - 1) // 2) % 2 else 1
+
+
+def boundary_by_definition(alg: KaryAlgebra, chain):
     """d of a chain {increasing index tuple: coefficient} by the shuffle
     sum: sgn(s) [x_s(1), ..., x_s(k)] ^ x_s(k+1) ^ ... ^ x_s(t), read
-    through `alg.bracket` alone."""
-    k = alg.arity
+    through `alg.bracket` alone.  The one per-monomial definition of the
+    boundary; the assembled matrices are checked against it."""
     out = {}
     for mono, c in chain.items():
-        for pos in combinations(range(len(mono)), k):
-            sign = -c if (sum(pos) - k * (k - 1) // 2) % 2 else c
+        for pos, sign in shuffles(len(mono), alg.arity):
             rest = [x for i, x in enumerate(mono) if i not in pos]
             for w, cw in alg.bracket(tuple(mono[i] for i in pos)).items():
                 if w not in rest:
                     below = sum(x < w for x in rest)
                     merged = tuple(sorted(rest + [w]))
-                    out[merged] = out.get(merged, 0) + (-1) ** below * sign * cw
+                    out[merged] = out.get(merged, 0) + (-1) ** below * sign * c * cw
     return {mono: v for mono, v in out.items() if v}
 
 
@@ -223,7 +236,7 @@ def d_squared_failing_degrees_all(alg: KaryAlgebra):
         t
         for t in range(2 * alg.arity - 1, alg.dim + 1)
         if any(
-            _boundary_by_definition(alg, _boundary_by_definition(alg, {mono: 1}))
+            boundary_by_definition(alg, boundary_by_definition(alg, {mono: 1}))
             for mono in combinations(range(alg.dim), t)
         )
     ]

@@ -20,6 +20,7 @@ import pytest
 
 from conftest import (
     acj_betti_closed_form,
+    euler_ok_by_binomials,
     flip_bracket_signs,
     heisenberg_betti_closed_form,
 )
@@ -37,7 +38,6 @@ from karyhom.homology import (
     acj_classical_betti,
     acj_homology_via_theta,
     betti_all,
-    euler_characteristic_ok,
     heisenberg_image_formula,
     heisenberg_in_range,
     property_m_check,
@@ -280,10 +280,8 @@ def test_c10_property_suites():
             draws_ok = False
 
     # (b) Euler characteristic on every computed report
-    euler_ok = all(
-        _report(name).euler_ok and euler_characteristic_ok(_report(name))
-        for name, _ in _instances()
-    )
+    reports = [_report(name) for name, _ in _instances()]
+    euler_ok = all(r.euler_ok and euler_ok_by_binomials(r.dim, r.betti) for r in reports)
 
     # (c) modular-rank oracle at 3 random primes on every boundary map
     # used by criteria 1-9 (per weight block for graded algebras)

@@ -5,14 +5,18 @@ from math import comb
 
 import pytest
 
-from conftest import d_squared_failing_degrees_all, dense_rank, flip_bracket_signs
+from conftest import (
+    boundary_by_definition,
+    d_squared_failing_degrees_all,
+    dense_rank,
+    flip_bracket_signs,
+    shuffles,
+)
 from karyhom.algebra import KaryAlgebra, check_jacobi
 from karyhom.chains import (
     ChainLayout,
-    boundary_image,
     differential_matrix,
     monomial_weight,
-    shuffles,
     verify_d_squared,
     wedge_basis,
     weight_blocks,
@@ -46,6 +50,11 @@ def test_shuffle_set_size_and_signs():
         assert len(items) == comb(t, k)
         # the identity shuffle is positive
         assert items[0] == (tuple(range(k)), 1)
+        # each sign is that of the permutation pos + rest, by inversions
+        for pos, sign in items:
+            perm = list(pos) + [i for i in range(t) if i not in pos]
+            inversions = sum(a > b for a, b in combinations(perm, 2))
+            assert sign == (-1) ** inversions, (t, k, pos)
     # a single transposition of adjacent groups flips the sign
     assert ((0, 2), -1) in list(shuffles(3, 2))
 
@@ -87,20 +96,6 @@ def test_differential_shape_and_entry_range():
             assert m.cols == comb(alg.dim, t)
             assert m.rows == comb(alg.dim, t - k + 1)
             assert all(v in (-1, 1) for v in m.entries.values())
-
-
-def test_boundary_image_single_monomial():
-    f3 = free_three_step_small(3)
-    # d(x1^x2^x3^y^z1) per the two bracket families
-    img = boundary_image(f3, (0, 1, 2, 3, 4))
-    assert img  # nonzero
-    m5 = differential_matrix(f3, 5)
-    col = wedge_basis(f3, 5).index((0, 1, 2, 3, 4))
-    basis3 = wedge_basis(f3, 3)
-    expected = {
-        (r, col): v for (r, c), v in m5.entries.items() if c == col
-    }
-    assert {(basis3.index(mono), col): v for mono, v in img.items()} == expected
 
 
 def test_d_squared_zero_on_families():
@@ -227,11 +222,11 @@ def test_rank_oracle_on_differentials():
 
 
 def _matrix_from_images(alg, columns, rows):
-    """The matrix of d built column by column from `boundary_image`."""
+    """The matrix of d built column by column from the definition."""
     row_index = {mono: i for i, mono in enumerate(rows)}
     entries = {}
     for j, mono in enumerate(columns):
-        for out, v in boundary_image(alg, mono).items():
+        for out, v in boundary_by_definition(alg, {mono: 1}).items():
             entries[(row_index[out], j)] = v
     return SparseIntMatrix(len(rows), len(columns), entries)
 
@@ -247,11 +242,12 @@ def _random_bracket_table(rng, arity, dim):
     return KaryAlgebra(arity, dim, [f"e{i}" for i in range(dim)], brackets)
 
 
-def test_assembly_matches_boundary_image_oracle():
+def test_assembly_matches_definition_oracle():
     rng = random.Random(41)
     algebras = [
         heisenberg(3, 2),
         acj(3, 2),
+        free_three_step_small(3),
         free_three_step_small(4),
         current_algebra(heisenberg(2, 1), 2),
         flip_bracket_signs(acj(2, 3), rng),

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 from math import comb
 
@@ -9,8 +8,6 @@ from karyhom.families import free_two_step, heisenberg
 from karyhom.algebra import KaryAlgebra
 from karyhom.homology import betti
 from karyhom.schur import (
-    asymptotic_bound,
-    asymptotic_leading_coefficient_positive,
     character_by_weights,
     conjugate_partition,
     decompose_character,
@@ -18,7 +15,6 @@ from karyhom.schur import (
     expand_decomposition,
     lower_bound_betti,
     normalize_partition,
-    pieri_dimension_check,
     schur_dim,
     schur_weight_multiplicities,
     second_homology_bound,
@@ -209,6 +205,12 @@ def test_lower_bound_validation():
         lower_bound_betti(4, 3, 1)
     with pytest.raises(InputError):
         lower_bound_betti(2, 3, 2)
+    # an arity below 2 has no bound; the formula would give -1 at (5, 0, 2)
+    for n, k in ((5, 0), (5, 1), (0, 0)):
+        with pytest.raises(InputError):
+            lower_bound_betti(n, k, 2)
+        with pytest.raises(InputError):
+            second_homology_bound(n, k)
 
 
 def test_second_homology_bound_values():
@@ -227,20 +229,16 @@ def test_bounds_hold_against_direct_betti():
             assert betti(alg, t) >= lower_bound_betti(n, k, i)
 
 
-def test_asymptotic_bound_behavior():
-    assert asymptotic_leading_coefficient_positive(3, 2)
-    value = asymptotic_bound(30, 3, 2)
-    assert value > 0
-    assert math.isfinite(value)
-
-
 def test_pieri_dimension_identity():
-    assert pieri_dimension_check(3, 1)  # 3*3 == 3 + 6
-    assert pieri_dimension_check(4, 2)  # 4*6 == 4 + 20
-    assert pieri_dimension_check(5, 5)  # boundary alpha == x
-    for x in (2, 3, 4, 6):
+    # x C(x, a) = C(x, a+1) + dim S_{(2,1^{a-1})}(C^x): the dimensions
+    # of the tensor split of W (x) wedge^a W, dim W = x
+    assert schur_dim((2,), 3) == 6  # 3*3 == 3 + 6
+    assert schur_dim((2, 1), 4) == 20  # 4*6 == 4 + 20
+    assert schur_dim((2, 1, 1, 1, 1), 5) == 5  # a == x: 5*1 == 0 + 5
+    for x in (2, 3, 4, 5, 6):
         for a in range(1, x + 1):
-            assert pieri_dimension_check(x, a)
+            hook = schur_dim((2,) + (1,) * (a - 1), x)
+            assert x * comb(x, a) == comb(x, a + 1) + hook, (x, a)
 
 
 def test_second_homology_summands_contained():

@@ -2,9 +2,11 @@
 
 The footprint test counts modules in a fresh interpreter, not time, so
 it does not depend on the host's speed.  ``python -S`` skips the site
-module, so no host ``.pth`` file adds modules of its own.
+module, so no host ``.pth`` file adds modules of its own.  The source
+scan at the end keeps floating point out of the computational core.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -124,3 +126,40 @@ def test_annotations_of_every_exported_function_resolve():
         obj = getattr(karyhom, name)
         if isinstance(obj, types.FunctionType):
             typing.get_type_hints(obj)
+
+
+# The computational core.  `toral` is the one module of the engine left
+# out: its bound is an exact integer, but its table shows a log2 column.
+CORE = ("algebra", "chains", "matrices", "homology", "schur", "families", "util")
+MATH_ALLOWED = {"comb", "gcd", "lcm"}
+
+
+def _float_uses(tree):
+    """(line, what) for each float literal, `float` name, true division
+    and math import other than comb, gcd and lcm in a module's AST."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            yield node.lineno, f"literal {node.value!r}"
+        elif isinstance(node, ast.Name) and node.id == "float":
+            yield node.lineno, "name float"
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            yield node.lineno, "true division"
+        elif isinstance(node, ast.Import) and any(a.name == "math" for a in node.names):
+            yield node.lineno, "import math"
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            for a in node.names:
+                if a.name not in MATH_ALLOWED:
+                    yield node.lineno, f"from math import {a.name}"
+
+
+def test_computational_core_uses_no_floating_point():
+    package = Path(karyhom.__file__).resolve().parent
+    assert {p.stem for p in package.glob("*.py")} == set(CORE) | {"toral", "cli", "errors", "__init__"}
+    found = [
+        f"{name}.py:{line}: {what}"
+        for name in CORE
+        for line, what in _float_uses(ast.parse((package / f"{name}.py").read_text()))
+    ]
+    assert not found, found
+    # the scan does see toral's display floats
+    assert list(_float_uses(ast.parse((package / "toral.py").read_text())))
