@@ -52,35 +52,20 @@ class HomologyReport(
     __slots__ = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": "karyhom-report/2",
-            "algebra": self.algebra,
-            "arity": self.arity,
-            "dim": self.dim,
-            "degrees": list(self.degrees),
-            "chain_dims": {str(t): v for t, v in sorted(self.chain_dims.items())},
-            "kernel_dims": {str(t): v for t, v in sorted(self.kernel_dims.items())},
-            "image_dims": {str(t): v for t, v in sorted(self.image_dims.items())},
-            "betti": {str(t): v for t, v in sorted(self.betti.items())},
-            "total": self.total,
-            "total_excluding_h0": self.total_excluding_h0,
-            "euler_ok": self.euler_ok,
-        }
+        doc = {"schema": "karyhom-report/2"}
+        for name, value in self._asdict().items():
+            if isinstance(value, dict):
+                value = {str(t): v for t, v in sorted(value.items())}
+            doc[name] = value
+        return doc
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["degree", "chain_dim", "kernel", "image", "betti"])
+        columns = (self.chain_dims, self.kernel_dims, self.image_dims, self.betti)
         for t in self.degrees:
-            writer.writerow(
-                [
-                    t,
-                    self.chain_dims.get(t, ""),
-                    self.kernel_dims.get(t, ""),
-                    self.image_dims.get(t, ""),
-                    self.betti.get(t, ""),
-                ]
-            )
+            writer.writerow([t] + [column.get(t, "") for column in columns])
         return buf.getvalue()
 
 

@@ -26,23 +26,23 @@ from .errors import InputError, LoadError
 class SparseIntMatrix:
     """Sparse integer matrix stored as {(row, col): nonzero int}.
 
-    Entries must be ints proper: a float, str or bool is refused, never
-    truncated or coerced.
+    Dimensions, indices and entries must be ints proper: a float, str or
+    bool is refused, never truncated or coerced.
     """
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries=None):
-        if rows < 0 or cols < 0:
-            raise InputError("matrix dimensions must be nonnegative")
+        if not (type(rows) is type(cols) is int and rows >= 0 and cols >= 0):
+            raise InputError(f"matrix dimensions {rows!r}x{cols!r} are not nonnegative integers")
         self.rows = rows
         self.cols = cols
         clean = {}
         if entries:
             for (r, c), v in entries.items():
-                if not (0 <= r < rows and 0 <= c < cols):
+                if not (type(r) is type(c) is int and 0 <= r < rows and 0 <= c < cols):
                     raise InputError(
-                        f"entry ({r},{c}) out of range for a {rows}x{cols} matrix"
+                        f"entry ({r!r},{c!r}) is not an index of a {rows}x{cols} matrix"
                     )
                 if type(v) is not int:
                     raise InputError(f"entry ({r},{c}) is {v!r}, not an integer")

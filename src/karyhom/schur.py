@@ -5,15 +5,16 @@ weight, so each homology group carries a polynomial GL(V)-character.
 The character is read off block by block (kernel minus image per weight)
 and decomposed into Schur modules by highest-weight peeling: repeatedly
 subtract the character of the lexicographically greatest dominant weight
-present.  All of it is exact integer combinatorics; Schur characters are
-generated by semistandard-tableau enumeration and dimensions by the
-hook content formula.
+present.  All of it is exact integer combinatorics; Schur characters
+come from the GL(n) -> GL(n-1) branching rule (Gelfand-Tsetlin) and
+dimensions from the hook content formula.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import product
 
 from .algebra import KaryAlgebra
 from .chains import DEFAULT_SIZE_CAP, ChainLayout, check_cap, monomial_weight, wedge_basis, weight_blocks
@@ -48,6 +49,8 @@ def schur_dim(partition, n: int) -> int:
     The product of (n + content) over the cells of lambda, divided by
     the product of their hook lengths; the quotient is exact.
     """
+    if type(n) is not int:
+        raise InputError(f"n must be an integer, got {n!r}")
     lam = normalize_partition(partition)
     if len(lam) > n:
         return 0
@@ -62,45 +65,33 @@ def schur_dim(partition, n: int) -> int:
     return value
 
 
-@lru_cache(maxsize=None)
-def schur_weight_multiplicities(partition: tuple, n: int) -> dict:
+def schur_weight_multiplicities(partition, n: int) -> dict:
     """Weight multiplicities of S_lambda(C^n): {weight vector: count}.
 
-    Enumerates semistandard tableaux of shape lambda with entries in
-    1..n (rows weakly increase, columns strictly increase).
+    Checked here, outside the cache, where 3.0 and 3 are one key.  The
+    table is shared between callers and must not be mutated.
     """
+    if type(n) is not int:
+        raise InputError(f"n must be an integer, got {n!r}")
     lam = normalize_partition(partition)
-    if len(lam) > n:
-        return {}
-    counts = {}
+    return _branch(lam, n) if len(lam) <= n else {}
 
-    def fill(row_idx, prev_row):
-        if row_idx == len(lam):
-            yield ()
-            return
-        length = lam[row_idx]
 
-        def build(col, row):
-            if col == length:
-                for rest in fill(row_idx + 1, row):
-                    yield (row,) + rest
-                return
-            lo = row[col - 1] if col else 1
-            if prev_row is not None and col < len(prev_row):
-                lo = max(lo, prev_row[col] + 1)
-            for v in range(lo, n + 1):
-                yield from build(col + 1, row + (v,))
-
-        yield from build(0, ())
-
-    for tableau in fill(0, None):
-        weight = [0] * n
-        for row in tableau:
-            for v in row:
-                weight[v - 1] += 1
-        key = tuple(weight)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+@lru_cache(maxsize=None)
+def _branch(lam: tuple, n: int) -> dict:
+    """Weights of S_lambda(C^n), lambda normalized with at most n rows, by
+    the branching rule: restricted to GL(n-1) x GL(1) it is the sum, each
+    mu once, of S_mu(C^{n-1}) (x) x_n^{|lambda|-|mu|} over the mu that
+    interlace lambda (lambda_1 >= mu_1 >= lambda_2 >= ... >= lambda_n)."""
+    if n == 0:
+        return {(): 1}
+    lam += (0,) * (n - len(lam))
+    table = {}
+    for mu in product(*(range(b, a + 1) for a, b in zip(lam, lam[1:]))):
+        tail = (sum(lam) - sum(mu),)
+        for w, c in _branch(tuple(p for p in mu if p), n - 1).items():
+            table[w + tail] = table.get(w + tail, 0) + c
+    return table
 
 
 # -- characters from weight blocks ----------------------------------------
@@ -192,7 +183,7 @@ def expand_decomposition(decomposition, n: int) -> dict:
     """Inverse of decompose_character (for round-trip checks)."""
     table = {}
     for lam, mult in decomposition:
-        for w, c in schur_weight_multiplicities(normalize_partition(lam), n).items():
+        for w, c in schur_weight_multiplicities(lam, n).items():
             table[w] = table.get(w, 0) + mult * c
     return {w: m for w, m in table.items() if m}
 

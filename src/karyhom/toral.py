@@ -47,7 +47,12 @@ def log2_display(x: float) -> str:
 
 
 def toral_table_rows(n_max: int, k_list=(2, 3, 4, 5)):
-    """One dict per n with bound and log2 per arity (serialization-friendly)."""
+    """One dict per n with bound and log2 per arity (serialization-friendly);
+    the renderers below take their columns from the first row."""
+    if n_max < 1:
+        raise InputError(f"the table needs n_max >= 1, got {n_max}")
+    if len(set(k_list)) != len(k_list):
+        raise InputError(f"arities must be distinct, got {list(k_list)}")
     rows = []
     for n in range(1, n_max + 1):
         row = {"n": n}
@@ -60,35 +65,20 @@ def toral_table_rows(n_max: int, k_list=(2, 3, 4, 5)):
 
 
 def toral_table_csv(n_max: int, k_list=(2, 3, 4, 5)) -> str:
+    rows = toral_table_rows(n_max, k_list)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header = ["n"]
-    for k in k_list:
-        header += [f"k{k}", f"k{k}_log2"]
-    writer.writerow(header)
-    for row in toral_table_rows(n_max, k_list):
-        out = [row["n"]]
-        for k in k_list:
-            out += [row[f"k{k}"], row[f"k{k}_log2"]]
-        writer.writerow(out)
+    writer.writerow(rows[0])
+    writer.writerows(row.values() for row in rows)
     return buf.getvalue()
 
 
 def toral_table_text(n_max: int, k_list=(2, 3, 4, 5)) -> str:
     rows = toral_table_rows(n_max, k_list)
-    header = ["n"]
-    for k in k_list:
-        header += [f"k={k}", "log2"]
-    table = [header]
-    for row in rows:
-        out = [str(row["n"])]
-        for k in k_list:
-            out += [str(row[f"k{k}"]), row[f"k{k}_log2"]]
-        table.append(out)
-    widths = [max(len(r[i]) for r in table) for i in range(len(header))]
-    lines = [
-        "  ".join(cell.rjust(w) for cell, w in zip(r, widths)) for r in table
-    ]
+    header = ["log2" if key.endswith("_log2") else key.replace("k", "k=") for key in rows[0]]
+    table = [header] + [[str(v) for v in row.values()] for row in rows]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    lines = ["  ".join(cell.rjust(w) for cell, w in zip(r, widths)) for r in table]
     return "\n".join(lines) + "\n"
 
 

@@ -166,6 +166,41 @@ def euler_ok_by_binomials(dim, betti):
     return sum((-1) ** i * (betti[t] - comb(dim, t)) for i, t in enumerate(sorted(betti))) == 0
 
 
+def schur_weights_by_tableaux(lam, n):
+    """Weight table {weight: count} of S_lambda(C^n), lambda a partition,
+    by enumerating the semistandard tableaux of shape lambda with entries
+    in 1..n (rows weakly increase, columns strictly increase)."""
+    counts = {}
+
+    def fill(row_idx, prev_row):
+        if row_idx == len(lam):
+            yield ()
+            return
+        length = lam[row_idx]
+
+        def build(col, row):
+            if col == length:
+                for rest in fill(row_idx + 1, row):
+                    yield (row,) + rest
+                return
+            lo = row[col - 1] if col else 1
+            if prev_row is not None and col < len(prev_row):
+                lo = max(lo, prev_row[col] + 1)
+            for v in range(lo, n + 1):
+                yield from build(col + 1, row + (v,))
+
+        yield from build(0, ())
+
+    for tableau in fill(0, None):
+        weight = [0] * n
+        for row in tableau:
+            for v in row:
+                weight[v - 1] += 1
+        key = tuple(weight)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def _jacobi_residual(alg: KaryAlgebra, inner, outer):
     """[[inner], outer] - sum_i [inner_1, ..., [inner_i, outer], ..., inner_k]."""
     residual = {}

@@ -446,11 +446,13 @@ def test_format_outside_verb_choices_exits_2(capsys, verb, extra, fmt):
         ("check", "--family", "heisenberg", "--k", "2", "--m", "1", "--size-cap", "-1"),
         ("table", "--nmax", "-3"),
         ("table", "--nmax", "0"),
+        ("table", "--k", "2,2"),
     ],
     ids=[
         "heisenberg-n", "free2-m", "acj-j", "abelian-inner", "current-inner-n",
         "degree-csv", "degree-text", "compute-negative-cap", "verify-negative-cap",
         "decompose-negative-cap", "check-negative-cap", "table-negative-nmax", "table-zero-nmax",
+        "table-repeated-arity",
     ],
 )
 def test_unused_parameters_and_degree_formats_exit_2(capsys, argv):

@@ -51,6 +51,14 @@ def test_entry_validation():
     for value in (1.5, "3", True):
         with pytest.raises(InputError, match="not an integer"):
             SparseIntMatrix(1, 1, {(0, 0): value})
+    # indices and dimensions too: (0.0, 1) would be written to MatrixMarket
+    # as "1.0 2 1", which the reader refuses, and (True, 0) stored as a bool
+    for index in ((0.0, 1), (True, 0), (0, False), ("0", 1), (1, 0.5)):
+        with pytest.raises(InputError, match="not an index"):
+            SparseIntMatrix(2, 2, {index: 1})
+    for rows, cols in ((2.0, 2), (2, True), ("2", 2), (-1, 2)):
+        with pytest.raises(InputError, match="dimensions"):
+            SparseIntMatrix(rows, cols)
 
 
 def test_rank_against_dense_oracle_randomized():

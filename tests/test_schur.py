@@ -21,6 +21,7 @@ from karyhom.schur import (
     second_homology_summands,
     stability_check,
 )
+from conftest import schur_weights_by_tableaux
 
 
 # -- dimensions ---------------------------------------------------------
@@ -92,16 +93,36 @@ def test_schur_dim_matches_tableau_count():
             assert sum(counts.values()) == schur_dim(lam, n)
 
 
+def test_weight_multiplicities_match_tableau_oracle():
+    pairs = [(lam, n) for size in range(9) for lam in _partitions(size) for n in range(7)]
+    assert len(pairs) == 469
+    for lam, n in pairs:
+        assert schur_weight_multiplicities(lam, n) == schur_weights_by_tableaux(lam, n), (lam, n)
+
+
 def test_partition_validation():
     assert conjugate_partition((3, 1)) == (2, 1, 1)
     with pytest.raises(InputError):
         schur_dim((1, 2), 3)
-    # parts are never truncated: 1.5 is not 1, and '2', 1.9, True are not (2, 1, 1)
-    for bad in [(1.5,), ("2", 1.9, True), ("2",), (2, 1.9), (2, 1, True), (0.0, 1)]:
+    # parts are never truncated: 1.5 is not 1, and '2', 1.9, True are not (2, 1, 1);
+    # (2.0, 1) equals the cached key (2, 1) and must still be refused
+    schur_weight_multiplicities((2, 1), 3)
+    for bad in [(1.5,), ("2", 1.9, True), ("2",), (2, 1.9), (2, 1, True), (0.0, 1), (2.0, 1)]:
         with pytest.raises(InputError):
             schur_dim(bad, 3)
         with pytest.raises(InputError):
+            schur_weight_multiplicities(bad, 3)
+        with pytest.raises(InputError):
             normalize_partition(bad)
+    # n is an int proper: schur_dim((2, 1), 3.0) must not give 8.0
+    for n in (3.0, True):
+        with pytest.raises(InputError):
+            schur_dim((2, 1), n)
+        with pytest.raises(InputError):
+            schur_weight_multiplicities((2, 1), n)
+    assert schur_dim((2, 1), -1) == 0
+    assert schur_weight_multiplicities((2, 1), -1) == {}
+    assert schur_weight_multiplicities((), -1) == {}
 
 
 # -- characters ----------------------------------------------------------

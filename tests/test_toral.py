@@ -108,6 +108,13 @@ def test_table_outputs():
     assert csv_text.splitlines()[0].startswith("n,k2,k2_log2")
     text = toral_table_text(5)
     assert "4.906890596" in text  # n=5, k=5: log2(30)
+    # the renderers take their columns from the first row: a repeated
+    # arity would print a column pair twice, and no rows has no header
+    for render in (toral_table_rows, toral_table_csv, toral_table_text):
+        with pytest.raises(InputError):
+            render(3, (2, 3, 2))
+        with pytest.raises(InputError):
+            render(0)
 
 
 def test_log2_display_format():
