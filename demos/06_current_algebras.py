@@ -19,7 +19,7 @@ h = heisenberg(5, 1)
 cur = current_algebra(h, 2)
 print("base:", betti_all(h, description="heisenberg(5,1)").betti, "total 11")
 print("current algebra dim:", cur.dim,
-      "series:", [s.dim for s in lower_central_series(cur)])
+      "series:", [len(s) for s in lower_central_series(cur)])
 
 rec = property_m_check(h, 2)
 print()

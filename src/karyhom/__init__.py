@@ -17,7 +17,6 @@ _EXPORTS = {
     "algebra": (
         "DEFAULT_SIZE_CAP",
         "KaryAlgebra",
-        "Subspace",
         "algebra_from_json_dict",
         "algebra_to_json_dict",
         "center",

@@ -259,47 +259,57 @@ def _jacobi_fails(brackets, ad, inner, outer):
     return any(residual.values())
 
 
-def lower_central_series(alg: KaryAlgebra):
-    """[g, C^2, C^3, ...] with C^{i+1} = span[C^i, g, ..., g].
+def _stack(n, rows):
+    """Sparse {index: int} rows as the rows of an n-column integer matrix."""
+    from .matrices import SparseIntMatrix
 
-    C^{i+1} is spanned by [v, R] = sum_x v_x ad_R(x) over the basis
-    vectors v of C^i and the rows R of `_adjoint`.  Stops at the zero
-    subspace or at the first repeat; the algebra is nilpotent iff the
-    last term is zero.
+    entries = {(r, c): x for r, row in enumerate(rows) for c, x in row.items()}
+    return SparseIntMatrix(len(rows), n, entries)
+
+
+def lower_central_series(alg: KaryAlgebra):
+    """Bases of g, C^2, C^3, ... with C^{i+1} = span[C^i, g, ..., g].
+
+    Each term is a list of independent {index: int} rows: the unit rows
+    for g, then the rows `matrices.row_basis` keeps, which are not
+    canonical (equal terms built from different generators may keep
+    different rows).  C^{i+1} is spanned by [v, R] = sum_x v_x ad_R(x)
+    over the rows v of C^i and the rows R of `_adjoint`.  Stops at the
+    empty term or at the first repeat; the algebra is nilpotent iff the
+    last term is empty.
     """
-    series = [Subspace.full(alg.dim)]
-    rows = list(_adjoint(alg).values())
-    while True:
-        current = series[-1]
-        if current.dim == 0:
-            return series
-        gens = []
-        for v in current.basis_vectors:
-            for row in rows:
+    from .matrices import row_basis
+
+    n = alg.dim
+    ad = list(_adjoint(alg).values())
+    series = [[{i: 1} for i in range(n)]]
+    while series[-1]:
+        spans = []
+        for v in series[-1]:
+            for row in ad:
                 img = {}
-                for x, vec in row.items():
-                    c = v[x]
-                    if c:
-                        for j, cj in vec.items():
-                            img[j] = img.get(j, 0) + c * cj
-                img = {j: c for j, c in img.items() if c}
-                if img:
-                    gens.append(img)
-        nxt = Subspace.span(alg.dim, gens)
-        series.append(nxt)
-        if nxt.dim == current.dim:
-            return series
+                for x, c in v.items():
+                    for j, cj in row.get(x, _ZERO).items():
+                        img[j] = img.get(j, 0) + c * cj
+                spans.append(img)
+        series.append(row_basis(_stack(n, spans)))
+        if len(series[-1]) == len(series[-2]):
+            break
+    return series
 
 
 def is_nilpotent(alg: KaryAlgebra) -> bool:
-    return lower_central_series(alg)[-1].dim == 0
+    return not lower_central_series(alg)[-1]
 
 
-def center(alg: KaryAlgebra) -> Subspace:
-    """Common kernel of v -> [v, R] over the rows R of `_adjoint`.
+def center(alg: KaryAlgebra) -> list:
+    """A basis of the center: the common kernel of v -> [v, R] over the
+    rows R of `_adjoint`.
 
     [v, R] is zero for every other sorted (k-1)-tuple R, so these rows
-    give the kernel over all basis subsets.
+    give the kernel over all basis subsets.  The basis is the list of
+    primitive {index: int} rows `matrices.kernel_basis` returns; it is
+    not canonical.
     """
     from .matrices import SparseIntMatrix, kernel_basis
 
@@ -310,80 +320,7 @@ def center(alg: KaryAlgebra) -> Subspace:
         for j, vec in row.items():
             for out, c in vec.items():
                 entries[(r * n + out, j)] = c
-    return Subspace.span(n, kernel_basis(SparseIntMatrix(len(ad) * n, n, entries)))
-
-
-# -- subspaces ---------------------------------------------------------
-
-
-class Subspace:
-    """A subspace of Q^n held as integer basis rows.
-
-    The rows come from `matrices.row_basis` and are not canonical: equal
-    subspaces built from different generators may keep different rows,
-    so equality is tested by containment.
-    """
-
-    __slots__ = ("ambient_dim", "basis_vectors")
-
-    def __init__(self, ambient_dim: int, vectors):
-        from .matrices import row_basis
-
-        self.ambient_dim = ambient_dim
-        self.basis_vectors = tuple(
-            tuple(row.get(c, 0) for c in range(ambient_dim))
-            for row in row_basis(_stack(ambient_dim, vectors))
-        )
-
-    @classmethod
-    def span(cls, ambient_dim, sparse_vectors):
-        return cls(ambient_dim, [[v.get(i, 0) for i in range(ambient_dim)] for v in sparse_vectors])
-
-    @classmethod
-    def full(cls, ambient_dim):
-        return cls(ambient_dim, [[int(i == j) for j in range(ambient_dim)] for i in range(ambient_dim)])
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis_vectors)
-
-    def contains_vector(self, vec) -> bool:
-        return self.contains(Subspace(self.ambient_dim, [vec]))
-
-    def contains(self, other: "Subspace") -> bool:
-        from .matrices import rank
-
-        union = _stack(self.ambient_dim, self.basis_vectors + other.basis_vectors)
-        return rank(union) == self.dim
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.ambient_dim == other.ambient_dim
-            and self.dim == other.dim
-            and self.contains(other)
-        )
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.dim))
-
-    def __repr__(self):
-        return f"Subspace(dim={self.dim} of Q^{self.ambient_dim})"
-
-
-def _stack(ambient_dim, vectors) -> SparseIntMatrix:
-    """Dense rational rows (int or Fraction entries) as an integer matrix,
-    each row scaled to integers."""
-    from .matrices import SparseIntMatrix
-
-    entries = {}
-    vectors = list(vectors)
-    for r, vec in enumerate(vectors):
-        nonzero = {c: x for c, x in enumerate(vec) if x}
-        scale = lcm(*(x.denominator for x in nonzero.values()))
-        for c, x in nonzero.items():
-            entries[(r, c)] = int(x * scale)
-    return SparseIntMatrix(len(vectors), ambient_dim, entries)
+    return kernel_basis(SparseIntMatrix(len(ad) * n, n, entries))
 
 
 # -- JSON interchange ---------------------------------------------------
@@ -421,22 +358,24 @@ def _parse_coefficient(x):
 def algebra_from_json_dict(doc: dict) -> KaryAlgebra:
     """Load an algebra document.
 
-    Only the document's shape, duplicate bracket args and output indices
-    repeated within one value (JSON true and 1 are one index) are
-    checked here; every value goes to the `KaryAlgebra` constructor as
-    it stands, which validates it.  Rational coefficients are accepted
+    Only the document's shape, labels (an array of strings), duplicate
+    bracket args and output indices repeated within one value (JSON true
+    and 1 are one index) are checked here; every other value goes to the
+    `KaryAlgebra` constructor as it stands, which validates it.  Rational coefficients are accepted
     and cleared to integers by one global scaling of the bracket
     (multiplying the whole k-linear map by a positive constant preserves
     the Jacobi identity and every rank).
     """
     try:
-        arity, dim, labels = doc["arity"], doc["dim"], list(doc["labels"])
+        arity, dim, labels = doc["arity"], doc["dim"], doc["labels"]
         raw = list(doc["brackets"])
         weights = doc.get("weights")
         if weights is not None:
             weights = {i: tuple(w) for i, w in enumerate(weights)}
     except (KeyError, TypeError) as exc:
         raise LoadError(f"missing or malformed field in algebra document: {exc}") from exc
+    if type(labels) is not list or not all(type(x) is str for x in labels):
+        raise LoadError("labels must be an array of strings")
 
     brackets = {}
     denom = 1
@@ -475,7 +414,7 @@ def load_algebra(f) -> KaryAlgebra:
             return load_algebra(fh)
     try:
         doc = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or long int; deep nesting
         raise LoadError(f"not valid JSON: {exc}") from exc
     return algebra_from_json_dict(doc)
 

@@ -351,7 +351,7 @@ def property_m_check(alg: KaryAlgebra, j: int, *, cap=DEFAULT_SIZE_CAP) -> dict:
     base = betti_all(alg, cap=cap)
     curr = betti_all(cur, cap=cap)
     series = lower_central_series(cur)
-    two_step = series[-1].dim == 0 and len(series) <= 3
+    two_step = not series[-1] and len(series) <= 3
 
     result = {
         "truncation": j,

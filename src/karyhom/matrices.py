@@ -68,17 +68,6 @@ class SparseIntMatrix:
             out.setdefault(c, {})[r] = v
         return out
 
-    def transpose(self) -> "SparseIntMatrix":
-        return SparseIntMatrix(
-            self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
-        )
-
-    def to_dense(self):
-        dense = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            dense[r][c] = v
-        return dense
-
     def is_zero(self) -> bool:
         return not self.entries
 

@@ -89,9 +89,9 @@ def verify_toral(alg: KaryAlgebra, *, description: str = "", cap=DEFAULT_SIZE_CA
     from .homology import betti_all, total_homology_all_degrees
 
     series = lower_central_series(alg)
-    if series[-1].dim != 0:
+    if series[-1]:
         raise InputError("toral bounds apply to nilpotent algebras only")
-    z = center(alg)
+    z = len(center(alg))
     report = betti_all(alg, description=description, cap=cap)
     total_all = total_homology_all_degrees(alg, cap=cap)
     two_step = len(series) <= 3
@@ -99,15 +99,15 @@ def verify_toral(alg: KaryAlgebra, *, description: str = "", cap=DEFAULT_SIZE_CA
     result = {
         "algebra": description or repr(alg),
         "dim": alg.dim,
-        "center_dim": z.dim,
+        "center_dim": z,
         "total": report.total,
         "total_all_degrees": total_all,
-        "power_bound": 2**z.dim,
-        "holds_power": report.total >= 2**z.dim,
+        "power_bound": 2**z,
+        "holds_power": report.total >= 2**z,
         "two_step": two_step,
     }
     if two_step:
-        bound = refinement_bound(alg.dim - z.dim, z.dim, alg.arity)
+        bound = refinement_bound(alg.dim - z, z, alg.arity)
         result["refinement_bound"] = bound
         result["holds_refinement"] = total_all >= bound
         result["ok"] = result["holds_power"] and result["holds_refinement"]

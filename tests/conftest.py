@@ -31,6 +31,14 @@ def dense_rank(dense_rows):
     return rank
 
 
+def to_dense(matrix):
+    """A `SparseIntMatrix` as dense integer rows, for the dense oracles."""
+    dense = [[0] * matrix.cols for _ in range(matrix.rows)]
+    for (r, c), v in matrix.entries.items():
+        dense[r][c] = v
+    return dense
+
+
 def kernel_by_fraction_back_substitution(cols, pivots):
     """Kernel basis from (pivot_col, pivot_row) pairs in elimination order.
 

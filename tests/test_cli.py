@@ -300,16 +300,22 @@ HEIS21 = {"arity": 2, "dim": 3, "labels": ["x", "y", "z"]}
         {**HEIS21, "brackets": [{"args": [0, 1], "value": [[True, 2]]}]},
         {**HEIS21, "dim": "3", "brackets": [{"args": [0, 1], "value": [[1, 2]]}]},
         {**HEIS21, "brackets": [{"args": [0, 1], "value": [[1, 1], [1, True]]}]},
+        {**HEIS21, "labels": "xyz", "brackets": []},
+        {**HEIS21, "labels": [1, 2, 3], "brackets": []},
+        # raw text that json.dumps cannot produce
+        "[" * 100_000,
+        '{"arity": 2, "dim": 1' + "0" * 5000 + ', "labels": [], "brackets": []}',
     ],
     ids=[
         "no-value", "short-pair", "arity-not-int", "missing-file",
         "floats", "bool-coefficient", "dim-string", "repeated-output-index",
+        "labels-string", "labels-not-strings", "deep-array", "long-dim",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, doc):
     path = tmp_path / "alg.json"
     if doc is not None:
-        path.write_text(json.dumps(doc))
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     code = main(["check", "--input", str(path)])
     captured = capsys.readouterr()
     assert code == 2
