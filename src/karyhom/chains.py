@@ -7,17 +7,27 @@ degree t contracts one k-bracket:
         = sum over (k, t-k)-shuffles s of
           sgn(s) [x_{s(1)},...,x_{s(k)}] ^ x_{s(k+1)} ^ ... ^ x_{s(t)}
 
-Monomials are strictly increasing index tuples, enumerated in
-lexicographic order, so matrices are reproducible bit for bit.  The
-homology layout uses degrees 0, 1, k, 2k-1, ... (step k-1); the boundary
-itself makes sense at every degree t >= k and is exposed that way.
+Inside this module a monomial x_{i_1} ^ ... ^ x_{i_t} is an int mask,
+bit i at 1 << (dim-1-i), so the lexicographic order of the monomials of
+one degree is descending mask order.  The homology layout uses degrees
+0, 1, k, 2k-1, ... (step k-1); the boundary itself makes sense at every
+degree t >= k and is exposed that way.
 
-Matrices are built from the bracket side (`_terms`), not monomial by
-monomial: only the monomials that contain a stored bracket key have a
-nonzero image, so assembly costs about the number of nonzeros rather
-than C(dim, t) monomials times C(t, k) shuffles.  `_split` is the one
-assembler: the whole boundary, its weight blocks and the theta maps of
-`homology.theta_matrix` are all blocks of d_t it cuts out.
+Boundaries are built from the bracket side (`_terms`, the one term
+generator), not monomial by monomial: only the monomials that contain a
+stored bracket key have a nonzero image, so assembly costs about the
+number of nonzeros rather than C(dim, t) monomials times C(t, k)
+shuffles.  The terms take two routes:
+
+- `ChainLayout` ranks whole boundaries for Betti numbers from
+  `_boundary_rows`, {row mask: {column mask: int}}, with no wedge basis
+  and no index.
+- `_split` is the one place that hands out lexicographic indices, so
+  its matrices are reproducible bit for bit: `differential_matrix`
+  (and `--export-mm`), the weight blocks of characters, the theta maps
+  of `homology.theta_matrix` and the products of `verify_d_squared` are
+  all blocks of d_t it cuts out, over strictly increasing index tuples
+  listed by `wedge_basis`.
 
 When every ad(y_2, ..., y_k) is traceless, as in every nilpotent
 algebra, rank d_t = rank d_{n+k-1-t} (see `ChainLayout`), and each pair
@@ -27,13 +37,12 @@ brackets; a custom algebra that fails it ranks every degree.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import namedtuple
 from itertools import combinations
 
 from .algebra import DEFAULT_SIZE_CAP, KaryAlgebra, _adjoint
 from .errors import InputError, ResourceCapError
-from .matrices import SparseIntMatrix, multiply, rank
+from .matrices import SparseIntMatrix, _eliminate, multiply
 from .util import comb0
 
 
@@ -57,30 +66,51 @@ def wedge_basis(alg: KaryAlgebra, t: int):
 
 
 def _terms(alg: KaryAlgebra, t: int):
-    """d_t from the bracket side, as (row monomial, column monomial, coeff).
+    """d_t from the bracket side, as (row mask, column mask, coeff).
 
-    For each stored key K and each (t-k)-subset R of the complement of K,
-    the column sort(K u R) receives sgn(K in K u R) [K] ^ R, where the
-    sign is that of the shuffle moving K to the front.  Only monomials
-    that contain a key are visited and each visit yields one term, so the
-    cost is about nnz.  A (row, column) pair may recur; `_split` adds
-    its terms, and `SparseIntMatrix` drops the zeros.
+    A monomial is an int mask with bit 1 << (dim-1-i) set for each basis
+    index i in it, so lexicographic order of the monomials of one degree
+    is descending mask order.  For each stored key K, each output w of
+    [K] and each (t-k)-subset R of the complement of K u {w}, with rest
+    mask r, the column r | mask(K) receives sgn [K]_w at the row
+    r | bit(w), where sgn is that of the shuffle moving K to the front
+    times that of inserting w into R.  Only monomials that contain a key
+    are visited and each visit yields one term, so the cost is about
+    nnz.  A (row, column) pair may recur; callers add its terms.
     """
-    k = alg.arity
+    k, n = alg.arity, alg.dim
+    bit = [1 << (n - 1 - i) for i in range(n)]
     for key, vec in alg.brackets.items():
+        key_mask = sum(map(bit.__getitem__, key))
         for w, c in vec.items():
-            # sgn(K in K u R) * (sign of inserting w into R) is one factor
-            # -1 per entry x of R for each key entry above x, and one more
-            # if x < w.
-            odd = [(sum(i > x for i in key) + (x < w)) % 2 for x in range(alg.dim)]
-            pool = [x for x in range(alg.dim) if x != w and x not in key]
-            for rest in combinations(pool, t - k):
-                p = bisect_left(rest, w)
-                yield (
-                    rest[:p] + (w,) + rest[p:],
-                    tuple(sorted(key + rest)),
-                    -c if sum(map(odd.__getitem__, rest)) % 2 else c,
-                )
+            # sgn is one factor -1 per entry x of R for each key entry
+            # above x, and one more if x < w: the parity of r & odd.
+            odd = sum(bit[x] for x in range(n) if (sum(i > x for i in key) + (x < w)) % 2)
+            pool = [bit[x] for x in range(n) if x != w and x not in key]
+            w_bit, minus = bit[w], -c
+            for r in map(sum, combinations(pool, t - k)):
+                yield r | w_bit, r | key_mask, minus if (r & odd).bit_count() & 1 else c
+
+
+def _boundary_rows(alg: KaryAlgebra, t: int) -> dict:
+    """d_t as {row mask: {column mask: int}}, for k <= t <= dim.
+
+    The terms are summed straight into the rows and sums that cancel are
+    deleted (a row may be left empty), so no wedge basis, index or matrix
+    is built: this is what `ChainLayout` ranks, through `_eliminate`.
+    """
+    rows = {}
+    for r, c, v in _terms(alg, t):
+        row = rows.get(r)
+        if row is None:
+            rows[r] = {c: v}
+        else:
+            v += row.get(c, 0)
+            if v:
+                row[c] = v
+            else:
+                del row[c]
+    return rows
 
 
 WeightBlock = namedtuple("WeightBlock", "weight column_monomials row_monomials matrix")
@@ -89,11 +119,13 @@ WeightBlock = namedtuple("WeightBlock", "weight column_monomials row_monomials m
 def _split(alg: KaryAlgebra, t: int, key):
     """d_t cut into blocks by key(monomial); {key: WeightBlock}, sorted.
 
-    This is the one place where the terms of d_t become matrices.  One
-    pass over the terms sends each to the block of its column.  A key of
-    None puts a monomial in no block: it is left out of the rows, and
-    the terms of its column are dropped.  The image of every kept column
-    must lie in the rows of its block.
+    This is the one place where the terms of d_t get lexicographic
+    indices and become matrices.  The wedge bases of degrees t and
+    t-k+1 give one {mask: (block, index)} map (the two degrees never
+    share a mask), and one pass over the terms sends each to the block
+    of its column.  A key of None puts a monomial in no block: it is
+    left out of the rows, and the terms of its column are dropped.  The
+    image of every kept column must lie in the rows of its block.
     """
     k = alg.arity
     if t < k:
@@ -106,19 +138,24 @@ def _split(alg: KaryAlgebra, t: int, key):
             w = key(mono)
             if w is not None:
                 groups.setdefault(w, []).append(mono)
-    col_at = {mono: (w, j) for w, group in cols.items() for j, mono in enumerate(group)}
-    row_at = {mono: i for group in rows.values() for i, mono in enumerate(group)}
+    bit = [1 << (alg.dim - 1 - i) for i in range(alg.dim)]
+    at = {
+        sum(map(bit.__getitem__, mono)): (w, j)
+        for groups in (cols, rows)
+        for w, group in groups.items()
+        for j, mono in enumerate(group)
+    }
     entries = {w: {} for w in cols}
-    for out, mono, v in _terms(alg, t):
-        place = col_at.get(mono)
+    for row, col, v in _terms(alg, t):
+        place = at.get(col)
         if place is not None:
             w, j = place
-            block, at = entries[w], (row_at[out], j)
-            block[at] = block.get(at, 0) + v
+            block, e = entries[w], (at[row][1], j)
+            block[e] = block.get(e, 0) + v
     blocks = {}
     for w in sorted(cols):
         block_cols, block_rows = tuple(cols[w]), tuple(rows.get(w, ()))
-        matrix = SparseIntMatrix(len(block_rows), len(block_cols), entries[w])
+        matrix = SparseIntMatrix(len(block_rows), len(block_cols), entries.pop(w))
         blocks[w] = WeightBlock(w, block_cols, block_rows, matrix)
     return blocks
 
@@ -192,10 +229,12 @@ class ChainLayout:
     """The chain complex of one algebra and the ranks of its boundaries.
 
     Layout degrees are 0, 1, k, 2k-1, ... up to dim.  Each boundary d_t
-    is assembled whole, ranked once and dropped; only {t: rank d_t} is
-    kept.  Weights play no part here: Betti numbers need whole ranks
-    only, and the weight blocks that characters need are ranked by
-    `schur.character_by_weights`.  `ChainLayout.of(alg)` returns the
+    is assembled whole as mask-keyed rows (`_boundary_rows`), ranked once
+    by `matrices._eliminate` and dropped; only {t: rank d_t} is kept, and
+    no wedge basis, lexicographic index or `SparseIntMatrix` is built
+    (those come from `_split`).  Weights play no part here: Betti
+    numbers need whole ranks only, and the weight blocks that characters
+    need are ranked by `schur.character_by_weights`.  `ChainLayout.of(alg)` returns the
     layout kept on the algebra, so every caller shares one memo.
 
     Duality.  Let n = dim, top = n+k-1, S^c the complement of S in
@@ -256,7 +295,7 @@ class ChainLayout:
         if t < alg.arity or t > alg.dim:
             return 0
         if t not in self._ranks:
-            self._ranks[t] = rank(differential_matrix(alg, t))
+            self._ranks[t] = sum(1 for _ in _eliminate(_boundary_rows(alg, t)))
         return self._ranks[t]
 
     def betti(self, t: int) -> int:

@@ -14,8 +14,6 @@ route ranks theta_j itself and serves library callers, demos and tests.
 
 from __future__ import annotations
 
-import csv
-import io
 from collections import namedtuple
 
 from .algebra import KaryAlgebra, lower_central_series
@@ -60,6 +58,9 @@ class HomologyReport(
         return doc
 
     def to_csv(self) -> str:
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["degree", "chain_dim", "kernel", "image", "betti"])

@@ -1,14 +1,15 @@
 """Sparse exact linear algebra over the integers.
 
-Rank, row-space bases and kernel bases over Q all come from one
-integer-preserving row echelon, `_eliminate`: rows are cross-multiplied
-through the gcd of the pivot pair and stripped of their content, so no
-fractions (and no floating point, hence no tolerances) appear in it.
-Rows are taken shortest first and pivots go to the sparsest input
-column, with ties broken by index, which keeps fill-in low on the
-incidence-like matrices produced by boundary maps and makes every run
-bit-reproducible.  Each row is reduced in one sweep over the pivot rows
-it meets, oldest first.
+Rank, row-space bases and kernel bases over Q, and the whole-boundary
+ranks of `chains.ChainLayout`, all come from one integer-preserving row
+echelon of {row: {col: int}} rows, `_eliminate`: rows are
+cross-multiplied through the gcd of the pivot pair and stripped of their
+content, so no fractions (and no floating point, hence no tolerances)
+appear in it.  Rows are taken shortest first and pivots go to the
+sparsest input column, with ties broken by key, which keeps fill-in low
+on the incidence-like matrices produced by boundary maps and makes every
+run bit-reproducible.  Each row is reduced in one sweep over the pivot
+rows it meets, oldest first.
 
 A second, structurally independent elimination modulo a random word-size
 prime serves as a cross-check: rank mod p never exceeds the rational
@@ -17,7 +18,9 @@ rank, and agreement at a few random primes confirms the exact value.
 
 from __future__ import annotations
 
+from collections import Counter
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import gcd
 
 from .errors import InputError, LoadError
@@ -102,15 +105,19 @@ def multiply(a: SparseIntMatrix, b: SparseIntMatrix) -> SparseIntMatrix:
     return SparseIntMatrix(a.rows, b.cols, {k: v for k, v in out.items() if v})
 
 
-def _eliminate(matrix: SparseIntMatrix):
-    """Fraction-free sparse row echelon, yielding (pivot_col, pivot_row).
+def _eliminate(rows: dict):
+    """Fraction-free sparse row echelon of {row: {col: int}} rows,
+    yielding (pivot_col, pivot_row).
 
-    The pivot rows are {col: int} dicts of content 1 spanning the row
-    space.  Rows are taken shortest first, ties by row index.  Each is
-    reduced against the pivot rows found so far, oldest first, by
+    Row and column keys are ints: the indices of
+    `SparseIntMatrix.row_dicts()`, or the monomial masks of
+    `chains._boundary_rows`.  The row dicts are reduced in place.  The
+    pivot rows are {col: int} dicts of content 1 spanning the row space.
+    Rows are taken shortest first, ties by row key.  Each is reduced
+    against the pivot rows found so far, oldest first, by
     cross-multiplying through gcd(pivot, entry); a row that survives is
     stripped of its content, and its pivot is the column with the fewest
-    input nonzeros, ties by column index.  So a pivot row is zero at the
+    input nonzeros, ties by column key.  So a pivot row is zero at the
     pivot columns of every row yielded before it: it was reduced against
     all of them, and reducing by one pivot row cannot bring back an older
     pivot column, since that row is itself zero there.
@@ -118,10 +125,7 @@ def _eliminate(matrix: SparseIntMatrix):
     Yielded rows are kept to reduce later rows: a caller must not change
     one before the generator is exhausted.
     """
-    rows = matrix.row_dicts()
-    col_nnz = {}
-    for _, c in matrix.entries:
-        col_nnz[c] = col_nnz.get(c, 0) + 1
+    col_nnz = Counter(chain.from_iterable(rows.values()))
     by_nnz = sorted(col_nnz, key=lambda c: (col_nnz[c], c))
     col_order = {c: i for i, c in enumerate(by_nnz)}
     age = {}  # pivot column -> its index in pivots
@@ -167,7 +171,7 @@ def _eliminate(matrix: SparseIntMatrix):
 
 def rank(matrix: SparseIntMatrix) -> int:
     """Rank over the rationals: the number of pivots `_eliminate` finds."""
-    return sum(1 for _ in _eliminate(matrix))
+    return sum(1 for _ in _eliminate(matrix.row_dicts()))
 
 
 def kernel_dim(matrix: SparseIntMatrix) -> int:
@@ -177,7 +181,7 @@ def kernel_dim(matrix: SparseIntMatrix) -> int:
 
 def row_basis(matrix: SparseIntMatrix) -> list:
     """A basis of the row space over Q, as {col: int} rows."""
-    return [row for _, row in _eliminate(matrix)]
+    return [row for _, row in _eliminate(matrix.row_dicts())]
 
 
 def kernel_basis(matrix: SparseIntMatrix) -> list:
@@ -195,7 +199,7 @@ def kernel_basis(matrix: SparseIntMatrix) -> list:
     stays primitive from x_f = 1 on, and ends as the one primitive
     vector with x_f > 0.
     """
-    pivots = list(_eliminate(matrix))
+    pivots = list(_eliminate(matrix.row_dicts()))
     free = set(range(matrix.cols)).difference(pc for pc, _ in pivots)
     basis = []
     for f in sorted(free):

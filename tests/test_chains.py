@@ -16,6 +16,7 @@ from conftest import (
 from karyhom.algebra import KaryAlgebra, check_jacobi
 from karyhom.chains import (
     ChainLayout,
+    _boundary_rows,
     differential_matrix,
     monomial_weight,
     verify_d_squared,
@@ -31,7 +32,7 @@ from karyhom.families import (
     free_two_step,
     heisenberg,
 )
-from karyhom.matrices import SparseIntMatrix, multiply, rank
+from karyhom.matrices import SparseIntMatrix, _eliminate, multiply, rank
 
 
 def test_wedge_basis_counts_and_order():
@@ -338,18 +339,72 @@ def test_traceless_algebra_mirrors_without_being_nilpotent(monkeypatch):
     import karyhom.chains
 
     sl2 = KaryAlgebra(2, 3, "hef", {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
+    boundary_rows = karyhom.chains._boundary_rows
     calls = []
 
-    def counting_rank(matrix):
-        calls.append((matrix.rows, matrix.cols))
-        return rank(matrix)
+    def counting_rows(alg, t):
+        calls.append((comb(alg.dim, t - alg.arity + 1), comb(alg.dim, t)))
+        return boundary_rows(alg, t)
 
-    monkeypatch.setattr(karyhom.chains, "rank", counting_rank)
+    monkeypatch.setattr(karyhom.chains, "_boundary_rows", counting_rows)
     layout = ChainLayout.of(sl2)
     assert layout.top == 4
     assert [layout.betti(t) for t in layout.degrees] == [1, 0, 0, 1]
     assert calls == [(3, 3)]  # d_2 only
     assert {t: layout.boundary_rank(t) for t in range(5)} == _direct_ranks(sl2)
+
+
+def _random_integer_algebra(seed, arity, dim):
+    """A seeded bracket table with coefficients +-1..3, not Filippov in
+    general: the layout ranks any table."""
+    rng = random.Random(seed)
+    keys = list(combinations(range(dim), arity))
+    brackets = {}
+    for key in rng.sample(keys, max(1, len(keys) // 6)):
+        outs = rng.sample(range(dim), rng.randint(1, 3))
+        brackets[key] = {w: rng.choice((1, -1)) * rng.randint(1, 3) for w in outs}
+    return KaryAlgebra(arity, dim, [f"e{i}" for i in range(dim)], brackets)
+
+
+SL2 = KaryAlgebra(2, 3, "hef", {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
+# the 9-dim arity-3 algebra whose d^2 fails at [6, 7]
+DISJOINT_KEYS3 = KaryAlgebra(
+    3, 9, [f"e{i}" for i in range(9)], {(0, 1, 2): {6: 1}, (3, 4, 5): {7: 1}}
+)
+MASK_CASES = {
+    "sl2": SL2,  # outputs inside their keys, coefficient +-2
+    "current-heisenberg(2,1)-2": current_algebra(heisenberg(2, 1), 2),  # repeated (row, col)
+    "heisenberg(4,2)": heisenberg(4, 2),
+    "acj(3,3)": acj(3, 3),
+    "free2(3,4)": free_two_step(3, 4),
+    "disjoint-keys-3": DISJOINT_KEYS3,
+    **{
+        f"random-k{k}-seed{seed}": _random_integer_algebra(seed, k, dim)
+        for seed, (k, dim) in enumerate([(2, 6), (2, 7), (3, 7), (3, 8), (4, 8), (4, 9)], 1)
+    },
+}
+
+
+@pytest.mark.parametrize("alg", MASK_CASES.values(), ids=MASK_CASES)
+def test_layout_ranks_mask_rows_like_the_assembled_matrices(alg):
+    # ChainLayout ranks {row mask: {column mask: int}} rows; they must have
+    # the rank of the indexed matrix (the layout's, which may be a mirror's,
+    # and their own), and be the boundary of the definition, entry for entry
+    n, k = alg.dim, alg.arity
+
+    def mask(mono):
+        return sum(1 << (n - 1 - i) for i in mono)
+
+    layout = ChainLayout(alg)
+    for t in range(k, n + 1):
+        expected = {}
+        for mono in combinations(range(n), t):
+            for out, v in boundary_by_definition(alg, {mono: 1}).items():
+                expected.setdefault(mask(out), {})[mask(mono)] = v
+        rows = _boundary_rows(alg, t)
+        assert {r: row for r, row in rows.items() if row} == expected, (alg, t)
+        direct = rank(differential_matrix(alg, t))
+        assert layout.boundary_rank(t) == sum(1 for _ in _eliminate(rows)) == direct, (alg, t)
 
 
 def test_weight_block_ranks_sum_to_whole_rank():

@@ -3,13 +3,15 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from math import comb
 
 import pytest
 
 # The CLI imports each verb's modules when the verb runs.  The tests that
-# count rank calls patch `rank` in every loaded karyhom module, so all of
-# them are loaded first: a module first imported under such a patch would
-# keep the patched function after the test.
+# count rank calls patch `rank` in every loaded karyhom module, and
+# `chains._boundary_rows`, which builds each whole boundary the layout
+# ranks, so all of them are loaded first: a module first imported under
+# such a patch would keep the patched function after the test.
 import karyhom.schur  # noqa: F401
 import karyhom.toral  # noqa: F401
 from karyhom.cli import main
@@ -78,6 +80,16 @@ def test_verify_heisenberg_ok(capsys):
     assert {"jacobi", "d_squared", "toral", "heisenberg_formula"} <= names
 
 
+@pytest.mark.parametrize("k, n", [(3, 3), (3, 4), (2, 4)])
+def test_verify_abelian_passes_the_toral_power_bound(capsys, k, n):
+    # the power bound reads the all-degree total, not the layout's
+    code, out = run_cli(capsys, "verify", "--family", "abelian", "--k", str(k), "--n", str(n))
+    assert code == 0
+    toral = next(c for c in json.loads(out)["checks"] if c["check"] == "toral")
+    assert toral["ok"] and toral["detail"]["holds_power"]
+    assert toral["detail"]["total_all_degrees"] == toral["detail"]["power_bound"] == 2**n
+
+
 def test_verify_reports_formula_failures(capsys):
     # the degree-k ACJ closed form overcounts for m >= 2: exit 1, honest record
     code, out = run_cli(capsys, "verify", "--family", "acj", "--k", "3", "--m", "2")
@@ -98,37 +110,55 @@ def test_verify_reports_formula_failures(capsys):
 def test_verify_ranks_each_boundary_once(monkeypatch, capsys):
     # the validators share the CLI algebra's memo, so no boundary is
     # ranked a second time on a rebuilt algebra
+    import karyhom.chains
     import karyhom.matrices
 
     original = karyhom.matrices.rank
+    boundary_rows = karyhom.chains._boundary_rows
     calls = Counter()
 
     def counting_rank(matrix):
         calls[matrix] += 1
         return original(matrix)
 
+    def counting_boundary_rows(alg, t):
+        calls[t] += 1
+        return boundary_rows(alg, t)
+
     for name, module in list(sys.modules.items()):
         if (name == "karyhom" or name.startswith("karyhom.")) and getattr(module, "rank", None) is original:
             monkeypatch.setattr(module, "rank", counting_rank)
+    monkeypatch.setattr(karyhom.chains, "_boundary_rows", counting_boundary_rows)
     code, out = run_cli(capsys, "verify", "--family", "heisenberg", "--k", "2", "--m", "3")
     assert code == 0 and json.loads(out)["ok"] is True
     assert calls and max(calls.values()) == 1
 
 
-def _count_rank_calls(monkeypatch):
-    """Replace rank in every karyhom module; returns the list of shapes ranked."""
+def _count_rank_calls(monkeypatch, degrees=None):
+    """Count rank in every karyhom module and the whole boundaries the
+    layout builds to rank; returns the list of shapes ranked.  The degree
+    of each whole boundary is appended to degrees when it is given."""
+    import karyhom.chains
     import karyhom.matrices
 
     original = karyhom.matrices.rank
+    boundary_rows = karyhom.chains._boundary_rows
     shapes = []
 
     def counting_rank(matrix):
         shapes.append((matrix.rows, matrix.cols))
         return original(matrix)
 
+    def counting_boundary_rows(alg, t):
+        shapes.append((comb(alg.dim, t - alg.arity + 1), comb(alg.dim, t)))
+        if degrees is not None:
+            degrees.append(t)
+        return boundary_rows(alg, t)
+
     for name, module in list(sys.modules.items()):
         if (name == "karyhom" or name.startswith("karyhom.")) and getattr(module, "rank", None) is original:
             monkeypatch.setattr(module, "rank", counting_rank)
+    monkeypatch.setattr(karyhom.chains, "_boundary_rows", counting_boundary_rows)
     return shapes
 
 
@@ -147,9 +177,9 @@ def test_verify_builds_only_the_boundaries_its_verdict_needs(
     # d^2 needs d_k, d_{2k-1} and d_{k+1}, d_{2k} only; no theta map is built
     import karyhom.chains
 
-    shapes = _count_rank_calls(monkeypatch)
-    split = karyhom.chains._split
     degrees = []
+    shapes = _count_rank_calls(monkeypatch, degrees)
+    split = karyhom.chains._split
 
     def counting_split(alg, t, key):
         degrees.append(t)

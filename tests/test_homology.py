@@ -317,16 +317,17 @@ def test_total_all_degrees_heisenberg_5_1():
 
 def test_boundary_ranks_are_computed_once(monkeypatch):
     # betti_all and total_homology_all_degrees share the algebra's memo:
-    # matrices.rank runs at most once per boundary degree, and not again
+    # a boundary degree is ranked at most once, and not again
     import karyhom.chains
 
+    boundary_rows = karyhom.chains._boundary_rows
     shapes = []
 
-    def counting_rank(matrix):
-        shapes.append((matrix.rows, matrix.cols))
-        return rank(matrix)
+    def counting_rows(alg, t):
+        shapes.append((comb(alg.dim, t - alg.arity + 1), comb(alg.dim, t)))
+        return boundary_rows(alg, t)
 
-    monkeypatch.setattr(karyhom.chains, "rank", counting_rank)
+    monkeypatch.setattr(karyhom.chains, "_boundary_rows", counting_rows)
     alg = heisenberg(3, 2)
     assert betti_all(alg).total == 51
     assert total_homology_all_degrees(alg) == 100
@@ -344,13 +345,14 @@ def test_graded_betti_ranks_whole_boundaries_once(monkeypatch):
     # give the rest, and none on a second pass
     import karyhom.chains
 
+    boundary_rows = karyhom.chains._boundary_rows
     calls = []
 
-    def counting_rank(matrix):
-        calls.append(matrix)
-        return rank(matrix)
+    def counting_rows(alg, t):
+        calls.append(t)
+        return boundary_rows(alg, t)
 
-    monkeypatch.setattr(karyhom.chains, "rank", counting_rank)
+    monkeypatch.setattr(karyhom.chains, "_boundary_rows", counting_rows)
     for alg, boundaries in ((free_two_step(3, 4), 2), (free_two_step(2, 4), 4)):
         calls.clear()
         betti_all(alg)
@@ -361,13 +363,15 @@ def test_graded_betti_ranks_whole_boundaries_once(monkeypatch):
 
 def test_large_instances_match_proved_closed_forms():
     # every layout degree, on boundaries of up to a few thousand columns
-    for alg, closed_form in (
-        (heisenberg(2, 7), heisenberg_betti_closed_form),
-        (acj(2, 7), acj_betti_closed_form),
+    # (heisenberg(3, 6): up to 92,378)
+    for family, closed_form, k, m in (
+        (heisenberg, heisenberg_betti_closed_form, 2, 7),
+        (acj, acj_betti_closed_form, 2, 7),
+        (heisenberg, heisenberg_betti_closed_form, 3, 6),
     ):
-        report = betti_all(alg)
+        report = betti_all(family(k, m))
         for t in report.degrees:
-            assert report.betti[t] == closed_form(2, 7, t), (alg, t)
+            assert report.betti[t] == closed_form(k, m, t), (family, k, m, t)
     # exact and mod-p elimination agree on 1350 here; the candidate formula says 1365
     assert ChainLayout.of(heisenberg(3, 5)).boundary_rank(7) == 1350
 

@@ -101,7 +101,7 @@ def _assert_bases(m, dense):
     as_dense = lambda vecs: [[v.get(c, 0) for c in range(m.cols)] for v in vecs]
 
     kernel = kernel_basis(m)
-    assert kernel == kernel_by_fraction_back_substitution(m.cols, list(_eliminate(m)))
+    assert kernel == kernel_by_fraction_back_substitution(m.cols, list(_eliminate(m.row_dicts())))
     assert len(kernel) == m.cols - expected
     for v in kernel:
         assert all(type(x) is int for x in v.values())
@@ -208,7 +208,7 @@ def _assert_echelon(m):
     """_eliminate's contract: distinct pivot columns, each pivot row of
     content 1, nonzero at its own pivot and zero at every earlier one."""
     seen = []
-    for pc, row in _eliminate(m):
+    for pc, row in _eliminate(m.row_dicts()):
         assert pc not in seen
         assert row[pc]
         assert not any(c in row for c in seen)

@@ -36,6 +36,10 @@ codes = [karyhom.cli.main(["dump", "--family", "heisenberg", "--k", "3", "--m", 
 stages["dump"] = loaded()
 codes.append(karyhom.cli.main(["check", "--family", "heisenberg", "--k", "3", "--m", "2"]))
 stages["check"] = loaded()
+codes.append(karyhom.cli.main(["compute", "--family", "heisenberg", "--k", "3", "--m", "2"]))
+stages["compute"] = loaded()
+codes.append(karyhom.cli.main(["verify", "--family", "heisenberg", "--k", "2", "--m", "2"]))
+stages["verify"] = loaded()
 sys.stdout = out
 print(json.dumps({"codes": codes, "stages": stages}))
 """
@@ -69,7 +73,7 @@ def _run_fresh(script) -> dict:
 @pytest.fixture(scope="module")
 def footprint():
     doc = _run_fresh(FOOTPRINT)
-    assert doc["codes"] == [0, 0]
+    assert doc["codes"] == [0, 0, 0, 0]
     return {stage: set(mods) for stage, mods in doc["stages"].items()}
 
 
@@ -88,6 +92,11 @@ def test_dump_and_check_load_only_their_own_modules(footprint):
 
 def test_dump_loads_no_matrices(footprint):
     assert "karyhom.matrices" not in footprint["dump"]
+
+
+def test_compute_and_verify_load_no_csv(footprint):
+    # only the --format csv renderers import csv
+    assert "csv" not in footprint["compute"] | footprint["verify"]
 
 
 def test_table_loads_neither_homology_nor_chains():

@@ -5,6 +5,7 @@ import pytest
 
 from karyhom.errors import InputError
 from karyhom.families import (
+    abelian,
     acj,
     current_algebra,
     free_three_step_small,
@@ -156,6 +157,17 @@ def test_verify_toral_two_step_instances():
         assert rec["holds_refinement"]
         # the 2-step bound strictly beats the plain power of two
         assert rec["refinement_bound"] >= rec["power_bound"] + 1
+
+
+@pytest.mark.parametrize("k, n", [(3, 3), (3, 4), (2, 4)])
+def test_verify_toral_power_bound_reads_all_degrees(k, n):
+    # the homology of abelian(k, n) is all of Lambda, 2^n = 2^(dim center);
+    # for k = 3 the layout skips degrees and totals only 5 and 9
+    rec = verify_toral(abelian(k, n))
+    assert rec["center_dim"] == n and rec["power_bound"] == 2**n
+    assert rec["total_all_degrees"] == 2**n
+    assert rec["total"] == (2**n if k == 2 else {3: 5, 4: 9}[n])
+    assert rec["holds_power"] and rec["ok"]
 
 
 def test_verify_toral_cap_none_means_no_limit(monkeypatch):
