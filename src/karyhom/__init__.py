@@ -29,10 +29,8 @@ _EXPORTS = {
     "chains": (
         "ChainLayout",
         "differential_matrix",
-        "monomial_weight",
         "verify_d_squared",
         "wedge_basis",
-        "weight_blocks",
     ),
     "errors": ("ConsistencyError", "InputError", "LoadError", "ResourceCapError"),
     "families": (

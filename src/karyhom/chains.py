@@ -19,15 +19,14 @@ stored bracket key have a nonzero image, so assembly costs about the
 number of nonzeros rather than C(dim, t) monomials times C(t, k)
 shuffles.  The terms take two routes:
 
-- `ChainLayout` ranks whole boundaries for Betti numbers from
-  `_boundary_rows`, {row mask: {column mask: int}}, with no wedge basis
-  and no index.
+- `_boundary_rows`, {row mask: {column mask: int}}, with no wedge basis
+  and no index, is what gets ranked: by `ChainLayout` for Betti numbers
+  and by `schur.character_by_weights`, which bins the pivots by weight.
 - `_split` is the one place that hands out lexicographic indices, so
   its matrices are reproducible bit for bit: `differential_matrix`
-  (and `--export-mm`), the weight blocks of characters, the theta maps
-  of `homology.theta_matrix` and the products of `verify_d_squared` are
-  all blocks of d_t it cuts out, over strictly increasing index tuples
-  listed by `wedge_basis`.
+  (and `--export-mm`), the theta maps of `homology.theta_matrix` and the
+  products of `verify_d_squared` are blocks of d_t it cuts out, over
+  strictly increasing index tuples listed by `wedge_basis`.
 
 When every ad(y_2, ..., y_k) is traceless, as in every nilpotent
 algebra, rank d_t = rank d_{n+k-1-t} (see `ChainLayout`), and each pair
@@ -37,7 +36,6 @@ brackets; a custom algebra that fails it ranks every degree.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import combinations
 
 from .algebra import DEFAULT_SIZE_CAP, KaryAlgebra, _adjoint
@@ -113,59 +111,42 @@ def _boundary_rows(alg: KaryAlgebra, t: int) -> dict:
     return rows
 
 
-WeightBlock = namedtuple("WeightBlock", "weight column_monomials row_monomials matrix")
+def _split(alg: KaryAlgebra, t: int, keep=None):
+    """The block of d_t on the monomials keep accepts: (columns, matrix).
 
-
-def _split(alg: KaryAlgebra, t: int, key):
-    """d_t cut into blocks by key(monomial); {key: WeightBlock}, sorted.
-
-    This is the one place where the terms of d_t get lexicographic
-    indices and become matrices.  The wedge bases of degrees t and
-    t-k+1 give one {mask: (block, index)} map (the two degrees never
-    share a mask), and one pass over the terms sends each to the block
-    of its column.  A key of None puts a monomial in no block: it is
-    left out of the rows, and the terms of its column are dropped.  The
-    image of every kept column must lie in the rows of its block.
+    The one place where the terms of d_t get lexicographic indices and
+    become a matrix.  Columns are the degree-t monomials, rows the
+    (t-k+1)-monomials, that keep(monomial) accepts (None: all of them),
+    in `wedge_basis` order; the terms of dropped columns are dropped, and
+    the image of every kept column must lie in the kept rows.
     """
     k = alg.arity
     if t < k:
         raise InputError(f"boundary needs degree >= {k}, got {t}")
     if t > alg.dim:
         raise InputError(f"degree {t} exceeds dimension {alg.dim}")
-    cols, rows = {}, {}
-    for groups, degree in ((cols, t), (rows, t - k + 1)):
-        for mono in wedge_basis(alg, degree):
-            w = key(mono)
-            if w is not None:
-                groups.setdefault(w, []).append(mono)
     bit = [1 << (alg.dim - 1 - i) for i in range(alg.dim)]
-    at = {
-        sum(map(bit.__getitem__, mono)): (w, j)
-        for groups in (cols, rows)
-        for w, group in groups.items()
-        for j, mono in enumerate(group)
-    }
-    entries = {w: {} for w in cols}
+    cols, rows = (
+        [m for m in wedge_basis(alg, degree) if keep is None or keep(m)]
+        for degree in (t, t - k + 1)
+    )
+    col_at, row_at = (
+        {sum(map(bit.__getitem__, m)): j for j, m in enumerate(monos)}
+        for monos in (cols, rows)
+    )
+    entries = {}
     for row, col, v in _terms(alg, t):
-        place = at.get(col)
-        if place is not None:
-            w, j = place
-            block, e = entries[w], (at[row][1], j)
-            block[e] = block.get(e, 0) + v
-    blocks = {}
-    for w in sorted(cols):
-        block_cols, block_rows = tuple(cols[w]), tuple(rows.get(w, ()))
-        matrix = SparseIntMatrix(len(block_rows), len(block_cols), entries.pop(w))
-        blocks[w] = WeightBlock(w, block_cols, block_rows, matrix)
-    return blocks
+        j = col_at.get(col)
+        if j is not None:
+            e = (row_at[row], j)
+            entries[e] = entries.get(e, 0) + v
+    return cols, SparseIntMatrix(len(rows), len(cols), entries)
 
 
 def differential_matrix(alg: KaryAlgebra, t: int) -> SparseIntMatrix:
-    """Matrix of d_t from the degree-t to the degree-(t-k+1) wedge basis.
-
-    This is the single-block case of `weight_blocks`.
-    """
-    return _split(alg, t, lambda mono: ())[()].matrix
+    """Matrix of d_t from the degree-t to the degree-(t-k+1) wedge basis:
+    `_split` keeping every monomial."""
+    return _split(alg, t)[1]
 
 
 def verify_d_squared(alg: KaryAlgebra, *, cap=DEFAULT_SIZE_CAP):
@@ -204,27 +185,6 @@ def verify_d_squared(alg: KaryAlgebra, *, cap=DEFAULT_SIZE_CAP):
     return [t for t in range(2 * k - 1, alg.dim + 1) if fails(t)]
 
 
-def monomial_weight(alg: KaryAlgebra, monomial):
-    """Total torus weight of a wedge monomial (requires a graded algebra)."""
-    if alg.weights is None:
-        raise InputError("algebra carries no weight grading")
-    zero = (0,) * alg.weight_rank
-    return tuple(map(sum, zip(zero, *map(alg.weights.__getitem__, monomial))))
-
-
-def weight_blocks(alg: KaryAlgebra, t: int):
-    """Split d_t into its weight-homogeneous blocks.
-
-    Weight-additivity makes d_t block diagonal: each block maps the
-    degree-t monomials of one total weight to the degree-(t-k+1)
-    monomials of the same weight.  Returns {weight: WeightBlock}, keyed
-    in sorted order; the union of blocks reproduces the full matrix.
-    """
-    if alg.weights is None:
-        raise InputError("algebra carries no weight grading")
-    return _split(alg, t, lambda mono: monomial_weight(alg, mono))
-
-
 class ChainLayout:
     """The chain complex of one algebra and the ranks of its boundaries.
 
@@ -233,9 +193,10 @@ class ChainLayout:
     by `matrices._eliminate` and dropped; only {t: rank d_t} is kept, and
     no wedge basis, lexicographic index or `SparseIntMatrix` is built
     (those come from `_split`).  Weights play no part here: Betti
-    numbers need whole ranks only, and the weight blocks that characters
-    need are ranked by `schur.character_by_weights`.  `ChainLayout.of(alg)` returns the
-    layout kept on the algebra, so every caller shares one memo.
+    numbers need whole ranks only, and `schur.character_by_weights`,
+    which needs per-weight ranks, eliminates the same rows itself.
+    `ChainLayout.of(alg)` returns the layout kept on the algebra, so
+    every caller shares one memo.
 
     Duality.  Let n = dim, top = n+k-1, S^c the complement of S in
     {0, ..., n-1}, and e_S ^ e_{S^c} = eps(S) e_0 ^ ... ^ e_{n-1}.  If

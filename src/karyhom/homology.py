@@ -216,13 +216,10 @@ def theta_matrix(alg: KaryAlgebra, j: int) -> SparseIntMatrix:
     if j < k - 1 or rows == 0 or cols == 0:
         return SparseIntMatrix(rows, cols, {})
 
-    def key(mono):
-        return () if (z in mono) == (len(mono) == j + 1) else None
-
-    block = _split(alg, j + 1, key)[()]
-    sign = [-1 if mono.index(z) % 2 else 1 for mono in block.column_monomials]
+    columns, block = _split(alg, j + 1, lambda mono: (z in mono) == (len(mono) == j + 1))
+    sign = [-1 if mono.index(z) % 2 else 1 for mono in columns]
     return SparseIntMatrix(
-        rows, cols, {(r, c): sign[c] * v for (r, c), v in block.matrix.entries.items()}
+        rows, cols, {(r, c): sign[c] * v for (r, c), v in block.entries.items()}
     )
 
 

@@ -2,12 +2,13 @@
 
 For a weight-graded algebra the boundary maps preserve every torus
 weight, so each homology group carries a polynomial GL(V)-character.
-The character is read off block by block (kernel minus image per weight)
-and decomposed into Schur modules by highest-weight peeling: repeatedly
-subtract the character of the lexicographically greatest dominant weight
-present.  All of it is exact integer combinatorics; Schur characters
-come from the GL(n) -> GL(n-1) branching rule (Gelfand-Tsetlin) and
-dimensions from the hook content formula.
+The character is read off the pivots of whole boundaries, binned by
+weight (kernel minus image per weight), and decomposed into Schur
+modules by highest-weight peeling: repeatedly subtract the character of
+the lexicographically greatest dominant weight present.  All of it is
+exact integer combinatorics; Schur characters come from the GL(n) ->
+GL(n-1) branching rule (Gelfand-Tsetlin) and dimensions from the hook
+content formula.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from functools import lru_cache
 from itertools import product
 
 from .algebra import KaryAlgebra
-from .chains import DEFAULT_SIZE_CAP, ChainLayout, check_cap, monomial_weight, wedge_basis, weight_blocks
+from .chains import DEFAULT_SIZE_CAP, ChainLayout, _boundary_rows, check_cap
 from .errors import ConsistencyError, InputError
-from .matrices import rank
+from .matrices import _eliminate
 from .util import comb0
 
 # -- partitions and Schur dimensions -------------------------------------
@@ -94,18 +95,26 @@ def _branch(lam: tuple, n: int) -> dict:
     return table
 
 
-# -- characters from weight blocks ----------------------------------------
+# -- characters from whole boundaries ---------------------------------------
 
 
 def character_by_weights(alg: KaryAlgebra, t: int, *, cap=DEFAULT_SIZE_CAP) -> dict:
-    """GL(V)-character of the homology at layout degree t.
+    """GL(V)-character {weight: multiplicity} of the homology at layout
+    degree t, zero entries dropped: at w, the degree-t monomials of
+    weight w minus the pivots of weight w (a pivot weighs what its
+    column monomial does) that `matrices._eliminate` finds in d_t and in
+    d_{t+k-1}, each eliminated once, whole, from `chains._boundary_rows`
+    after both are checked against cap.
 
-    For each total weight w the multiplicity is the block kernel of d_t
-    minus the block rank of d_{t+k-1}; zero entries are dropped.  The
-    blocks are assembled and ranked here, once per call: Betti numbers
-    come from whole boundaries (`ChainLayout`), which do not remember
-    per-weight ranks.  The chain spaces of both boundaries are checked
-    against cap first.
+    Proof that the pivots of weight w in d_s count the rank of its
+    weight-w block.  Brackets are weight-additive (the constructor
+    checks it), so each term of d_s joins a row and a column of one
+    weight: every row is weight-homogeneous.  `_eliminate` combines two
+    rows only through a column both hold, so rows stay homogeneous, and
+    its run on the rows of weight w is its run on the weight-w block
+    alone: the same rows, row order, column order (a column's input
+    count lies in its block) and reductions.  The rows of d_{t+k-1} are
+    degree-t monomials, so both boundaries bin on degree-t weights.
     """
     if alg.weights is None:
         raise InputError("character requires a weight-graded algebra")
@@ -115,27 +124,59 @@ def character_by_weights(alg: KaryAlgebra, t: int, *, cap=DEFAULT_SIZE_CAP) -> d
         raise InputError(f"{t} is not a chain degree of the layout {degrees}")
     check_cap(alg, (t, t - k + 1, t + k - 1), cap)
 
-    # The blocks of d_t hold every degree-t monomial as a column, so they
-    # give the chain-space counts; below degree k d_t is zero.
-    cols = Counter()
-    if t < k:
-        cols.update(monomial_weight(alg, mono) for mono in wedge_basis(alg, t))
-    ranks = Counter()
+    packed, unpack, mask_weight = _weight_codec(alg, t + k - 1)
+    # layers[j]: degree-j monomials of the indices seen, by weight, while t is in reach
+    layers = [Counter({0: 1})] + [Counter() for _ in range(t)]
+    for i, p in enumerate(packed):
+        for j in range(min(i + 1, t), max(0, t - alg.dim + i), -1):
+            for w, c in layers[j - 1].items():
+                layers[j][w + p] += c
+    cols, pivots = layers[t], Counter()
     for d in (t, t + k - 1):
         if k <= d <= alg.dim:
-            for w, block in weight_blocks(alg, d).items():
-                ranks[w] += rank(block.matrix)
-                if d == t:
-                    cols[w] = len(block.column_monomials)
+            pivots.update(mask_weight(pc) for pc, _ in _eliminate(_boundary_rows(alg, d)))
 
     table = {}
-    for w in cols:
-        mult = cols[w] - ranks[w]
+    for w in cols.keys() | pivots.keys():
+        mult = cols[w] - pivots[w]
         if mult < 0:
-            raise ConsistencyError(f"negative multiplicity {mult} at weight {w}")
+            raise ConsistencyError(f"negative multiplicity {mult} at weight {unpack(w)}")
         if mult:
-            table[w] = mult
+            table[unpack(w)] = mult
     return table
+
+
+def _weight_codec(alg: KaryAlgebra, degree: int):
+    """Torus weights as ints: (packed weight of each basis index, unpack,
+    packed weight of a `chains` monomial mask, one table lookup per byte).
+    Coordinate j is a signed field of B bits at bit B*j, with 2^(B-1)
+    above the coordinates of any monomial of at most `degree` factors, so
+    packing adds up over such monomials."""
+    n, r = alg.dim, alg.weight_rank
+    width = (degree * max((abs(x) for w in alg.weights.values() for x in w), default=0)).bit_length() + 1
+    packed = [sum(x << (width * j) for j, x in enumerate(alg.weights[i])) for i in range(n)]
+    half = 1 << (width - 1)
+    bias = sum(half << (width * j) for j in range(r))  # makes every field nonnegative
+
+    def unpack(x: int) -> tuple:
+        return tuple(((x + bias) >> (width * j) & (2 * half - 1)) - half for j in range(r))
+
+    tables = []
+    for shift in range(0, n, 8):
+        table = [0]
+        # bit shift+b of a mask is basis index n-1-shift-b, b = 0..7
+        for i in range(n - 1 - shift, max(-1, n - 9 - shift), -1):
+            table += [v + packed[i] for v in table]
+        tables.append(table)
+
+    def mask_weight(mask: int) -> int:
+        total = 0
+        for table in tables:
+            total += table[mask & 255]
+            mask >>= 8
+        return total
+
+    return packed, unpack, mask_weight
 
 
 def decompose_character(table: dict, n: int):

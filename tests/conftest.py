@@ -1,10 +1,14 @@
 """Shared test oracles, deliberately independent of the library internals."""
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, lcm
 
 from karyhom.algebra import KaryAlgebra
+from karyhom.chains import differential_matrix, wedge_basis
+from karyhom.errors import InputError
+from karyhom.matrices import SparseIntMatrix, rank
 
 
 def dense_rank(dense_rows):
@@ -207,6 +211,83 @@ def schur_weights_by_tableaux(lam, n):
         key = tuple(weight)
         counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def graded_filiform3():
+    """[x0, x1, x_i] = x_{i+1} for i = 2, 3, 4: a 6-dim arity-3 algebra
+    that no family builds, graded by hand in Z^3."""
+    e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    return KaryAlgebra(
+        3, 6, "abcdef",
+        {(0, 1, 2): {3: 1}, (0, 1, 3): {4: 1}, (0, 1, 4): {5: 1}},
+        {0: e[0], 1: e[1], 2: e[2], 3: (1, 1, 1), 4: (2, 2, 1), 5: (3, 3, 1)},
+    )
+
+
+WeightBlock = namedtuple("WeightBlock", "weight column_monomials row_monomials matrix")
+
+
+def monomial_weight(alg: KaryAlgebra, monomial):
+    """Total torus weight of a wedge monomial (requires a graded algebra)."""
+    if alg.weights is None:
+        raise InputError("algebra carries no weight grading")
+    zero = (0,) * alg.weight_rank
+    return tuple(map(sum, zip(zero, *map(alg.weights.__getitem__, monomial))))
+
+
+def weight_blocks(alg: KaryAlgebra, t: int):
+    """d_t cut into its weight-homogeneous blocks: {weight: WeightBlock},
+    in sorted order, one block per weight of a degree-t monomial.
+
+    The block oracle: `differential_matrix` with its columns and rows
+    grouped by the weights of their wedge-basis monomials, each group in
+    basis order.  Weight-additivity puts every entry inside one block,
+    which is asserted; the blocks reassemble the whole matrix.
+    """
+    if alg.weights is None:
+        raise InputError("algebra carries no weight grading")
+    full = differential_matrix(alg, t)
+    groups, places = {}, []
+    for side, degree in enumerate((t, t - alg.arity + 1)):
+        place = []
+        for mono in wedge_basis(alg, degree):
+            w = monomial_weight(alg, mono)
+            group = groups.setdefault(w, ([], []))[side]
+            place.append((w, len(group)))
+            group.append(mono)
+        places.append(place)
+    entries = {w: {} for w in groups}
+    for (r, c), v in full.entries.items():
+        (w, j), (row_w, i) = places[0][c], places[1][r]
+        assert row_w == w, (t, r, c)
+        entries[w][(i, j)] = v
+    return {
+        w: WeightBlock(w, tuple(cols), tuple(rows), SparseIntMatrix(len(rows), len(cols), entries[w]))
+        for w, (cols, rows) in sorted(groups.items())
+        if cols
+    }
+
+
+def characters_by_blocks(alg: KaryAlgebra, degrees):
+    """{t: GL(V)-character {weight: multiplicity}} of the homology at the
+    layout degrees t, from `weight_blocks`: the degree-t monomials of
+    weight w minus the ranks of the weight-w blocks of d_t and d_{t+k-1}
+    (each boundary cut and ranked once)."""
+    k = alg.arity
+    ranks = {}
+    for d in {s for t in degrees for s in (t, t + k - 1) if k <= s <= alg.dim}:
+        ranks[d] = {w: rank(block.matrix) for w, block in weight_blocks(alg, d).items()}
+    out = {}
+    for t in degrees:
+        table = {}
+        for mono in wedge_basis(alg, t):
+            w = monomial_weight(alg, mono)
+            table[w] = table.get(w, 0) + 1
+        for d in (t, t + k - 1):
+            for w, r in ranks.get(d, {}).items():
+                table[w] = table.get(w, 0) - r
+        out[t] = {w: m for w, m in table.items() if m}
+    return out
 
 
 def _jacobi_residual(alg: KaryAlgebra, inner, outer):

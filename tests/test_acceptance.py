@@ -23,9 +23,10 @@ from conftest import (
     euler_ok_by_binomials,
     flip_bracket_signs,
     heisenberg_betti_closed_form,
+    weight_blocks,
 )
 from karyhom.algebra import center, check_jacobi
-from karyhom.chains import differential_matrix, verify_d_squared, weight_blocks
+from karyhom.chains import differential_matrix, verify_d_squared
 from karyhom.families import (
     abelian,
     acj,

@@ -10,18 +10,19 @@ from conftest import (
     d_squared_failing_degrees_all,
     dense_rank,
     flip_bracket_signs,
+    graded_filiform3,
+    monomial_weight,
     shuffles,
     to_dense,
+    weight_blocks,
 )
 from karyhom.algebra import KaryAlgebra, check_jacobi
 from karyhom.chains import (
     ChainLayout,
     _boundary_rows,
     differential_matrix,
-    monomial_weight,
     verify_d_squared,
     wedge_basis,
-    weight_blocks,
 )
 from karyhom.errors import InputError
 from karyhom.families import (
@@ -408,15 +409,9 @@ def test_layout_ranks_mask_rows_like_the_assembled_matrices(alg):
 
 
 def test_weight_block_ranks_sum_to_whole_rank():
-    # Betti numbers come from whole boundaries and characters from weight
-    # blocks; the two must agree at every boundary degree
-    e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    filiform3 = KaryAlgebra(  # [x0, x1, x_i] = x_{i+1}, graded by hand
-        3, 6, "abcdef",
-        {(0, 1, 2): {3: 1}, (0, 1, 3): {4: 1}, (0, 1, 4): {5: 1}},
-        {0: e[0], 1: e[1], 2: e[2], 3: (1, 1, 1), 4: (2, 2, 1), 5: (3, 3, 1)},
-    )
-    for alg in (free_two_step(2, 4), free_two_step(3, 4), filiform3):
+    # the ranks of the oracle's weight blocks add up to the whole rank at
+    # every boundary degree
+    for alg in (free_two_step(2, 4), free_two_step(3, 4), graded_filiform3()):
         for t in range(alg.arity, alg.dim + 1):
             blocks = weight_blocks(alg, t).values()
             whole = rank(differential_matrix(alg, t))

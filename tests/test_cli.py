@@ -181,9 +181,9 @@ def test_verify_builds_only_the_boundaries_its_verdict_needs(
     shapes = _count_rank_calls(monkeypatch, degrees)
     split = karyhom.chains._split
 
-    def counting_split(alg, t, key):
+    def counting_split(alg, t, keep=None):
         degrees.append(t)
-        return split(alg, t, key)
+        return split(alg, t, keep)
 
     for name, module in list(sys.modules.items()):
         if (name == "karyhom" or name.startswith("karyhom.")) and getattr(module, "_split", None) is split:

@@ -1,3 +1,5 @@
+import json
+import random
 from fractions import Fraction
 from math import comb
 
@@ -5,7 +7,8 @@ import pytest
 
 from karyhom.errors import ConsistencyError, InputError
 from karyhom.families import free_two_step, heisenberg
-from karyhom.algebra import KaryAlgebra
+from karyhom.algebra import KaryAlgebra, algebra_to_json_dict, load_algebra
+from karyhom.chains import ChainLayout
 from karyhom.homology import betti
 from karyhom.schur import (
     character_by_weights,
@@ -21,7 +24,7 @@ from karyhom.schur import (
     second_homology_summands,
     stability_check,
 )
-from conftest import schur_weights_by_tableaux
+from conftest import characters_by_blocks, graded_filiform3, schur_weights_by_tableaux
 
 
 # -- dimensions ---------------------------------------------------------
@@ -148,11 +151,68 @@ def test_character_free2_totals():
     assert sum(character_by_weights(free_two_step(3, 4), 3).values()) == 44
 
 
+FREE2 = [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5)]
+
+
 def test_character_total_equals_betti():
-    for k, n, t in ((3, 4, 3), (2, 3, 2), (2, 3, 3), (3, 4, 5)):
+    for k, n in FREE2:
         alg = free_two_step(k, n)
-        table = character_by_weights(alg, t)
-        assert sum(table.values()) == betti(alg, t)
+        for t in ChainLayout(alg).degrees:
+            table = character_by_weights(alg, t)
+            assert sum(table.values()) == betti(alg, t), (k, n, t)
+
+
+def _with_weights(alg, weights):
+    """alg with the weights {index: vector}, which must keep the brackets
+    weight-additive."""
+    return KaryAlgebra(alg.arity, alg.dim, alg.labels, alg.brackets, weights)
+
+
+def _relabelled_document(alg, rng):
+    """alg's --input document in a shuffled basis: basis index i becomes
+    perm[i], each key re-sorted with the sign of the sort, weights moved
+    along with their basis elements."""
+    doc = algebra_to_json_dict(alg)
+    perm = list(range(alg.dim))
+    rng.shuffle(perm)
+    brackets = []
+    for item in doc["brackets"]:
+        args = [perm[a] for a in item["args"]]
+        inversions = sum(a > b for i, a in enumerate(args) for b in args[i + 1:])
+        sign = -1 if inversions % 2 else 1
+        value = sorted([sign * c, perm[i]] for c, i in item["value"])
+        brackets.append({"args": sorted(args), "value": value})
+    weights = [None] * alg.dim
+    for i, w in enumerate(doc["weights"]):
+        weights[perm[i]] = w
+    return {**doc, "brackets": sorted(brackets, key=lambda b: b["args"]), "weights": weights}
+
+
+def test_character_matches_the_block_oracle_at_every_degree(tmp_path):
+    # the pivots of whole boundaries, binned by weight, against ranks of
+    # weight blocks cut from differential_matrix, weight by weight
+    f24, f34, heis = free_two_step(2, 4), free_two_step(3, 4), heisenberg(3, 2)
+    # Z^4 -> Z^2 by a matrix with negative entries: a coarser grading
+    negative = _with_weights(f24, {
+        i: (w[0] - w[1] + 2 * w[2], w[1] - w[2] - 2 * w[3]) for i, w in f24.weights.items()
+    })
+    assert any(x < 0 for w in negative.weights.values() for x in w)
+    # weight rank 1: heisenberg(3, 2) graded by degree
+    centre = {w for vec in heis.brackets.values() for w in vec}
+    by_degree = _with_weights(heis, {i: (3,) if i in centre else (1,) for i in range(heis.dim)})
+    path = tmp_path / "free2-3-4.json"
+    path.write_text(json.dumps(_relabelled_document(f34, random.Random(7))))
+    relabelled = load_algebra(path)
+    assert relabelled.weights != f34.weights
+    algebras = [free_two_step(k, n) for k, n in FREE2]
+    for alg in algebras + [graded_filiform3(), negative, by_degree, relabelled]:
+        degrees = ChainLayout(alg).degrees
+        oracle = characters_by_blocks(alg, degrees)
+        for t in degrees:
+            assert character_by_weights(alg, t) == oracle[t], (alg, t)
+    # a relabelled basis moves weights with their basis elements
+    for t in ChainLayout(f34).degrees:
+        assert character_by_weights(relabelled, t) == character_by_weights(f34, t), t
 
 
 def test_character_requires_grading():

@@ -36,6 +36,8 @@ codes = [karyhom.cli.main(["dump", "--family", "heisenberg", "--k", "3", "--m", 
 stages["dump"] = loaded()
 codes.append(karyhom.cli.main(["check", "--family", "heisenberg", "--k", "3", "--m", "2"]))
 stages["check"] = loaded()
+codes.append(karyhom.cli.main(["decompose", "--family", "free2", "--k", "2", "--n", "3", "--degree", "2"]))
+stages["decompose"] = loaded()
 codes.append(karyhom.cli.main(["compute", "--family", "heisenberg", "--k", "3", "--m", "2"]))
 stages["compute"] = loaded()
 codes.append(karyhom.cli.main(["verify", "--family", "heisenberg", "--k", "2", "--m", "2"]))
@@ -73,7 +75,7 @@ def _run_fresh(script) -> dict:
 @pytest.fixture(scope="module")
 def footprint():
     doc = _run_fresh(FOOTPRINT)
-    assert doc["codes"] == [0, 0, 0, 0]
+    assert doc["codes"] == [0, 0, 0, 0, 0]
     return {stage: set(mods) for stage, mods in doc["stages"].items()}
 
 
@@ -92,6 +94,12 @@ def test_dump_and_check_load_only_their_own_modules(footprint):
 
 def test_dump_loads_no_matrices(footprint):
     assert "karyhom.matrices" not in footprint["dump"]
+
+
+def test_decompose_loads_only_the_character_path(footprint):
+    # it runs after dump and check, which load no homology or toral
+    assert {"karyhom.chains", "karyhom.matrices", "karyhom.schur"} <= footprint["decompose"]
+    assert not {"karyhom.homology", "karyhom.toral", "csv"} & footprint["decompose"]
 
 
 def test_compute_and_verify_load_no_csv(footprint):
