@@ -409,16 +409,33 @@ def test_size_cap_exit_code(capsys):
     assert code == 3
 
 
-def test_export_matrix_market(tmp_path, capsys):
+_MM_HEADER = "%%MatrixMarket matrix coordinate integer general\n"
+
+# every exported boundary, byte for byte: rows and columns in the
+# lexicographic order of the wedge monomials
+GOLDEN_EXPORTS = {
+    ("heisenberg", "3", "1"): {
+        "boundary_3.mtx": _MM_HEADER + "4 4 1\n4 1 1\n",
+    },
+    ("acj", "2", "2"): {
+        "boundary_2.mtx": _MM_HEADER + "5 10 2\n4 1 1\n5 2 1\n",
+        "boundary_3.mtx": _MM_HEADER + "10 10 4\n7 1 1\n8 1 -1\n10 3 1\n10 4 -1\n",
+        "boundary_4.mtx": _MM_HEADER + "10 5 2\n9 1 -1\n10 2 -1\n",
+        "boundary_5.mtx": _MM_HEADER + "5 1 0\n",
+    },
+}
+
+
+@pytest.mark.parametrize("family, k, m", sorted(GOLDEN_EXPORTS))
+def test_export_matrix_market(tmp_path, capsys, family, k, m):
     out_dir = tmp_path / "mm"
     code, _ = run_cli(
-        capsys, "compute", "--family", "heisenberg", "--k", "3", "--m", "1",
+        capsys, "compute", "--family", family, "--k", k, "--m", m,
         "--export-mm", str(out_dir),
     )
     assert code == 0
-    assert (out_dir / "boundary_3.mtx").exists()
-    text = (out_dir / "boundary_3.mtx").read_text()
-    assert text.startswith("%%MatrixMarket matrix coordinate integer general")
+    exported = {path.name: path.read_bytes().decode("ascii") for path in out_dir.iterdir()}
+    assert exported == GOLDEN_EXPORTS[family, k, m]
 
 
 def test_module_entry_point():

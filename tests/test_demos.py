@@ -13,6 +13,71 @@ DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 SRC = str(Path(karyhom.__file__).resolve().parent.parent)
 
 
+# the printed consumers of `theta_matrix` (02) and of
+# `differential_matrix` and its MatrixMarket export (03), pinned whole
+GOLDEN_STDOUT = {
+    "02_acj_adjoint_contraction": (
+        "acj(k=2, m=2)\n"
+        "  H^1: direct 3, via theta kernels 3 [ok]\n"
+        "  H^2: direct 6, via theta kernels 6 [ok]\n"
+        "  H^3: direct 6, via theta kernels 6 [ok]\n"
+        "  H^4: direct 3, via theta kernels 3 [ok]\n"
+        "  H^5: direct 1, via theta kernels 1 [ok]\n"
+        "acj(k=3, m=1)\n"
+        "  H^1: direct 3, via theta kernels 3 [ok]\n"
+        "  H^3: direct 3, via theta kernels 3 [ok]\n"
+        "acj(k=3, m=2)\n"
+        "  H^1: direct 5, via theta kernels 5 [ok]\n"
+        "  H^3: direct 28, via theta kernels 28 [ok]\n"
+        "  H^5: direct 16, via theta kernels 16 [ok]\n"
+        "  H^7: direct 1, via theta kernels 1 [ok]\n"
+        "acj(k=4, m=1)\n"
+        "  H^1: direct 4, via theta kernels 4 [ok]\n"
+        "  H^4: direct 4, via theta kernels 4 [ok]\n"
+        "\n"
+        "theta ranks for acj(3, 1):\n"
+        "  theta_0: 0x1, rank 0\n"
+        "  theta_1: 1x3, rank 0\n"
+        "  theta_2: 3x3, rank 1\n"
+        "  theta_3: 3x1, rank 0\n"
+        "\n"
+        "Arity 2 recovers the classical per-degree product formula:\n"
+        "  {0: (1, 1), 1: (4, 4), 2: (12, 12), 3: (18, 18), 4: (18, 18), 5: (12, 12), 6: (4, 4), 7: (1, 1)}\n"
+        "\n"
+        "The degree-k closed-form candidate works only for m = 1; for m >= 2\n"
+        "it double-counts image elements shared between bracket blocks:\n"
+        "  acj(3,1): direct H^3 = 3, candidate = 3\n"
+        "  acj(3,2): direct H^3 = 28, candidate = 26\n"
+    ),
+    "03_free_nilpotent": (
+        "free 3-step, k=3: basis x1, x2, x3, y, z1, z2, z3\n"
+        "  Jacobi violations: 0  d^2 failures: []\n"
+        "  Betti: {0: 1, 1: 3, 3: 24, 5: 14, 7: 1}  total: 43\n"
+        "  boundary at degree 3: 7x35, nnz 4, rank 4\n"
+        "  boundary at degree 5: 35x21, nnz 12, rank 7\n"
+        "  boundary at degree 7: 21x1, nnz 0, rank 0\n"
+        "\n"
+        "MatrixMarket export of the degree-5 boundary (first lines):\n"
+        "%%MatrixMarket matrix coordinate integer general\n"
+        "35 21 12\n"
+        "13 2 1\n"
+        "14 3 1\n"
+        "23 1 1\n"
+        "25 3 -1\n"
+        "\n"
+        "free3(k=4): Betti {0: 1, 1: 4, 4: 110, 7: 25}, total 140\n"
+        "free3(k=5): Betti {0: 1, 1: 5, 5: 440, 9: 39}, total 485\n"
+        "\n"
+        "free2(k=2, n=4) (dim 10): total homology 420\n"
+        "   Betti: {0: 1, 1: 4, 2: 20, 3: 56, 4: 84, 5: 90, 6: 84, 7: 56, 8: 20, 9: 4, 10: 1}\n"
+        "free2(k=3, n=4) (dim 8): total homology 97\n"
+        "   Betti: {0: 1, 1: 4, 3: 44, 5: 44, 7: 4}\n"
+        "free2(k=3, n=5) (dim 15): total homology 10619\n"
+        "   Betti: {0: 1, 1: 5, 3: 274, 5: 1935, 7: 4228, 9: 3250, 11: 870, 13: 55, 15: 1}\n"
+    ),
+}
+
+
 def test_all_demos_are_found():
     assert len(DEMOS) == 6
 
@@ -26,3 +91,4 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout and not proc.stderr
+    assert proc.stdout == GOLDEN_STDOUT.get(demo.stem, proc.stdout)
