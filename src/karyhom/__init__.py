@@ -30,7 +30,6 @@ _EXPORTS = {
         "ChainLayout",
         "differential_matrix",
         "verify_d_squared",
-        "wedge_basis",
     ),
     "errors": ("ConsistencyError", "InputError", "LoadError", "ResourceCapError"),
     "families": (
@@ -64,11 +63,9 @@ _EXPORTS = {
         "SparseIntMatrix",
         "is_probable_prime",
         "kernel_dim",
-        "multiply",
         "random_prime",
         "rank",
         "rank_mod_p",
-        "read_matrix_market",
         "write_matrix_market",
     ),
     "schur": (

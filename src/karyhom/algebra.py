@@ -259,14 +259,6 @@ def _jacobi_fails(brackets, ad, inner, outer):
     return any(residual.values())
 
 
-def _stack(n, rows):
-    """Sparse {index: int} rows as the rows of an n-column integer matrix."""
-    from .matrices import SparseIntMatrix
-
-    entries = {(r, c): x for r, row in enumerate(rows) for c, x in row.items()}
-    return SparseIntMatrix(len(rows), n, entries)
-
-
 def lower_central_series(alg: KaryAlgebra):
     """Bases of g, C^2, C^3, ... with C^{i+1} = span[C^i, g, ..., g].
 
@@ -280,19 +272,18 @@ def lower_central_series(alg: KaryAlgebra):
     """
     from .matrices import row_basis
 
-    n = alg.dim
     ad = list(_adjoint(alg).values())
-    series = [[{i: 1} for i in range(n)]]
+    series = [[{i: 1} for i in range(alg.dim)]]
     while series[-1]:
-        spans = []
+        spans = {}
         for v in series[-1]:
             for row in ad:
                 img = {}
                 for x, c in v.items():
                     for j, cj in row.get(x, _ZERO).items():
                         img[j] = img.get(j, 0) + c * cj
-                spans.append(img)
-        series.append(row_basis(_stack(n, spans)))
+                spans[len(spans)] = {j: c for j, c in img.items() if c}
+        series.append(row_basis(spans))
         if len(series[-1]) == len(series[-2]):
             break
     return series
@@ -311,16 +302,15 @@ def center(alg: KaryAlgebra) -> list:
     primitive {index: int} rows `matrices.kernel_basis` returns; it is
     not canonical.
     """
-    from .matrices import SparseIntMatrix, kernel_basis
+    from .matrices import kernel_basis
 
     n = alg.dim
-    ad = _adjoint(alg)
-    entries = {}
-    for r, row in enumerate(ad.values()):
+    rows = {}
+    for r, row in enumerate(_adjoint(alg).values()):
         for j, vec in row.items():
             for out, c in vec.items():
-                entries[(r * n + out, j)] = c
-    return kernel_basis(SparseIntMatrix(len(ad) * n, n, entries))
+                rows.setdefault(r * n + out, {})[j] = c
+    return kernel_basis(rows, n)
 
 
 # -- JSON interchange ---------------------------------------------------
@@ -363,7 +353,7 @@ def algebra_from_json_dict(doc: dict) -> KaryAlgebra:
     and 1 are one index) are checked here; every other value goes to the
     `KaryAlgebra` constructor as it stands, which validates it.  Rational coefficients are accepted
     and cleared to integers by one global scaling of the bracket
-    (multiplying the whole k-linear map by a positive constant preserves
+    (scaling the whole k-linear map by a positive constant preserves
     the Jacobi identity and every rank).
     """
     try:

@@ -1,4 +1,4 @@
-"""Wedge bases and the shuffle-sum boundary maps of a k-ary algebra.
+"""The shuffle-sum boundary maps of a k-ary algebra, in one row form.
 
 The chain spaces are exterior powers of the algebra.  The boundary at
 degree t contracts one k-bracket:
@@ -17,16 +17,14 @@ Boundaries are built from the bracket side (`_terms`, the one term
 generator), not monomial by monomial: only the monomials that contain a
 stored bracket key have a nonzero image, so assembly costs about the
 number of nonzeros rather than C(dim, t) monomials times C(t, k)
-shuffles.  The terms take two routes:
-
-- `_boundary_rows`, {row mask: {column mask: int}}, with no wedge basis
-  and no index, is what gets ranked: by `ChainLayout` for Betti numbers
-  and by `schur.character_by_weights`, which bins the pivots by weight.
-- `_split` is the one place that hands out lexicographic indices, so
-  its matrices are reproducible bit for bit: `differential_matrix`
-  (and `--export-mm`), the theta maps of `homology.theta_matrix` and the
-  products of `verify_d_squared` are blocks of d_t it cuts out, over
-  strictly increasing index tuples listed by `wedge_basis`.
+shuffles.  The terms are summed into one row form, `_boundary_rows`,
+{row mask: {column mask: int}}, and every consumer reads it: `ChainLayout`
+ranks it for Betti numbers, `schur.character_by_weights` bins its pivots
+by weight, `verify_d_squared` composes it (`_product`), and
+`differential_matrix` (with `--export-mm`) and the theta maps of
+`homology.theta_matrix` index it.  Indices come from one function,
+`_lex_index`, which reads the lexicographic position of a monomial off
+its mask, so the indexed matrices are reproducible bit for bit.
 
 When every ad(y_2, ..., y_k) is traceless, as in every nilpotent
 algebra, rank d_t = rank d_{n+k-1-t} (see `ChainLayout`), and each pair
@@ -37,10 +35,11 @@ brackets; a custom algebra that fails it ranks every degree.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
-from .algebra import DEFAULT_SIZE_CAP, KaryAlgebra, _adjoint
+from .algebra import _ZERO, DEFAULT_SIZE_CAP, KaryAlgebra, _adjoint
 from .errors import InputError, ResourceCapError
-from .matrices import SparseIntMatrix, _eliminate, multiply
+from .matrices import SparseIntMatrix, _eliminate
 from .util import comb0
 
 
@@ -54,13 +53,6 @@ def check_cap(alg: KaryAlgebra, degrees, cap) -> None:
             raise ResourceCapError(
                 f"chain space at degree {t} has {size} monomials (cap {cap})"
             )
-
-
-def wedge_basis(alg: KaryAlgebra, t: int):
-    """All C(dim, t) strictly increasing t-tuples, lexicographically."""
-    if not 0 <= t <= alg.dim:
-        raise InputError(f"wedge degree {t} out of range [0, {alg.dim}]")
-    return list(combinations(range(alg.dim), t))
 
 
 def _terms(alg: KaryAlgebra, t: int):
@@ -94,8 +86,8 @@ def _boundary_rows(alg: KaryAlgebra, t: int) -> dict:
     """d_t as {row mask: {column mask: int}}, for k <= t <= dim.
 
     The terms are summed straight into the rows and sums that cancel are
-    deleted (a row may be left empty), so no wedge basis, index or matrix
-    is built: this is what `ChainLayout` ranks, through `_eliminate`.
+    deleted (a row may be left empty), so no index or matrix is built.
+    This is the one form of d_t that every consumer reads.
     """
     rows = {}
     for r, c, v in _terms(alg, t):
@@ -111,42 +103,68 @@ def _boundary_rows(alg: KaryAlgebra, t: int) -> dict:
     return rows
 
 
-def _split(alg: KaryAlgebra, t: int, keep=None):
-    """The block of d_t on the monomials keep accepts: (columns, matrix).
+def _lex_index(mask: int, n: int) -> int:
+    """Position of a monomial mask of n bits among the monomials of its
+    degree in lexicographic (descending mask) order.
 
-    The one place where the terms of d_t get lexicographic indices and
-    become a matrix.  Columns are the degree-t monomials, rows the
-    (t-k+1)-monomials, that keep(monomial) accepts (None: all of them),
-    in `wedge_basis` order; the terms of dropped columns are dropped, and
-    the image of every kept column must lie in the kept rows.
+    The monomials before it are the larger masks of its degree, and
+    complementing reverses order, so they number the masks of the
+    complement's degree below the complement.  The combinatorial number
+    system counts those as sum_j C(p_j, j), p_1 < p_2 < ... the set bits
+    of the complement and j counting from 1.
     """
-    k = alg.arity
-    if t < k:
-        raise InputError(f"boundary needs degree >= {k}, got {t}")
-    if t > alg.dim:
-        raise InputError(f"degree {t} exceeds dimension {alg.dim}")
-    bit = [1 << (alg.dim - 1 - i) for i in range(alg.dim)]
-    cols, rows = (
-        [m for m in wedge_basis(alg, degree) if keep is None or keep(m)]
-        for degree in (t, t - k + 1)
-    )
-    col_at, row_at = (
-        {sum(map(bit.__getitem__, m)): j for j, m in enumerate(monos)}
-        for monos in (cols, rows)
-    )
-    entries = {}
-    for row, col, v in _terms(alg, t):
-        j = col_at.get(col)
-        if j is not None:
-            e = (row_at[row], j)
-            entries[e] = entries.get(e, 0) + v
-    return cols, SparseIntMatrix(len(rows), len(cols), entries)
+    free = ((1 << n) - 1) ^ mask
+    index = j = 0
+    while free:
+        low = free & -free
+        j += 1
+        index += comb(low.bit_length() - 1, j)
+        free ^= low
+    return index
+
+
+def _indexed(rows: dict, n: int, shape) -> SparseIntMatrix:
+    """Mask-keyed rows over n bits as a `SparseIntMatrix` of the given
+    shape, each row and column mask at its `_lex_index`."""
+    cols, entries = {}, {}
+    for r, row in rows.items():
+        i = _lex_index(r, n)
+        for c, v in row.items():
+            j = cols.get(c)
+            if j is None:
+                j = cols[c] = _lex_index(c, n)
+            entries[i, j] = v
+    return SparseIntMatrix(*shape, entries)
 
 
 def differential_matrix(alg: KaryAlgebra, t: int) -> SparseIntMatrix:
-    """Matrix of d_t from the degree-t to the degree-(t-k+1) wedge basis:
-    `_split` keeping every monomial."""
-    return _split(alg, t)[1]
+    """Matrix of d_t from the degree-t to the degree-(t-k+1) monomials,
+    both in lexicographic order: `_boundary_rows` indexed by `_indexed`."""
+    k, n = alg.arity, alg.dim
+    if t < k:
+        raise InputError(f"boundary needs degree >= {k}, got {t}")
+    if t > n:
+        raise InputError(f"degree {t} exceeds dimension {n}")
+    return _indexed(_boundary_rows(alg, t), n, (comb(n, t - k + 1), comb(n, t)))
+
+
+def _product(a: dict, b: dict) -> dict:
+    """a . b of mask-keyed rows: row r is sum over m of a[r][m] * b[m].
+
+    The column keys of a are the row keys of b.  Sums that cancel are
+    dropped, and so are rows left empty, so the product is {} iff it is
+    zero.  Neither argument is changed.
+    """
+    out = {}
+    for r, row in a.items():
+        acc = {}
+        for m, x in row.items():
+            for c, y in b.get(m, _ZERO).items():
+                acc[c] = acc.get(c, 0) + x * y
+        acc = {c: v for c, v in acc.items() if v}
+        if acc:
+            out[r] = acc
+    return out
 
 
 def verify_d_squared(alg: KaryAlgebra, *, cap=DEFAULT_SIZE_CAP):
@@ -171,14 +189,14 @@ def verify_d_squared(alg: KaryAlgebra, *, cap=DEFAULT_SIZE_CAP):
     k = alg.arity
     cache = {}
 
-    def mat(t):
+    def rows(t):
         if t not in cache:
             check_cap(alg, (t, t - k + 1), cap)
-            cache[t] = differential_matrix(alg, t)
+            cache[t] = _boundary_rows(alg, t)
         return cache[t]
 
     def fails(t):
-        return not multiply(mat(t - k + 1), mat(t)).is_zero()
+        return bool(_product(rows(t - k + 1), rows(t)))
 
     if not any(fails(t) for t in (2 * k - 1, 2 * k) if t <= alg.dim):
         return []
@@ -191,10 +209,10 @@ class ChainLayout:
     Layout degrees are 0, 1, k, 2k-1, ... up to dim.  Each boundary d_t
     is assembled whole as mask-keyed rows (`_boundary_rows`), ranked once
     by `matrices._eliminate` and dropped; only {t: rank d_t} is kept, and
-    no wedge basis, lexicographic index or `SparseIntMatrix` is built
-    (those come from `_split`).  Weights play no part here: Betti
-    numbers need whole ranks only, and `schur.character_by_weights`,
-    which needs per-weight ranks, eliminates the same rows itself.
+    no lexicographic index or `SparseIntMatrix` is built.  Weights play
+    no part here: Betti numbers need whole ranks only, and
+    `schur.character_by_weights`, which needs per-weight ranks,
+    eliminates the same rows itself.
     `ChainLayout.of(alg)` returns the layout kept on the algebra, so
     every caller shares one memo.
 

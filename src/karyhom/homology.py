@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .algebra import KaryAlgebra, lower_central_series
-from .chains import DEFAULT_SIZE_CAP, ChainLayout, _split, check_cap
+from .chains import DEFAULT_SIZE_CAP, ChainLayout, _boundary_rows, _indexed, check_cap
 from .errors import InputError
 from .families import current_algebra
 from .matrices import SparseIntMatrix, kernel_dim
@@ -172,7 +172,7 @@ def verify_heisenberg(alg: KaryAlgebra, *, cap=DEFAULT_SIZE_CAP) -> dict:
 # -- ACJ: theta maps and closed forms -----------------------------------
 
 
-def _acj_split(alg: KaryAlgebra):
+def _acj_direction(alg: KaryAlgebra):
     """(z, sorted complement) for an algebra with codim-1 abelian ideal.
 
     z must occur in every bracket's arguments and in no bracket's output;
@@ -199,16 +199,15 @@ def theta_matrix(alg: KaryAlgebra, j: int) -> SparseIntMatrix:
     factors, with shuffle signs; equivalently the boundary of z ^ omega
     read in the coordinates of the abelian complement a.
 
-    It is thus one block of d_{j+1}: the columns are the (j+1)-monomials
-    that contain z, the rows the (j-k+2)-monomials that do not.  z lies
-    in every stored key and in no output, so d_{j+1} is zero on the
-    columns without z, and its images land in rows without z.  Dropping z
-    from a sorted monomial keeps lexicographic order, so the columns come
-    in the order of the j-subsets of a; each is multiplied by the sign of
-    moving z to its front, which makes it z ^ omega.
+    It is thus d_{j+1} with z deleted: z lies in every stored key and in
+    no output, so every column of `_boundary_rows` holds z and no row
+    does.  Deleting z's bit from each mask leaves a monomial of a, indexed
+    over the n-1 remaining bits, and each column is multiplied by the sign
+    of moving z to its front, (-1)^(number of factors before z), which
+    makes it z ^ omega.
     """
     k = alg.arity
-    z, a = _acj_split(alg)
+    z, a = _acj_direction(alg)
     ma = len(a)
     td = j - k + 2
     rows = comb0(ma, td)
@@ -216,11 +215,18 @@ def theta_matrix(alg: KaryAlgebra, j: int) -> SparseIntMatrix:
     if j < k - 1 or rows == 0 or cols == 0:
         return SparseIntMatrix(rows, cols, {})
 
-    columns, block = _split(alg, j + 1, lambda mono: (z in mono) == (len(mono) == j + 1))
-    sign = [-1 if mono.index(z) % 2 else 1 for mono in columns]
-    return SparseIntMatrix(
-        rows, cols, {(r, c): sign[c] * v for (r, c), v in block.entries.items()}
-    )
+    pos = alg.dim - 1 - z  # z is the mask bit 1 << pos, the factors before z lie above it
+
+    def drop_z(mask):
+        return (mask >> (pos + 1)) << pos | mask & ((1 << pos) - 1)
+
+    theta = {
+        drop_z(r): {
+            drop_z(c): -v if (c >> (pos + 1)).bit_count() & 1 else v for c, v in row.items()
+        }
+        for r, row in _boundary_rows(alg, j + 1).items()
+    }
+    return _indexed(theta, ma, (rows, cols))
 
 
 def theta_kernel_dim(alg: KaryAlgebra, j: int) -> int:
@@ -235,7 +241,7 @@ def acj_homology_via_theta(alg: KaryAlgebra, alpha: int) -> int:
             + dim ker theta_{alpha-1} + dim ker theta_{alpha+k-2}
     """
     k = alg.arity
-    _, a = _acj_split(alg)
+    _, a = _acj_direction(alg)
     ma = len(a)
     return (
         comb0(ma, alpha)

@@ -23,7 +23,7 @@ from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd
 
-from .errors import InputError, LoadError
+from .errors import InputError
 
 
 class SparseIntMatrix:
@@ -64,13 +64,6 @@ class SparseIntMatrix:
             out.setdefault(r, {})[c] = v
         return out
 
-    def col_dicts(self):
-        """{col: {row: value}} over nonzero columns."""
-        out = {}
-        for (r, c), v in self.entries.items():
-            out.setdefault(c, {})[r] = v
-        return out
-
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -82,40 +75,20 @@ class SparseIntMatrix:
             and self.entries == other.entries
         )
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self.entries.items())))
-
     def __repr__(self):
         return f"SparseIntMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
-
-
-def multiply(a: SparseIntMatrix, b: SparseIntMatrix) -> SparseIntMatrix:
-    """Exact product a @ b."""
-    if a.cols != b.rows:
-        raise InputError(f"shape mismatch: {a.cols} vs {b.rows}")
-    a_cols = a.col_dicts()
-    out = {}
-    for (k, c), bv in b.entries.items():
-        acol = a_cols.get(k)
-        if not acol:
-            continue
-        for i, av in acol.items():
-            key = (i, c)
-            out[key] = out.get(key, 0) + av * bv
-    return SparseIntMatrix(a.rows, b.cols, {k: v for k, v in out.items() if v})
 
 
 def _eliminate(rows: dict):
     """Fraction-free sparse row echelon of {row: {col: int}} rows,
     yielding (pivot_col, pivot_row).
 
-    Row and column keys are ints: the indices of
-    `SparseIntMatrix.row_dicts()`, or the monomial masks of
-    `chains._boundary_rows`.  The row dicts are reduced in place.  The
-    pivot rows are {col: int} dicts of content 1 spanning the row space.
-    Rows are taken shortest first, ties by row key.  Each is reduced
-    against the pivot rows found so far, oldest first, by
-    cross-multiplying through gcd(pivot, entry); a row that survives is
+    Row and column keys are ints: the monomial masks of
+    `chains._boundary_rows`, or plain indices.  The row dicts are reduced
+    in place.  The pivot rows are {col: int} dicts of content 1 spanning
+    the row space.  Rows are taken shortest first, ties by row key.  Each
+    is reduced against the pivot rows found so far, oldest first, by
+    cross-multiplication through gcd(pivot, entry); a row that survives is
     stripped of its content, and its pivot is the column with the fewest
     input nonzeros, ties by column key.  So a pivot row is zero at the
     pivot columns of every row yielded before it: it was reduced against
@@ -179,13 +152,16 @@ def kernel_dim(matrix: SparseIntMatrix) -> int:
     return matrix.cols - rank(matrix)
 
 
-def row_basis(matrix: SparseIntMatrix) -> list:
-    """A basis of the row space over Q, as {col: int} rows."""
-    return [row for _, row in _eliminate(matrix.row_dicts())]
+def row_basis(rows: dict) -> list:
+    """A basis over Q of the span of {row: {col: int}} rows, as {col: int}
+    rows.  The rows are reduced in place."""
+    return [row for _, row in _eliminate(rows)]
 
 
-def kernel_basis(matrix: SparseIntMatrix) -> list:
-    """A basis of the rational null space, as {col: int} vectors.
+def kernel_basis(rows: dict, ncols: int) -> list:
+    """A basis of the rational null space of {row: {col: int}} rows over
+    columns 0..ncols-1, as {col: int} vectors.  The rows are reduced in
+    place.
 
     One vector per non-pivot column f: x_f = 1, the other non-pivot
     coordinates 0, the pivot coordinates solved from the last pivot row
@@ -199,8 +175,8 @@ def kernel_basis(matrix: SparseIntMatrix) -> list:
     stays primitive from x_f = 1 on, and ends as the one primitive
     vector with x_f > 0.
     """
-    pivots = list(_eliminate(matrix.row_dicts()))
-    free = set(range(matrix.cols)).difference(pc for pc, _ in pivots)
+    pivots = list(_eliminate(rows))
+    free = set(range(ncols)).difference(pc for pc, _ in pivots)
     basis = []
     for f in sorted(free):
         x = {f: 1}
@@ -300,38 +276,3 @@ def write_matrix_market(matrix: SparseIntMatrix, f) -> None:
     f.write(f"{matrix.rows} {matrix.cols} {matrix.nnz}\n")
     for (r, c), v in sorted(matrix.entries.items()):
         f.write(f"{r + 1} {c + 1} {v}\n")
-
-
-def read_matrix_market(f) -> SparseIntMatrix:
-    """Read MatrixMarket coordinate format written by write_matrix_market.
-
-    Only the "coordinate integer general" layout is accepted: a symmetric
-    file stores half its entries, which this reader would silently drop.
-    A negative entry count, a body that gives an entry twice, or more
-    entries than its size line declares, is refused too.
-    """
-    if isinstance(f, (str, bytes)) or hasattr(f, "__fspath__"):
-        with open(f, "r", encoding="ascii") as fh:
-            return read_matrix_market(fh)
-    header = f.readline()
-    fields = header.lower().split()
-    if fields != ["%%matrixmarket", "matrix", "coordinate", "integer", "general"]:
-        raise LoadError(f"unsupported MatrixMarket header: {header.strip()!r}")
-    line = f.readline()
-    while line.startswith("%"):
-        line = f.readline()
-    try:
-        rows, cols, nnz = (int(x) for x in line.split())
-        entries = {}
-        for _ in range(nnz):
-            r, c, v = f.readline().split()
-            entries[(int(r) - 1, int(c) - 1)] = int(v)
-    except ValueError as exc:
-        raise LoadError(f"truncated or malformed MatrixMarket body: {exc}") from exc
-    if nnz < 0:
-        raise LoadError(f"MatrixMarket size line declares {nnz} entries")
-    if len(entries) < nnz:
-        raise LoadError("MatrixMarket body gives an entry twice")
-    if any(line.strip() for line in f):
-        raise LoadError(f"MatrixMarket body has more than the {nnz} entries it declares")
-    return SparseIntMatrix(rows, cols, entries)

@@ -6,9 +6,48 @@ from itertools import combinations, product
 from math import comb, lcm
 
 from karyhom.algebra import KaryAlgebra
-from karyhom.chains import differential_matrix, wedge_basis
-from karyhom.errors import InputError
+from karyhom.chains import differential_matrix
+from karyhom.errors import InputError, LoadError
 from karyhom.matrices import SparseIntMatrix, rank
+
+
+def wedge_basis(alg: KaryAlgebra, t: int):
+    """All C(dim, t) strictly increasing t-tuples, lexicographically: the
+    order of the rows and columns of every indexed boundary."""
+    return list(combinations(range(alg.dim), t))
+
+
+def read_matrix_market(f) -> SparseIntMatrix:
+    """Read MatrixMarket coordinate format written by write_matrix_market;
+    the round-trip oracle of the export.
+
+    Only the "coordinate integer general" layout is accepted: a symmetric
+    file stores half its entries, which this reader would silently drop.
+    A negative entry count, a body that gives an entry twice, or more
+    entries than its size line declares, is refused too.
+    """
+    header = f.readline()
+    fields = header.lower().split()
+    if fields != ["%%matrixmarket", "matrix", "coordinate", "integer", "general"]:
+        raise LoadError(f"unsupported MatrixMarket header: {header.strip()!r}")
+    line = f.readline()
+    while line.startswith("%"):
+        line = f.readline()
+    try:
+        rows, cols, nnz = (int(x) for x in line.split())
+        entries = {}
+        for _ in range(nnz):
+            r, c, v = f.readline().split()
+            entries[(int(r) - 1, int(c) - 1)] = int(v)
+    except ValueError as exc:
+        raise LoadError(f"truncated or malformed MatrixMarket body: {exc}") from exc
+    if nnz < 0:
+        raise LoadError(f"MatrixMarket size line declares {nnz} entries")
+    if len(entries) < nnz:
+        raise LoadError("MatrixMarket body gives an entry twice")
+    if any(line.strip() for line in f):
+        raise LoadError(f"MatrixMarket body has more than the {nnz} entries it declares")
+    return SparseIntMatrix(rows, cols, entries)
 
 
 def dense_rank(dense_rows):

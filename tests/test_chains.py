@@ -14,15 +14,17 @@ from conftest import (
     monomial_weight,
     shuffles,
     to_dense,
+    wedge_basis,
     weight_blocks,
 )
 from karyhom.algebra import KaryAlgebra, check_jacobi
 from karyhom.chains import (
     ChainLayout,
     _boundary_rows,
+    _lex_index,
+    _product,
     differential_matrix,
     verify_d_squared,
-    wedge_basis,
 )
 from karyhom.errors import InputError
 from karyhom.families import (
@@ -33,18 +35,16 @@ from karyhom.families import (
     free_two_step,
     heisenberg,
 )
-from karyhom.matrices import SparseIntMatrix, _eliminate, multiply, rank
+from karyhom.matrices import SparseIntMatrix, _eliminate, rank
 
 
-def test_wedge_basis_counts_and_order():
-    h = heisenberg(3, 1)
-    basis = wedge_basis(h, 3)
-    assert len(basis) == 4
-    assert basis == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-    assert wedge_basis(h, 0) == [()]
-    assert len(wedge_basis(heisenberg(3, 2), 5)) == 21
-    with pytest.raises(InputError):
-        wedge_basis(h, 5)
+def test_lex_index_counts_monomials_in_lexicographic_order():
+    # bit i of a monomial mask is 1 << (n-1-i); the index of each mask is
+    # its position among the C(n, t) increasing t-tuples
+    for n in range(7):
+        for t in range(n + 1):
+            masks = [sum(1 << (n - 1 - i) for i in mono) for mono in combinations(range(n), t)]
+            assert [_lex_index(m, n) for m in masks] == list(range(comb(n, t))), (n, t)
 
 
 def test_shuffle_set_size_and_signs():
@@ -124,9 +124,42 @@ def test_d_squared_detects_broken_structure():
     mutant = KaryAlgebra(3, 7, h.labels, brackets)
     failing = verify_d_squared(mutant)
     assert failing == [5, 6, 7] == d_squared_failing_degrees_all(mutant)
-    m5 = differential_matrix(mutant, 5)
-    m3 = differential_matrix(mutant, 3)
-    assert not multiply(m3, m5).is_zero()
+    assert _product(_boundary_rows(mutant, 3), _boundary_rows(mutant, 5))
+
+
+def _dense_product(alg, s, t):
+    """d_s . d_t as dense rows, from the indexed matrices."""
+    a, b = to_dense(differential_matrix(alg, s)), to_dense(differential_matrix(alg, t))
+    return [[sum(x * y[c] for x, y in zip(row, b)) for c in range(len(b[0]))] for row in a]
+
+
+def test_row_product_matches_the_dense_product():
+    # the mask-row product, indexed, is the product of the indexed matrices
+    rng = random.Random(7)
+    for alg in (
+        heisenberg(3, 2),
+        free_two_step(3, 4),
+        _random_bracket_table(rng, 2, 6),
+        _random_bracket_table(rng, 3, 7),
+    ):
+        n, k = alg.dim, alg.arity
+        for t in range(2 * k - 1, n + 1):
+            s = t - k + 1
+            product = _product(_boundary_rows(alg, s), _boundary_rows(alg, t))
+            dense = [[0] * comb(n, t) for _ in range(comb(n, s - k + 1))]
+            for r, row in product.items():
+                for c, v in row.items():
+                    dense[_lex_index(r, n)][_lex_index(c, n)] = v
+            assert dense == _dense_product(alg, s, t), (alg, t)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_free2_arity3_products_have_exact_sizes(n):
+    # on free2(3, n), d_3 . d_5 = 0 but d_4 . d_6 has 10 C(n, 6) nonzeros
+    f = free_two_step(3, n)
+    assert _product(_boundary_rows(f, 3), _boundary_rows(f, 5)) == {}
+    product = _product(_boundary_rows(f, 4), _boundary_rows(f, 6))
+    assert sum(map(len, product.values())) == 10 * comb(n, 6)
 
 
 def test_d_squared_at_two_degrees_matches_the_all_degree_sweep():

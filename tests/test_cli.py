@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -8,12 +9,16 @@ from math import comb
 import pytest
 
 # The CLI imports each verb's modules when the verb runs.  The tests that
-# count rank calls patch `rank` in every loaded karyhom module, and
-# `chains._boundary_rows`, which builds each whole boundary the layout
-# ranks, so all of them are loaded first: a module first imported under
-# such a patch would keep the patched function after the test.
+# count rank calls patch `rank`, `chains._boundary_rows`, which builds
+# each whole boundary, and `_eliminate`, which ranks it, in every loaded
+# karyhom module, so all of them are loaded first: a module first
+# imported under such a patch would keep the patched function after the
+# test.
 import karyhom.schur  # noqa: F401
 import karyhom.toral  # noqa: F401
+from conftest import read_matrix_market
+from karyhom import families
+from karyhom.chains import differential_matrix
 from karyhom.cli import main
 
 
@@ -110,55 +115,54 @@ def test_verify_reports_formula_failures(capsys):
 def test_verify_ranks_each_boundary_once(monkeypatch, capsys):
     # the validators share the CLI algebra's memo, so no boundary is
     # ranked a second time on a rebuilt algebra
-    import karyhom.chains
-    import karyhom.matrices
-
-    original = karyhom.matrices.rank
-    boundary_rows = karyhom.chains._boundary_rows
-    calls = Counter()
-
-    def counting_rank(matrix):
-        calls[matrix] += 1
-        return original(matrix)
-
-    def counting_boundary_rows(alg, t):
-        calls[t] += 1
-        return boundary_rows(alg, t)
-
-    for name, module in list(sys.modules.items()):
-        if (name == "karyhom" or name.startswith("karyhom.")) and getattr(module, "rank", None) is original:
-            monkeypatch.setattr(module, "rank", counting_rank)
-    monkeypatch.setattr(karyhom.chains, "_boundary_rows", counting_boundary_rows)
+    ranked = _count_rank_calls(monkeypatch)
     code, out = run_cli(capsys, "verify", "--family", "heisenberg", "--k", "2", "--m", "3")
     assert code == 0 and json.loads(out)["ok"] is True
-    assert calls and max(calls.values()) == 1
+    assert ranked and max(Counter(ranked).values()) == 1
 
 
 def _count_rank_calls(monkeypatch, degrees=None):
-    """Count rank in every karyhom module and the whole boundaries the
-    layout builds to rank; returns the list of shapes ranked.  The degree
-    of each whole boundary is appended to degrees when it is given."""
+    """Count the ranks taken in every karyhom module: `rank` calls, and
+    the whole boundaries `_eliminate` reduces as `chains._boundary_rows`
+    built them; returns the list of (rows, cols) shapes ranked.  The
+    degree of every whole boundary built, ranked or not, is appended to
+    degrees when it is given."""
     import karyhom.chains
     import karyhom.matrices
 
     original = karyhom.matrices.rank
     boundary_rows = karyhom.chains._boundary_rows
+    eliminate = karyhom.matrices._eliminate
     shapes = []
+    built = []  # (rows, shape) of each boundary built, kept so ids stay distinct
 
     def counting_rank(matrix):
         shapes.append((matrix.rows, matrix.cols))
         return original(matrix)
 
     def counting_boundary_rows(alg, t):
-        shapes.append((comb(alg.dim, t - alg.arity + 1), comb(alg.dim, t)))
+        rows = boundary_rows(alg, t)
+        built.append((rows, (comb(alg.dim, t - alg.arity + 1), comb(alg.dim, t))))
         if degrees is not None:
             degrees.append(t)
-        return boundary_rows(alg, t)
+        return rows
 
+    def counting_eliminate(rows):
+        shapes.extend(shape for whole, shape in built if whole is rows)
+        return eliminate(rows)
+
+    patches = {
+        "rank": (original, counting_rank),
+        "_boundary_rows": (boundary_rows, counting_boundary_rows),
+        "_eliminate": (eliminate, counting_eliminate),
+    }
     for name, module in list(sys.modules.items()):
-        if (name == "karyhom" or name.startswith("karyhom.")) and getattr(module, "rank", None) is original:
-            monkeypatch.setattr(module, "rank", counting_rank)
-    monkeypatch.setattr(karyhom.chains, "_boundary_rows", counting_boundary_rows)
+        if name == "karyhom" or name.startswith("karyhom."):
+            for attr, (function, counting) in patches.items():
+                if getattr(module, attr, None) is function:
+                    monkeypatch.setattr(module, attr, counting)
+    # rank, counted itself, calls the _eliminate of its own module
+    monkeypatch.setattr(karyhom.matrices, "_eliminate", eliminate)
     return shapes
 
 
@@ -175,19 +179,8 @@ def test_verify_builds_only_the_boundaries_its_verdict_needs(
 ):
     # the layout ranks d_k..d_6 (the rest are mirrors, top = dim + k - 1);
     # d^2 needs d_k, d_{2k-1} and d_{k+1}, d_{2k} only; no theta map is built
-    import karyhom.chains
-
     degrees = []
     shapes = _count_rank_calls(monkeypatch, degrees)
-    split = karyhom.chains._split
-
-    def counting_split(alg, t, keep=None):
-        degrees.append(t)
-        return split(alg, t, keep)
-
-    for name, module in list(sys.modules.items()):
-        if (name == "karyhom" or name.startswith("karyhom.")) and getattr(module, "_split", None) is split:
-            monkeypatch.setattr(module, "_split", counting_split)
     code, out = run_cli(capsys, "verify", "--family", family, "--k", str(k), "--m", str(m))
     assert code in (0, 1) and json.loads(out)["checks"]
     assert sorted(degrees) == built
@@ -436,6 +429,10 @@ def test_export_matrix_market(tmp_path, capsys, family, k, m):
     assert code == 0
     exported = {path.name: path.read_bytes().decode("ascii") for path in out_dir.iterdir()}
     assert exported == GOLDEN_EXPORTS[family, k, m]
+    alg = getattr(families, family)(int(k), int(m))
+    for name, text in exported.items():
+        t = int(name[len("boundary_") : -len(".mtx")])
+        assert read_matrix_market(io.StringIO(text)) == differential_matrix(alg, t)
 
 
 def test_module_entry_point():
