@@ -38,6 +38,19 @@ from karyhom.families import (
 from karyhom.matrices import SparseIntMatrix, _eliminate, rank
 
 
+def test_wedge_basis_counts_and_order():
+    # the oracle's tuples are the monomials that _lex_index numbers 0, 1, ...
+    h = heisenberg(3, 1)
+    basis = wedge_basis(h, 3)
+    assert basis == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    assert [_lex_index(sum(1 << (3 - i) for i in mono), 4) for mono in basis] == [0, 1, 2, 3]
+    assert differential_matrix(h, 3).cols == len(basis) == 4
+    assert wedge_basis(h, 0) == [()] and _lex_index(0, 4) == 0
+    assert differential_matrix(heisenberg(3, 2), 5).cols == 21
+    with pytest.raises(InputError):
+        differential_matrix(h, 5)
+
+
 def test_lex_index_counts_monomials_in_lexicographic_order():
     # bit i of a monomial mask is 1 << (n-1-i); the index of each mask is
     # its position among the C(n, t) increasing t-tuples

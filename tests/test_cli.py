@@ -419,20 +419,20 @@ GOLDEN_EXPORTS = {
 }
 
 
-@pytest.mark.parametrize("family, k, m", sorted(GOLDEN_EXPORTS))
-def test_export_matrix_market(tmp_path, capsys, family, k, m):
-    out_dir = tmp_path / "mm"
-    code, _ = run_cli(
-        capsys, "compute", "--family", family, "--k", k, "--m", m,
-        "--export-mm", str(out_dir),
-    )
-    assert code == 0
-    exported = {path.name: path.read_bytes().decode("ascii") for path in out_dir.iterdir()}
-    assert exported == GOLDEN_EXPORTS[family, k, m]
-    alg = getattr(families, family)(int(k), int(m))
-    for name, text in exported.items():
-        t = int(name[len("boundary_") : -len(".mtx")])
-        assert read_matrix_market(io.StringIO(text)) == differential_matrix(alg, t)
+def test_export_matrix_market(tmp_path, capsys):
+    for family, k, m in sorted(GOLDEN_EXPORTS):
+        out_dir = tmp_path / f"mm_{family}_{k}_{m}"
+        code, _ = run_cli(
+            capsys, "compute", "--family", family, "--k", k, "--m", m,
+            "--export-mm", str(out_dir),
+        )
+        assert code == 0, family
+        exported = {path.name: path.read_bytes().decode("ascii") for path in out_dir.iterdir()}
+        assert exported == GOLDEN_EXPORTS[family, k, m], family
+        alg = getattr(families, family)(int(k), int(m))
+        for name, text in exported.items():
+            t = int(name[len("boundary_") : -len(".mtx")])
+            assert read_matrix_market(io.StringIO(text)) == differential_matrix(alg, t)
 
 
 def test_module_entry_point():
