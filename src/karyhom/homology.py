@@ -58,16 +58,10 @@ class HomologyReport(
         return doc
 
     def to_csv(self) -> str:
-        import csv
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["degree", "chain_dim", "kernel", "image", "betti"])
         columns = (self.chain_dims, self.kernel_dims, self.image_dims, self.betti)
-        for t in self.degrees:
-            writer.writerow([t] + [column.get(t, "") for column in columns])
-        return buf.getvalue()
+        lines = ["degree,chain_dim,kernel,image,betti"]
+        lines += [",".join(map(str, [t] + [c.get(t, "") for c in columns])) for t in self.degrees]
+        return "\n".join(lines) + "\n"
 
 
 def betti_all(

@@ -5,11 +5,12 @@ ranks of `chains.ChainLayout`, all come from one integer-preserving row
 echelon of {row: {col: int}} rows, `_eliminate`: rows are
 cross-multiplied through the gcd of the pivot pair and stripped of their
 content, so no fractions (and no floating point, hence no tolerances)
-appear in it.  Rows are taken shortest first and pivots go to the
-sparsest input column, with ties broken by key, which keeps fill-in low
-on the incidence-like matrices produced by boundary maps and makes every
-run bit-reproducible.  Each row is reduced in one sweep over the pivot
-rows it meets, oldest first.
+appear in it.  Rows are taken shortest first, ties by key, and each is
+reduced at its least column while a pivot row owns that column; a row
+that survives becomes the pivot row of its least column.  So every pivot
+row is zero below its pivot, no two pivots coincide, and the pivots and
+pivot rows depend only on the row and column keys, never on the order
+the rows or their entries were inserted: every run is bit-reproducible.
 
 A second, structurally independent elimination modulo a random word-size
 prime serves as a cross-check: rank mod p never exceeds the rational
@@ -18,9 +19,6 @@ rank, and agreement at a few random primes confirms the exact value.
 
 from __future__ import annotations
 
-from collections import Counter
-from heapq import heapify, heappop, heappush
-from itertools import chain
 from math import gcd
 
 from .errors import InputError
@@ -86,32 +84,26 @@ def _eliminate(rows: dict):
     Row and column keys are ints: the monomial masks of
     `chains._boundary_rows`, or plain indices.  The row dicts are reduced
     in place.  The pivot rows are {col: int} dicts of content 1 spanning
-    the row space.  Rows are taken shortest first, ties by row key.  Each
-    is reduced against the pivot rows found so far, oldest first, by
-    cross-multiplication through gcd(pivot, entry); a row that survives is
-    stripped of its content, and its pivot is the column with the fewest
-    input nonzeros, ties by column key.  So a pivot row is zero at the
-    pivot columns of every row yielded before it: it was reduced against
-    all of them, and reducing by one pivot row cannot bring back an older
-    pivot column, since that row is itself zero there.
+    the row space.  Rows are taken shortest first, ties by row key.  While
+    the least column of a row is owned by a pivot row, the row is reduced
+    there by cross-multiplication through gcd(pivot, entry); a row that
+    survives is stripped of its content and becomes the pivot row of its
+    least column.  So a pivot is the least column of its row, and the
+    pivot rows are independent: each is zero at every column below its
+    pivot, and no two share a pivot.
 
     Yielded rows are kept to reduce later rows: a caller must not change
     one before the generator is exhausted.
     """
-    col_nnz = Counter(chain.from_iterable(rows.values()))
-    by_nnz = sorted(col_nnz, key=lambda c: (col_nnz[c], c))
-    col_order = {c: i for i, c in enumerate(by_nnz)}
-    age = {}  # pivot column -> its index in pivots
-    pivots = []
+    owner = {}  # pivot column -> its pivot row
     for r in sorted(rows, key=lambda r: (len(rows[r]), r)):
         row = rows[r]
-        ages = [age[c] for c in row if c in age]
-        heapify(ages)
-        while ages:
-            pc, prow = pivots[heappop(ages)]
-            f = row.pop(pc, 0)
-            if not f:
-                continue
+        while row:
+            pc = min(row)
+            prow = owner.get(pc)
+            if prow is None:
+                break
+            f = row.pop(pc)
             piv = prow[pc]
             g = gcd(piv, f)
             a, b = piv // g, f // g
@@ -124,8 +116,6 @@ def _eliminate(rows: dict):
                 v = row.get(c)
                 if v is None:
                     row[c] = -b * pv
-                    if c in age:
-                        heappush(ages, age[c])
                 elif v == b * pv:
                     del row[c]
                 else:
@@ -136,9 +126,7 @@ def _eliminate(rows: dict):
         if content > 1:
             for c in row:
                 row[c] //= content
-        pc = min(row, key=col_order.__getitem__)
-        age[pc] = len(pivots)
-        pivots.append((pc, row))
+        owner[pc] = row
         yield pc, row
 
 
@@ -164,8 +152,8 @@ def kernel_basis(rows: dict, ncols: int) -> list:
     place.
 
     One vector per non-pivot column f: x_f = 1, the other non-pivot
-    coordinates 0, the pivot coordinates solved from the last pivot row
-    back (a pivot row involves only its own and later pivot columns),
+    coordinates 0, the pivot coordinates solved in decreasing pivot
+    column (a pivot row involves only its pivot and larger columns),
     then scaled to coprime integers.
 
     The solve stays in integers: x holds a positive multiple of the
@@ -175,12 +163,12 @@ def kernel_basis(rows: dict, ncols: int) -> list:
     stays primitive from x_f = 1 on, and ends as the one primitive
     vector with x_f > 0.
     """
-    pivots = list(_eliminate(rows))
+    pivots = sorted(_eliminate(rows), reverse=True)  # pivot columns are distinct
     free = set(range(ncols)).difference(pc for pc, _ in pivots)
     basis = []
     for f in sorted(free):
         x = {f: 1}
-        for pc, row in reversed(pivots):
+        for pc, row in pivots:
             s = sum(v * x[c] for c, v in row.items() if c in x)
             if s:
                 p = row[pc]

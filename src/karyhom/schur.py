@@ -112,9 +112,9 @@ def character_by_weights(alg: KaryAlgebra, t: int, *, cap=DEFAULT_SIZE_CAP) -> d
     weight: every row is weight-homogeneous.  `_eliminate` combines two
     rows only through a column both hold, so rows stay homogeneous, and
     its run on the rows of weight w is its run on the weight-w block
-    alone: the same rows, row order, column order (a column's input
-    count lies in its block) and reductions.  The rows of d_{t+k-1} are
-    degree-t monomials, so both boundaries bin on degree-t weights.
+    alone: the same rows, row order and reductions, and a pivot is the
+    least column of its own row.  The rows of d_{t+k-1} are degree-t
+    monomials, so both boundaries bin on degree-t weights.
     """
     if alg.weights is None:
         raise InputError("character requires a weight-graded algebra")

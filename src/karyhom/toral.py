@@ -15,24 +15,23 @@ import math
 
 from .algebra import DEFAULT_SIZE_CAP, KaryAlgebra, center, lower_central_series
 from .errors import InputError
-from .util import comb0
 
 
 def refinement_bound(dim_v: int, dim_z: int, k: int) -> int:
-    """The 2-step lower bound for given complement/center dimensions."""
+    """The 2-step lower bound for given complement/center dimensions.
+
+    The inner sums are the coefficients of (1+x)^|v| mod (x^k + 1), since
+    x^(kj+i) = (-1)^j x^i there: |v| multiplications by 1+x, each k
+    additions, with x * x^(k-1) = -1.
+    """
     if dim_v < 0 or dim_z < 0:
         raise InputError("dimensions must be nonnegative")
     if k < 2:
         raise InputError(f"arity must be at least 2, got {k}")
-    total = 0
-    for i in range(k):
-        inner = 0
-        sign = 1
-        for top in range(i, dim_v + 1, k):
-            inner += sign * comb0(dim_v, top)
-            sign = -sign
-        total += abs(inner)
-    return total * 2**dim_z
+    coeffs = [1] + [0] * (k - 1)
+    for _ in range(dim_v):
+        coeffs = [coeffs[0] - coeffs[-1]] + [a + b for a, b in zip(coeffs[1:], coeffs)]
+    return sum(map(abs, coeffs)) * 2**dim_z
 
 
 def log2_display(x: float) -> str:
@@ -63,15 +62,9 @@ def toral_table_rows(n_max: int, k_list=(2, 3, 4, 5)):
 
 
 def toral_table_csv(n_max: int, k_list=(2, 3, 4, 5)) -> str:
-    import csv
-    import io
-
     rows = toral_table_rows(n_max, k_list)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(rows[0])
-    writer.writerows(row.values() for row in rows)
-    return buf.getvalue()
+    lines = [",".join(rows[0])] + [",".join(map(str, row.values())) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def toral_table_text(n_max: int, k_list=(2, 3, 4, 5)) -> str:

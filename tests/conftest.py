@@ -83,18 +83,19 @@ def to_dense(matrix):
 
 
 def kernel_by_fraction_back_substitution(cols, pivots):
-    """Kernel basis from (pivot_col, pivot_row) pairs in elimination order.
+    """Kernel basis from (pivot_col, pivot_row) pairs, each pivot the
+    least column of its row.
 
     One vector per non-pivot column f: x_f = 1, the other non-pivot
-    coordinates 0, each pivot coordinate solved in Fractions from the
-    last pivot row back, then scaled by the lcm of the denominators to
-    the primitive integer vector.
+    coordinates 0, each pivot coordinate solved in Fractions in
+    decreasing pivot column, then scaled by the lcm of the denominators
+    to the primitive integer vector.
     """
     free = sorted(set(range(cols)).difference(pc for pc, _ in pivots))
     basis = []
     for f in free:
         x = {f: Fraction(1)}
-        for pc, row in reversed(pivots):
+        for pc, row in sorted(pivots, key=lambda pair: pair[0], reverse=True):
             s = sum(v * x[c] for c, v in row.items() if c in x)
             if s:
                 x[pc] = -s / row[pc]
@@ -215,6 +216,16 @@ def euler_ok_by_binomials(dim, betti):
     """sum_i (-1)^i beta_{t_i} == sum_i (-1)^i C(dim, t_i) over the
     degrees t_0 < t_1 < ... of a Betti dict {t: beta_t}."""
     return sum((-1) ** i * (betti[t] - comb(dim, t)) for i, t in enumerate(sorted(betti))) == 0
+
+
+def refinement_bound_by_binomials(dim_v, dim_z, k):
+    """The 2-step toral refinement bound as its binomial sum:
+    sum_i |sum_j (-1)^j C(dim_v, kj+i)| * 2^dim_z over i = 0..k-1."""
+    total = sum(
+        abs(sum((-1) ** j * comb(dim_v, k * j + i) for j in range(dim_v // k + 1)))
+        for i in range(k)
+    )
+    return total * 2**dim_z
 
 
 def schur_weights_by_tableaux(lam, n):

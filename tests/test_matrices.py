@@ -10,7 +10,7 @@ from conftest import (
     read_matrix_market,
     to_dense,
 )
-from karyhom.chains import ChainLayout, differential_matrix
+from karyhom.chains import ChainLayout, _boundary_rows, differential_matrix
 from karyhom.errors import InputError, LoadError
 from karyhom.families import acj, free_two_step, heisenberg
 from karyhom.matrices import (
@@ -209,12 +209,12 @@ def test_rank_oracle_at_realistic_sizes():
 
 def _assert_echelon(m):
     """_eliminate's contract: distinct pivot columns, each pivot row of
-    content 1, nonzero at its own pivot and zero at every earlier one."""
+    content 1, nonzero at its own pivot, which is the row's least column."""
     seen = []
     for pc, row in _eliminate(m.row_dicts()):
         assert pc not in seen
         assert row[pc]
-        assert not any(c in row for c in seen)
+        assert pc == min(row)
         assert gcd(*row.values()) == 1
         seen.append(pc)
     return len(seen)
@@ -229,6 +229,34 @@ def test_eliminate_pivot_rows_form_an_echelon():
     for _ in range(30):
         dense = _dependent_sparse(rng)
         assert _assert_echelon(from_dense(dense)) == dense_rank(dense)
+
+
+def _reinserted(rows, rng):
+    """A copy of {row: {col: int}} rows with the rows, and the entries of
+    each row, inserted in a random order."""
+    keys = list(rows)
+    rng.shuffle(keys)
+    out = {}
+    for r in keys:
+        entries = list(rows[r].items())
+        rng.shuffle(entries)
+        out[r] = dict(entries)
+    return out
+
+
+def test_eliminate_does_not_depend_on_insertion_order():
+    rng = random.Random(20261019)
+    cases = [
+        _boundary_rows(alg, t)
+        for alg in (heisenberg(2, 4), acj(3, 2), free_two_step(2, 4))
+        for t in ChainLayout.of(alg).degrees
+        if t >= alg.arity
+    ]
+    cases += [from_dense(_dependent_sparse(rng)).row_dicts() for _ in range(30)]
+    for rows in cases:
+        expected = list(_eliminate({r: dict(row) for r, row in rows.items()}))
+        for _ in range(4):
+            assert list(_eliminate(_reinserted(rows, rng))) == expected
 
 
 def test_boundary_ranks_heisenberg_3_2():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import refinement_bound_by_binomials
 from karyhom.errors import InputError
 from karyhom.families import (
     abelian,
@@ -94,6 +95,20 @@ def test_golden_table_all_entries():
 def test_k2_column_is_powers_of_two():
     for n in range(1, 21):
         assert refinement_bound(n, 0, 2) == 2 ** ((n + 1) // 2)
+
+
+def test_refinement_bound_matches_the_binomial_sum():
+    for dim_v in range(60):
+        for k in range(2, 7):
+            for dim_z in range(3):
+                expected = refinement_bound_by_binomials(dim_v, dim_z, k)
+                assert refinement_bound(dim_v, dim_z, k) == expected, (dim_v, dim_z, k)
+
+
+def test_k2_closed_form_up_to_n_2000():
+    # (1+x)^n mod (x^2 + 1) is (1+i)^n, whose |Re| + |Im| is 2^ceil(n/2)
+    for n in [*range(1, 2000, 97), 1999, 2000]:
+        assert refinement_bound(n, 0, 2) == 2 ** ((n + 1) // 2), n
 
 
 def test_bound_factor_at_least_two():
