@@ -57,7 +57,7 @@ def _resolve_algebra(args):
         return alg, f"custom({os.path.basename(args.input)})", None
     if getattr(args, "family", None):
         spec = _family_spec(args)
-        return spec.build(), spec.describe(), spec
+        return spec.build(getattr(args, "size_cap", DEFAULT_SIZE_CAP)), spec.describe(), spec
     raise InputError("provide exactly one algebra source: --family or --input")
 
 

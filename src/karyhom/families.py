@@ -3,6 +3,11 @@
 All structure constants are +1 on the defining (sorted) argument tuples;
 any other consistent sign choice differs only by a basis change and
 leaves every computed rank unchanged.
+
+Each constructor checks its parameters, then counts the terms it would
+allocate (basis elements plus bracket-key entries; for a current
+algebra, basis elements plus bracket products visited) and refuses a
+count above cap (None: no limit) before allocating anything.
 """
 
 from __future__ import annotations
@@ -10,15 +15,34 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations, product
 
-from .algebra import KaryAlgebra
-from .errors import InputError
+from .algebra import DEFAULT_SIZE_CAP, KaryAlgebra
+from .errors import InputError, ResourceCapError
 from .util import sort_with_sign
 
 
-def heisenberg(k: int, m: int) -> KaryAlgebra:
+def _check_build(name: str, size: int, cap) -> None:
+    if cap is not None and size > cap:
+        raise ResourceCapError(
+            f"building {name} exceeds the size cap: over {cap} basis elements and bracket terms"
+        )
+
+
+def _subsets(n: int, k: int, cap) -> int:
+    """C(n, k), or a partial product C(n, i) > cap with i <= min(k, n-k)
+    once one passes cap, which C(n, k) then does too."""
+    c = 1
+    for i in range(min(k, n - k)):
+        c = c * (n - i) // (i + 1)
+        if cap is not None and c > cap:
+            break
+    return c
+
+
+def heisenberg(k: int, m: int, *, cap=DEFAULT_SIZE_CAP) -> KaryAlgebra:
     """k-ary Heisenberg algebra: dim km+1, brackets [x^1_i,...,x^k_i] = z."""
     if k < 2 or m < 1:
         raise InputError(f"heisenberg needs k >= 2 and m >= 1, got ({k}, {m})")
+    _check_build(f"heisenberg({k}, {m})", 2 * k * m + 1, cap)
     labels = [f"x{j}_{i}" for j in range(1, k + 1) for i in range(1, m + 1)] + ["z"]
     z = k * m
     brackets = {}
@@ -28,10 +52,11 @@ def heisenberg(k: int, m: int) -> KaryAlgebra:
     return KaryAlgebra(k, k * m + 1, labels, brackets)
 
 
-def acj(k: int, m: int) -> KaryAlgebra:
+def acj(k: int, m: int, *, cap=DEFAULT_SIZE_CAP) -> KaryAlgebra:
     """ACJ-type algebra: dim km+1, brackets [z, x^1_i,...,x^{k-1}_i] = x^k_i."""
     if k < 2 or m < 1:
         raise InputError(f"acj needs k >= 2 and m >= 1, got ({k}, {m})")
+    _check_build(f"acj({k}, {m})", 2 * k * m + 1, cap)
     labels = ["z"] + [
         f"x{j}_{i}" for j in range(1, k + 1) for i in range(1, m + 1)
     ]
@@ -42,7 +67,7 @@ def acj(k: int, m: int) -> KaryAlgebra:
     return KaryAlgebra(k, k * m + 1, labels, brackets)
 
 
-def free_two_step(k: int, n: int) -> KaryAlgebra:
+def free_two_step(k: int, n: int, *, cap=DEFAULT_SIZE_CAP) -> KaryAlgebra:
     """Free 2-step nilpotent k-ary algebra on an n-dim space V.
 
     Basis e_1..e_n plus w_S for every k-subset S; the only brackets are
@@ -53,6 +78,7 @@ def free_two_step(k: int, n: int) -> KaryAlgebra:
         raise InputError(f"arity must be at least 2, got {k}")
     if n < k:
         raise InputError(f"free_two_step needs n >= k, got n={n} < k={k}")
+    _check_build(f"free_two_step({k}, {n})", n + (k + 1) * _subsets(n, k, cap), cap)
     subsets = list(combinations(range(n), k))
     labels = [f"e{i + 1}" for i in range(n)] + [
         "w_" + "_".join(str(i + 1) for i in s) for s in subsets
@@ -67,7 +93,7 @@ def free_two_step(k: int, n: int) -> KaryAlgebra:
     return KaryAlgebra(k, n + len(subsets), labels, brackets, weights)
 
 
-def free_three_step_small(k: int) -> KaryAlgebra:
+def free_three_step_small(k: int, *, cap=DEFAULT_SIZE_CAP) -> KaryAlgebra:
     """Free 3-step nilpotent k-ary algebra on dim V = k (Hall basis).
 
     Basis: x_1..x_k (degree 1), y = [x_1,...,x_k] (degree k), and
@@ -76,6 +102,7 @@ def free_three_step_small(k: int) -> KaryAlgebra:
     """
     if k < 3:
         raise InputError(f"free_three_step_small needs k >= 3, got {k}")
+    _check_build(f"free_three_step_small({k})", 2 * k + 1 + k * (k + 1), cap)
     labels = (
         [f"x{i + 1}" for i in range(k)]
         + ["y"]
@@ -89,14 +116,17 @@ def free_three_step_small(k: int) -> KaryAlgebra:
     return KaryAlgebra(k, 2 * k + 1, labels, brackets)
 
 
-def current_algebra(alg: KaryAlgebra, j: int) -> KaryAlgebra:
+def current_algebra(alg: KaryAlgebra, j: int, *, cap=DEFAULT_SIZE_CAP) -> KaryAlgebra:
     """Truncated current algebra g (x) C[t]/t^j.
 
     Basis b (x) t^p for p in [0, j); the bracket multiplies exponents
-    additively and vanishes once the exponent sum reaches j.
+    additively and vanishes once the exponent sum reaches j.  The build
+    visits j^k exponent tuples per bracket of g.
     """
     if j < 1:
         raise InputError(f"truncation must be at least 1, got {j}")
+    products = len(alg.brackets) * j**alg.arity
+    _check_build(f"current({alg!r}, {j})", j * alg.dim + products, cap)
     n = alg.dim
     labels = [f"{lab}.t{p}" for p in range(j) for lab in alg.labels]
     items = []
@@ -112,10 +142,11 @@ def current_algebra(alg: KaryAlgebra, j: int) -> KaryAlgebra:
     return KaryAlgebra.from_brackets(alg.arity, j * n, labels, items)
 
 
-def abelian(k: int, n: int) -> KaryAlgebra:
+def abelian(k: int, n: int, *, cap=DEFAULT_SIZE_CAP) -> KaryAlgebra:
     """Abelian algebra of dimension n with arity-k (vanishing) bracket."""
     if k < 2 or n < 1:
         raise InputError(f"abelian needs k >= 2 and n >= 1, got ({k}, {n})")
+    _check_build(f"abelian({k}, {n})", n, cap)
     return KaryAlgebra(k, n, [f"a{i + 1}" for i in range(n)], {})
 
 
@@ -125,7 +156,10 @@ _FAMILIES = {
     "acj": (acj, ("k", "m")),
     "free2": (free_two_step, ("k", "n")),
     "free3small": (free_three_step_small, ("k",)),
-    "current": (lambda inner, j: current_algebra(inner.build(), j), ("inner", "j")),
+    "current": (
+        lambda inner, j, cap: current_algebra(inner.build(cap), j, cap=cap),
+        ("inner", "j"),
+    ),
     "abelian": (abelian, ("k", "n")),
 }
 FAMILY_TAGS = tuple(_FAMILIES)
@@ -140,8 +174,9 @@ class FamilySpec(namedtuple("FamilySpec", "tag k m n j inner", defaults=(None,) 
 
     __slots__ = ()
 
-    def build(self) -> KaryAlgebra:
-        """Build the algebra, refusing a parameter its family does not take."""
+    def build(self, cap=DEFAULT_SIZE_CAP) -> KaryAlgebra:
+        """Build the algebra, refusing a parameter its family does not
+        take and a build over cap (see the module docstring)."""
         if self.tag not in _FAMILIES:
             raise InputError(f"unknown family {self.tag!r} (expected one of {FAMILY_TAGS})")
         constructor, params = _FAMILIES[self.tag]
@@ -151,7 +186,7 @@ class FamilySpec(namedtuple("FamilySpec", "tag k m n j inner", defaults=(None,) 
                 raise InputError(f"family {self.tag!r} does not take --{name}")
             if not given and name in params:
                 raise InputError(f"family {self.tag!r} needs parameter --{name}")
-        return constructor(*(getattr(self, name) for name in params))
+        return constructor(*(getattr(self, name) for name in params), cap=cap)
 
     def describe(self) -> str:
         if self.tag == "current":

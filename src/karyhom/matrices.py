@@ -12,9 +12,13 @@ row is zero below its pivot, no two pivots coincide, and the pivots and
 pivot rows depend only on the row and column keys, never on the order
 the rows or their entries were inserted: every run is bit-reproducible.
 
-A second, structurally independent elimination modulo a random word-size
-prime serves as a cross-check: rank mod p never exceeds the rational
-rank, and agreement at a few random primes confirms the exact value.
+`rank_mod_p` is the cross-check: a one-pass least-key echelon modulo a
+prime over the same rows.  Rank mod p never exceeds the rational rank,
+and agreement at a few random primes confirms the exact value.  It
+shares no code with `_eliminate` (no gcd, no content strip), so a fault
+in the exact elimination cannot repeat itself in the check, and it
+leaves its rows unchanged, so it can run on them before `_eliminate`
+reduces them in place.
 """
 
 from __future__ import annotations
@@ -182,40 +186,35 @@ def kernel_basis(rows: dict, ncols: int) -> list:
     return basis
 
 
-def rank_mod_p(matrix: SparseIntMatrix, p: int) -> int:
-    """Rank of the matrix over GF(p).
+def rank_mod_p(rows: dict, p: int) -> int:
+    """Rank over GF(p), p prime, of {row: {col: int}} rows with index or
+    mask keys, which are left unchanged (see the module docstring).
 
-    Deliberately a separate elimination (dense-in-rows, partial
-    pivoting on the sparsest row) so it shares no code path with the
-    rational rank it cross-checks.
+    Rows are taken shortest first, ties in insertion order.  Each is
+    reduced mod p into a fresh dict and, while a pivot row owns its
+    least column, reduced there; a row that survives is scaled to pivot
+    1 and owns its least column.  The rank is the number of owners.
     """
-    rows = []
-    for row in matrix.row_dicts().values():
-        rr = {c: v % p for c, v in row.items() if v % p}
-        if rr:
-            rows.append(rr)
-    rk = 0
-    while rows:
-        rows.sort(key=len)
-        prow = rows.pop(0)
-        pc = min(prow)
-        inv = pow(prow[pc], p - 2, p)
-        prow = {c: (v * inv) % p for c, v in prow.items()}
-        rk += 1
-        nxt = []
-        for row in rows:
-            f = row.get(pc)
-            if f:
-                for c, pv in prow.items():
-                    nv = (row.get(c, 0) - f * pv) % p
-                    if nv:
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
-            if row:
-                nxt.append(row)
-        rows = nxt
-    return rk
+    owner = {}  # pivot column -> its pivot row, scaled to pivot 1
+    for row in sorted(rows.values(), key=len):
+        row = {c: r for c, v in row.items() if (r := v % p)}
+        while row:
+            pc = min(row)
+            prow = owner.get(pc)
+            if prow is None:
+                inv = pow(row[pc], -1, p)
+                for c in row:
+                    row[c] = row[c] * inv % p
+                owner[pc] = row
+                break
+            f = row[pc]
+            for c, pv in prow.items():
+                v = (row.get(c, 0) - f * pv) % p
+                if v:
+                    row[c] = v
+                else:
+                    del row[c]  # c was in row: a new entry -f * pv is nonzero
+    return len(owner)
 
 
 # Deterministic Miller-Rabin witnesses for n < 3.3 * 10^24.

@@ -12,26 +12,32 @@ the full exterior algebra.  `toral_table_rows` tabulates the z-free factor.
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 from .algebra import DEFAULT_SIZE_CAP, KaryAlgebra, center, lower_central_series
 from .errors import InputError
 
 
-def refinement_bound(dim_v: int, dim_z: int, k: int) -> int:
-    """The 2-step lower bound for given complement/center dimensions.
+def _bounds(k: int):
+    """The z-free bounds for |v| = 0, 1, 2, ...
 
     The inner sums are the coefficients of (1+x)^|v| mod (x^k + 1), since
-    x^(kj+i) = (-1)^j x^i there: |v| multiplications by 1+x, each k
-    additions, with x * x^(k-1) = -1.
+    x^(kj+i) = (-1)^j x^i there; each power is the last one times 1+x,
+    k additions with x * x^(k-1) = -1.
     """
-    if dim_v < 0 or dim_z < 0:
-        raise InputError("dimensions must be nonnegative")
     if k < 2:
         raise InputError(f"arity must be at least 2, got {k}")
     coeffs = [1] + [0] * (k - 1)
-    for _ in range(dim_v):
+    while True:
+        yield sum(map(abs, coeffs))
         coeffs = [coeffs[0] - coeffs[-1]] + [a + b for a, b in zip(coeffs[1:], coeffs)]
-    return sum(map(abs, coeffs)) * 2**dim_z
+
+
+def refinement_bound(dim_v: int, dim_z: int, k: int) -> int:
+    """The 2-step lower bound for given complement/center dimensions."""
+    if dim_v < 0 or dim_z < 0:
+        raise InputError("dimensions must be nonnegative")
+    return next(islice(_bounds(k), dim_v, None)) * 2**dim_z
 
 
 def log2_display(x: float) -> str:
@@ -50,11 +56,12 @@ def toral_table_rows(n_max: int, k_list=(2, 3, 4, 5)):
         raise InputError(f"the table needs n_max >= 1, got {n_max}")
     if len(set(k_list)) != len(k_list):
         raise InputError(f"arities must be distinct, got {list(k_list)}")
+    columns = [(k, islice(_bounds(k), 1, None)) for k in k_list]
     rows = []
     for n in range(1, n_max + 1):
         row = {"n": n}
-        for k in k_list:
-            b = refinement_bound(n, 0, k)
+        for k, bounds in columns:
+            b = next(bounds)
             row[f"k{k}"] = b
             row[f"k{k}_log2"] = log2_display(math.log2(b))
         rows.append(row)

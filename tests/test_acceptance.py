@@ -301,13 +301,13 @@ def test_c10_property_suites():
                 blocks = [b.matrix for b in weight_blocks(alg, t).values()]
                 q = sum(rank(b) for b in blocks)
                 for p in primes:
-                    if sum(rank_mod_p(b, p) for b in blocks) != q:
+                    if sum(rank_mod_p(b.row_dicts(), p) for b in blocks) != q:
                         modular_ok = False
             else:
                 m = differential_matrix(alg, t)
                 q = rank(m)
                 for p in primes:
-                    if rank_mod_p(m, p) != q:
+                    if rank_mod_p(m.row_dicts(), p) != q:
                         modular_ok = False
 
     # (d) bracket sign conventions do not move any Betti number (5 draws)

@@ -402,6 +402,40 @@ def test_size_cap_exit_code(capsys):
     assert code == 3
 
 
+def test_family_builds_obey_size_cap(capsys):
+    # refused before allocating: C(26, 12) = 9657700 subsets, 400^3 exponent
+    # tuples for the one bracket of heisenberg(3, 1), and C(10^6, 5 * 10^5)
+    # subsets under dump's default cap, a number the check never forms
+    for argv in (
+        ("compute", "--family", "free2", "--k", "12", "--n", "26", "--size-cap", "1000"),
+        ("compute", "--family", "current", "--inner", "heisenberg", "--k", "3", "--m", "1", "--j", "400"),
+        ("dump", "--family", "free2", "--k", "500000", "--n", "1000000"),
+    ):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 3, argv
+        assert captured.out == ""
+        assert captured.err.startswith("error: building ") and captured.err.count("\n") == 1
+
+
+def test_size_cap_reaches_chain_space_and_jacobi_checks(capsys):
+    # the builds fit (13, 25, 22 and 13 basis elements and bracket entries);
+    # the chain spaces (35, 1287, 120 monomials) and the 48 Jacobi joins do not
+    for argv, check in (
+        (("compute", "--family", "heisenberg", "--k", "3", "--m", "2", "--size-cap", "20"), "chain space"),
+        (("check", "--family", "heisenberg", "--k", "3", "--m", "4", "--size-cap", "30"), "chain space"),
+        (
+            ("decompose", "--family", "free2", "--k", "2", "--n", "4", "--degree", "3", "--size-cap", "30"),
+            "chain space",
+        ),
+        (("check", "--family", "heisenberg", "--k", "3", "--m", "2", "--size-cap", "40"), "Jacobi"),
+    ):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 3, argv
+        assert captured.err.startswith(f"error: {check}"), argv
+
+
 _MM_HEADER = "%%MatrixMarket matrix coordinate integer general\n"
 
 # every exported boundary, byte for byte: rows and columns in the

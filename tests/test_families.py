@@ -1,7 +1,7 @@
 import pytest
 
 from karyhom.algebra import center, check_jacobi, lower_central_series
-from karyhom.errors import InputError
+from karyhom.errors import InputError, ResourceCapError
 from karyhom.families import (
     FamilySpec,
     abelian,
@@ -137,6 +137,31 @@ def test_family_spec_builds_and_describes():
         FamilySpec(tag="nope", k=2).build()
     with pytest.raises(InputError):
         FamilySpec(tag="heisenberg", k=3).build()
+
+
+def test_builds_over_cap_are_refused_before_allocating():
+    # basis elements plus bracket-key entries; for a current algebra,
+    # basis elements plus j^k exponent tuples per bracket of the base
+    for build, size in (
+        (lambda cap: heisenberg(3, 2, cap=cap), 13),
+        (lambda cap: acj(3, 2, cap=cap), 13),
+        (lambda cap: free_two_step(2, 4, cap=cap), 22),
+        (lambda cap: free_three_step_small(3, cap=cap), 19),
+        (lambda cap: abelian(2, 5, cap=cap), 5),
+        (lambda cap: current_algebra(heisenberg(2, 1), 3, cap=cap), 18),
+    ):
+        build(size)
+        with pytest.raises(ResourceCapError):
+            build(size - 1)
+    # the base of a current algebra is built under the same cap: current(
+    # heisenberg(2, 1), 1) takes 4, its base 5
+    spec = FamilySpec(tag="current", j=1, inner=FamilySpec(tag="heisenberg", k=2, m=1))
+    assert spec.build(cap=5).dim == 3
+    with pytest.raises(ResourceCapError):
+        spec.build(cap=4)
+    # parameters are checked before the size
+    with pytest.raises(InputError):
+        free_two_step(1, 10**9)
 
 
 @pytest.mark.parametrize(

@@ -80,7 +80,7 @@ def test_rank_against_dense_oracle_randomized():
         transpose = SparseIntMatrix(cols, rows, {(c, r): v for (r, c), v in m.entries.items()})
         assert rank(transpose) == expected
         for p in (2**31 - 1, 2147483659, 2305843009213693951):
-            assert rank_mod_p(m, p) == expected
+            assert rank_mod_p(m.row_dicts(), p) == expected
 
 
 def _with_dependent_rows(rng, dense):
@@ -203,8 +203,22 @@ def test_rank_oracle_at_realistic_sizes():
         deficient += expected < min(m.rows, m.cols)
         assert rank(m) == expected, trial
         for p in (2**31 - 1, 2147483659, 2305843009213693951):
-            assert rank_mod_p(m, p) == expected, (trial, p)
+            assert rank_mod_p(m.row_dicts(), p) == expected, (trial, p)
     assert deficient >= 50
+    # whole mask-keyed boundaries, which rank_mod_p must leave unchanged
+    # (heisenberg(3,5) d_7 is the 1350 that bench/README.md quotes)
+    for alg, t, expected in (
+        (heisenberg(2, 8), 8, 8008),
+        (acj(2, 8), 8, 7520),
+        (heisenberg(3, 5), 7, 1350),
+        (free_two_step(2, 5), 7, 2115),
+    ):
+        assert ChainLayout.of(alg).boundary_rank(t) == expected
+        rows = _boundary_rows(alg, t)
+        before = {r: dict(row) for r, row in rows.items()}
+        for p in (2**31 - 1, 2147483659, 2305843009213693951):
+            assert rank_mod_p(rows, p) == expected, (alg, t, p)
+        assert rows == before
 
 
 def _assert_echelon(m):

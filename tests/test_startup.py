@@ -103,7 +103,7 @@ def test_decompose_loads_only_the_character_path(footprint):
 
 
 def test_compute_and_verify_load_no_csv(footprint):
-    # only the --format csv renderers import csv
+    # no module imports csv: the --format csv renderers join numbers with commas
     assert "csv" not in footprint["compute"] | footprint["verify"]
 
 

@@ -131,6 +131,10 @@ def test_table_outputs():
             render(3, (2, 3, 2))
         with pytest.raises(InputError):
             render(0)
+    # the table steps one power per arity; refinement_bound starts afresh
+    for row in toral_table_rows(300, (2, 3, 4, 5, 6)):
+        for k in (2, 3, 4, 5, 6):
+            assert row[f"k{k}"] == refinement_bound(row["n"], 0, k), row["n"]
 
 
 def test_log2_display_format():
