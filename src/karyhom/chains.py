@@ -25,6 +25,9 @@ by weight, `verify_d_squared` composes it (`_product`), and
 `homology.theta_matrix` index it.  Indices come from one function,
 `_lex_index`, which reads the lexicographic position of a monomial off
 its mask, so the indexed matrices are reproducible bit for bit.
+Only ranking (`ChainLayout.boundary_rank`) and indexing (`_indexed`)
+import `matrices`, when they run, so `verify_d_squared` alone, as
+`check` runs it, does not load it.
 
 When every ad(y_2, ..., y_k) is traceless, as in every nilpotent
 algebra, rank d_t = rank d_{n+k-1-t} (see `ChainLayout`), and each pair
@@ -39,7 +42,6 @@ from math import comb
 
 from .algebra import _ZERO, DEFAULT_SIZE_CAP, KaryAlgebra, _adjoint
 from .errors import InputError, ResourceCapError
-from .matrices import SparseIntMatrix, _eliminate
 from .util import comb0
 
 
@@ -123,9 +125,11 @@ def _lex_index(mask: int, n: int) -> int:
     return index
 
 
-def _indexed(rows: dict, n: int, shape) -> SparseIntMatrix:
+def _indexed(rows: dict, n: int, shape):
     """Mask-keyed rows over n bits as a `SparseIntMatrix` of the given
     shape, each row and column mask at its `_lex_index`."""
+    from .matrices import SparseIntMatrix
+
     cols, entries = {}, {}
     for r, row in rows.items():
         i = _lex_index(r, n)
@@ -137,9 +141,10 @@ def _indexed(rows: dict, n: int, shape) -> SparseIntMatrix:
     return SparseIntMatrix(*shape, entries)
 
 
-def differential_matrix(alg: KaryAlgebra, t: int) -> SparseIntMatrix:
-    """Matrix of d_t from the degree-t to the degree-(t-k+1) monomials,
-    both in lexicographic order: `_boundary_rows` indexed by `_indexed`."""
+def differential_matrix(alg: KaryAlgebra, t: int):
+    """`SparseIntMatrix` of d_t from the degree-t to the degree-(t-k+1)
+    monomials, both in lexicographic order: `_boundary_rows` indexed by
+    `_indexed`."""
     k, n = alg.arity, alg.dim
     if t < k:
         raise InputError(f"boundary needs degree >= {k}, got {t}")
@@ -274,6 +279,8 @@ class ChainLayout:
         if t < alg.arity or t > alg.dim:
             return 0
         if t not in self._ranks:
+            from .matrices import _eliminate
+
             self._ranks[t] = sum(1 for _ in _eliminate(_boundary_rows(alg, t)))
         return self._ranks[t]
 

@@ -12,9 +12,11 @@ Exit status: 0 success, 1 a validator assertion failed, 2 usage error
 (including a character that is not a sum of Schur characters), 3 size
 cap exceeded.  JSON output is byte-deterministic.
 
-Only argument parsing and algebra sources are imported with this
-module; each verb imports the engine modules it runs when it runs, so a
-process pays start-up only for its own verb.
+Only argument parsing and the algebra core are imported with this
+module.  `families` loads only when --family is given, each verb
+imports the engine modules it runs when it runs, and `main` builds the
+parser of its own verb alone, so a process pays start-up only for what
+it runs.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import sys
 from . import __version__
 from .algebra import DEFAULT_SIZE_CAP, algebra_to_json_dict, check_jacobi, load_algebra
 from .errors import ConsistencyError, InputError, ResourceCapError
-from .families import FAMILY_TAGS, FamilySpec
 
 SCHEMA = "karyhom-cli/1"
 
@@ -38,8 +39,11 @@ def _json_out(payload) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _family_spec(args) -> FamilySpec:
-    """The spec of --family; for current, --k/--m/--n go to the inner family."""
+def _family_spec(args):
+    """The `FamilySpec` of --family; for current, --k/--m/--n go to the
+    inner family."""
+    from .families import FamilySpec
+
     inner = FamilySpec(tag=args.inner, k=args.k, m=args.m, n=args.n) if args.inner else None
     if args.family != "current":
         return FamilySpec(tag=args.family, k=args.k, m=args.m, n=args.n, j=args.j, inner=inner)
@@ -48,21 +52,27 @@ def _family_spec(args) -> FamilySpec:
     return FamilySpec(tag="current", j=args.j, inner=inner)
 
 
+_FAMILY_PARAMETERS = ("k", "m", "n", "j", "inner")
+
+
 def _resolve_algebra(args):
     """(algebra, description, family_spec_or_None) from --family/--input."""
-    if getattr(args, "input", None) and getattr(args, "family", None):
+    if args.input and args.family:
         raise InputError("provide exactly one algebra source, not both")
-    if getattr(args, "input", None):
+    if args.input:
+        for name in _FAMILY_PARAMETERS:
+            if getattr(args, name) is not None:
+                raise InputError(f"--{name} is a family parameter; --input takes none")
         alg = load_algebra(args.input)
         return alg, f"custom({os.path.basename(args.input)})", None
-    if getattr(args, "family", None):
+    if args.family:
         spec = _family_spec(args)
         return spec.build(getattr(args, "size_cap", DEFAULT_SIZE_CAP)), spec.describe(), spec
     raise InputError("provide exactly one algebra source: --family or --input")
 
 
 def _add_source_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=FAMILY_TAGS)
+    p.add_argument("--family", help="family tag, such as heisenberg (an unknown tag lists them all)")
     p.add_argument("--input", help="path to an algebra JSON document")
     p.add_argument("--k", type=int, help="bracket arity")
     p.add_argument("--m", type=int, help="number of bracket blocks")
@@ -75,43 +85,57 @@ def _add_size_cap(p: argparse.ArgumentParser) -> None:
     p.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="karyhom",
-        description="Exact homology of nilpotent k-ary Lie algebras.",
-    )
-    parser.add_argument("--version", action="version", version=f"karyhom {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("compute", help="Betti numbers of one algebra")
+def _compute_args(p: argparse.ArgumentParser) -> None:
     _add_source_args(p)
     _add_size_cap(p)
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.add_argument("--degree", type=int, help="restrict the report to one chain degree")
     p.add_argument("--export-mm", metavar="DIR", help="write boundary matrices in MatrixMarket format")
 
-    p = sub.add_parser("verify", help="run all validators applicable to the algebra")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     _add_source_args(p)
     _add_size_cap(p)
     p.add_argument("--format", choices=("json", "text"), default="json")
 
-    p = sub.add_parser("table", help="toral lower-bound table")
+
+def _table_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nmax", type=int, default=20)
     p.add_argument("--k", default="2,3,4,5", help="comma-separated arities")
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
 
-    p = sub.add_parser("decompose", help="Schur decomposition of one homology group")
+
+def _decompose_args(p: argparse.ArgumentParser) -> None:
     _add_source_args(p)
     _add_size_cap(p)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--degree", type=int, required=True)
 
-    p = sub.add_parser("check", help="Jacobi identity and d^2 = 0 only (JSON)")
+
+def _check_args(p: argparse.ArgumentParser) -> None:
     _add_source_args(p)
     _add_size_cap(p)
 
-    p = sub.add_parser("dump", help="emit the algebra JSON document")
-    _add_source_args(p)
+
+def build_parser(verb=None) -> argparse.ArgumentParser:
+    """The parser of every verb, or of verb alone when it names one.
+
+    `main` passes the first word of argv, so a run builds one
+    subparser; its usage line still lists every verb.  With no verb, or
+    a word that is no verb (--help, --version, a typo), all six are
+    built.
+    """
+    parser = argparse.ArgumentParser(
+        prog="karyhom",
+        description="Exact homology of nilpotent k-ary Lie algebras.",
+    )
+    parser.add_argument("--version", action="version", version=f"karyhom {__version__}")
+    one = verb in _VERBS
+    every_verb = "{" + ",".join(_VERBS) + "}" if one else None  # argparse's own when all are built
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every_verb)
+    for name in (verb,) if one else _VERBS:
+        _, help_text, add_args = _VERBS[name]
+        add_args(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -274,18 +298,20 @@ def _cmd_dump(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "compute": _cmd_compute,
-    "verify": _cmd_verify,
-    "table": _cmd_table,
-    "decompose": _cmd_decompose,
-    "check": _cmd_check,
-    "dump": _cmd_dump,
+# verb -> (handler, help line, the function that adds its arguments)
+_VERBS = {
+    "compute": (_cmd_compute, "Betti numbers of one algebra", _compute_args),
+    "verify": (_cmd_verify, "run all validators applicable to the algebra", _verify_args),
+    "table": (_cmd_table, "toral lower-bound table", _table_args),
+    "decompose": (_cmd_decompose, "Schur decomposition of one homology group", _decompose_args),
+    "check": (_cmd_check, "Jacobi identity and d^2 = 0 only (JSON)", _check_args),
+    "dump": (_cmd_dump, "emit the algebra JSON document", _add_source_args),
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -295,7 +321,7 @@ def main(argv=None) -> int:
             raise InputError(f"--size-cap must be at least 0, got {args.size_cap}")
         if getattr(args, "nmax", 1) < 1:
             raise InputError(f"--nmax must be at least 1, got {args.nmax}")
-        return _COMMANDS[args.command](args)
+        return _VERBS[args.command][0](args)
     except ResourceCapError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

@@ -6,18 +6,18 @@ leaves every computed rank unchanged.
 
 Each constructor checks its parameters, then counts the terms it would
 allocate (basis elements plus bracket-key entries; for a current
-algebra, basis elements plus bracket products visited) and refuses a
-count above cap (None: no limit) before allocating anything.
+algebra, basis elements plus j^k exponent tuples per bracket of its
+base, a bound on the products it forms) and refuses a count above cap
+(None: no limit) before allocating anything.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations, product
+from itertools import combinations
 
 from .algebra import DEFAULT_SIZE_CAP, KaryAlgebra
 from .errors import InputError, ResourceCapError
-from .util import sort_with_sign
 
 
 def _check_build(name: str, size: int, cap) -> None:
@@ -116,12 +116,25 @@ def free_three_step_small(k: int, *, cap=DEFAULT_SIZE_CAP) -> KaryAlgebra:
     return KaryAlgebra(k, 2 * k + 1, labels, brackets)
 
 
+def _exponents(k: int, j: int):
+    """(ps, sum(ps)) for each k-tuple ps over range(j) with sum below j,
+    in the order `itertools.product(range(j), repeat=k)` yields them."""
+    if k == 1:
+        for p in range(j):
+            yield (p,), p
+        return
+    for head, s in _exponents(k - 1, j):
+        for p in range(j - s):
+            yield head + (p,), s + p
+
+
 def current_algebra(alg: KaryAlgebra, j: int, *, cap=DEFAULT_SIZE_CAP) -> KaryAlgebra:
     """Truncated current algebra g (x) C[t]/t^j.
 
     Basis b (x) t^p for p in [0, j); the bracket multiplies exponents
-    additively and vanishes once the exponent sum reaches j.  The build
-    visits j^k exponent tuples per bracket of g.
+    additively and vanishes once the exponent sum reaches j, so each
+    bracket of g gives one product per exponent tuple with sum below j,
+    C(j+k-1, k) of the j^k that the cap counts.
     """
     if j < 1:
         raise InputError(f"truncation must be at least 1, got {j}")
@@ -129,16 +142,13 @@ def current_algebra(alg: KaryAlgebra, j: int, *, cap=DEFAULT_SIZE_CAP) -> KaryAl
     _check_build(f"current({alg!r}, {j})", j * alg.dim + products, cap)
     n = alg.dim
     labels = [f"{lab}.t{p}" for p in range(j) for lab in alg.labels]
-    items = []
-    for args, vec in alg.brackets.items():
-        for ps in product(range(j), repeat=alg.arity):
-            s = sum(ps)
-            if s >= j:
-                continue
-            new_args, sign = sort_with_sign(
-                tuple(p * n + a for p, a in zip(ps, args))
-            )
-            items.append((new_args, {s * n + w: sign * c for w, c in vec.items()}))
+    # p * n + a never repeats an index; from_brackets sorts each key
+    # with its sign
+    items = [
+        (tuple(p * n + a for p, a in zip(ps, args)), {s * n + w: c for w, c in vec.items()})
+        for args, vec in alg.brackets.items()
+        for ps, s in _exponents(alg.arity, j)
+    ]
     return KaryAlgebra.from_brackets(alg.arity, j * n, labels, items)
 
 

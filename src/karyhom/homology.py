@@ -19,7 +19,6 @@ from collections import namedtuple
 from .algebra import KaryAlgebra, lower_central_series
 from .chains import DEFAULT_SIZE_CAP, ChainLayout, _boundary_rows, _indexed, check_cap
 from .errors import InputError
-from .families import current_algebra
 from .matrices import SparseIntMatrix, kernel_dim
 from .util import comb0
 
@@ -345,6 +344,8 @@ def property_m_check(alg: KaryAlgebra, j: int, *, cap=DEFAULT_SIZE_CAP) -> dict:
     dimension-only 2-step lower bound; the bound alone can already
     refute the tensor-power identity.
     """
+    from .families import current_algebra
+
     cur = current_algebra(alg, j)
     base = betti_all(alg, cap=cap)
     curr = betti_all(cur, cap=cap)

@@ -156,13 +156,14 @@ def _count_rank_calls(monkeypatch, degrees=None):
         "_boundary_rows": (boundary_rows, counting_boundary_rows),
         "_eliminate": (eliminate, counting_eliminate),
     }
+    # chains imports _eliminate from matrices when it ranks, so the
+    # counting one stays in matrices too; it counts only whole boundaries,
+    # never the fresh rows of a counted rank call
     for name, module in list(sys.modules.items()):
         if name == "karyhom" or name.startswith("karyhom."):
             for attr, (function, counting) in patches.items():
                 if getattr(module, attr, None) is function:
                     monkeypatch.setattr(module, attr, counting)
-    # rank, counted itself, calls the _eliminate of its own module
-    monkeypatch.setattr(karyhom.matrices, "_eliminate", eliminate)
     return shapes
 
 
@@ -306,7 +307,25 @@ def test_usage_errors(capsys):
     assert code == 2  # missing --m
     code, _ = run_cli(capsys, "compute")
     assert code == 2  # no algebra source
-    assert main(["compute", "--family", "nosuch"]) == 2  # argparse rejects choice
+    assert main(["compute", "--family", "nosuch"]) == 2  # FamilySpec.build refuses the tag
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown family 'nosuch'") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "params",
+    [("--k", "7", "--m", "9", "--j", "2"), ("--m", "2"), ("--n", "3"), ("--j", "2"),
+     ("--inner", "acj")],
+    ids=["k-m-j", "m", "n", "j", "inner"],
+)
+def test_family_parameters_with_input_exit_2(tmp_path, capsys, params):
+    # an --input document takes no family parameter; the first one given is named
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({**HEIS21, "brackets": [{"args": [0, 1], "value": [[2, 1]]}]}))
+    code = main(["check", "--input", str(path), *params])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {params[0]} is a family parameter; --input takes none\n"
 
 
 HEIS21 = {"arity": 2, "dim": 3, "labels": ["x", "y", "z"]}

@@ -1,9 +1,18 @@
+from itertools import product
+
 import pytest
 
-from karyhom.algebra import center, check_jacobi, lower_central_series
+from karyhom.algebra import (
+    KaryAlgebra,
+    algebra_to_json_dict,
+    center,
+    check_jacobi,
+    lower_central_series,
+)
 from karyhom.errors import InputError, ResourceCapError
 from karyhom.families import (
     FamilySpec,
+    _exponents,
     abelian,
     acj,
     current_algebra,
@@ -11,6 +20,7 @@ from karyhom.families import (
     free_two_step,
     heisenberg,
 )
+from karyhom.util import sort_with_sign
 
 
 def test_heisenberg_shapes():
@@ -88,6 +98,43 @@ def test_current_algebra():
     # abelian stays abelian
     ab = current_algebra(abelian(2, 3), 3)
     assert ab.dim == 9 and not ab.brackets
+
+
+def _current_by_product_and_filter(alg, j):
+    """The current algebra built from all j^k exponent tuples, those with
+    sum j or more dropped."""
+    n = alg.dim
+    items = []
+    for args, vec in alg.brackets.items():
+        for ps in product(range(j), repeat=alg.arity):
+            s = sum(ps)
+            if s < j:
+                new_args, sign = sort_with_sign(tuple(p * n + a for p, a in zip(ps, args)))
+                items.append((new_args, {s * n + w: sign * c for w, c in vec.items()}))
+    labels = [f"{lab}.t{p}" for p in range(j) for lab in alg.labels]
+    return KaryAlgebra.from_brackets(alg.arity, j * n, labels, items)
+
+
+@pytest.mark.parametrize(
+    "base, j",
+    [
+        (heisenberg(3, 1), 6),
+        (heisenberg(2, 2), 4),
+        (acj(2, 2), 5),
+        (acj(4, 1), 4),
+        (free_three_step_small(3), 3),
+        (KaryAlgebra(2, 3, ["x", "y", "z"], {(0, 1): {2: -2}}), 7),
+        (heisenberg(2, 1), 1),
+    ],
+    ids=["heisenberg31", "heisenberg22", "acj22", "acj41", "free3small3", "scaled", "j1"],
+)
+def test_current_algebra_matches_the_product_and_filter_build(base, j):
+    cur, oracle = current_algebra(base, j), _current_by_product_and_filter(base, j)
+    assert list(cur.brackets.items()) == list(oracle.brackets.items())  # keys in the same order
+    assert algebra_to_json_dict(cur) == algebra_to_json_dict(oracle)
+    for k in range(1, 6):
+        expected = [ps for ps in product(range(j), repeat=k) if sum(ps) < j]
+        assert list(_exponents(k, j)) == [(ps, sum(ps)) for ps in expected]
 
 
 def test_current_bracket_grading():

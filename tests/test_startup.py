@@ -55,14 +55,35 @@ sys.stdout = out
 print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
+# the same verbs on an --input document, whose path is argv[1]
+INPUT_FOOTPRINT = r"""
+import io, json, sys
+import karyhom.cli
+path = sys.argv[1]
+stages, codes = {}, []
+out, sys.stdout = sys.stdout, io.StringIO()
+for argv in (
+    ["dump", "--input", path],
+    ["check", "--input", path],
+    ["decompose", "--input", path, "--degree", "2"],
+    ["compute", "--input", path],
+    ["verify", "--input", path],
+):
+    codes.append(karyhom.cli.main(argv))
+    stages[argv[0]] = sorted(sys.modules)
+sys.stdout = out
+print(json.dumps({"codes": codes, "stages": stages}))
+"""
+
 HEAVY_STDLIB = {"dataclasses", "inspect", "typing", "fractions", "decimal", "random"}
 ENGINE = {f"karyhom.{m}" for m in ("chains", "homology", "schur", "toral")}
 
 
-def _run_fresh(script) -> dict:
-    """Run script in a new ``python -S`` and parse the JSON it prints."""
+def _run_fresh(script, *args) -> dict:
+    """Run script with args in a new ``python -S`` and parse the JSON it
+    prints."""
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", script],
+        [sys.executable, "-S", "-c", script, *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=SRC),
@@ -105,6 +126,43 @@ def test_decompose_loads_only_the_character_path(footprint):
 def test_compute_and_verify_load_no_csv(footprint):
     # no module imports csv: the --format csv renderers join numbers with commas
     assert "csv" not in footprint["compute"] | footprint["verify"]
+
+
+@pytest.fixture(scope="module")
+def input_footprint(tmp_path_factory):
+    from karyhom.algebra import algebra_to_json_dict
+    from karyhom.families import free_two_step
+
+    path = tmp_path_factory.mktemp("input") / "free2_2_3.json"
+    path.write_text(json.dumps(algebra_to_json_dict(free_two_step(2, 3))))
+    doc = _run_fresh(INPUT_FOOTPRINT, str(path))
+    assert doc["codes"] == [0, 0, 0, 0, 0]
+    return {stage: set(mods) for stage, mods in doc["stages"].items()}
+
+
+def test_input_runs_load_no_families(input_footprint):
+    # verify runs last, so its stage holds every module the five verbs loaded
+    assert "karyhom.families" not in input_footprint["verify"]
+
+
+def test_dump_and_check_load_no_matrices(input_footprint, footprint):
+    assert "karyhom.chains" in input_footprint["check"] and "karyhom.chains" in footprint["check"]
+    assert "karyhom.matrices" not in input_footprint["check"] | footprint["check"]
+
+
+def test_parser_of_one_verb_and_of_all(capsys):
+    from karyhom.cli import build_parser, main
+
+    verbs = "{compute,verify,table,decompose,check,dump}"
+    assert main(["--help"]) == 0
+    helps = {"--help": capsys.readouterr().out, "all": build_parser().format_help()}
+    for text in helps.values():
+        assert verbs in text
+        for verb in ("compute", "verify", "table", "decompose", "check", "dump"):
+            assert f"\n    {verb} " in text
+    # main builds only the verb it runs; the usage line still names all six
+    one = build_parser("check").format_help()
+    assert verbs in one and "\n    check " in one and "\n    compute " not in one
 
 
 def test_table_loads_neither_homology_nor_chains():
