@@ -299,8 +299,9 @@ def center(alg: KaryAlgebra) -> list:
 
     [v, R] is zero for every other sorted (k-1)-tuple R, so these rows
     give the kernel over all basis subsets.  The basis is the list of
-    primitive {index: int} rows `matrices.kernel_basis` returns; it is
-    not canonical.
+    primitive {index: int} rows `matrices.kernel_basis` returns, the
+    pivot rows of one `_eliminate` run, sorted by least index; it is not
+    canonical.
     """
     from .matrices import kernel_basis
 

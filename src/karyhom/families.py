@@ -6,9 +6,9 @@ leaves every computed rank unchanged.
 
 Each constructor checks its parameters, then counts the terms it would
 allocate (basis elements plus bracket-key entries; for a current
-algebra, basis elements plus j^k exponent tuples per bracket of its
-base, a bound on the products it forms) and refuses a count above cap
-(None: no limit) before allocating anything.
+algebra, basis elements plus the C(j+k-1, k) products it forms per
+bracket of its base) and refuses a count above cap (None: no limit)
+before allocating anything.
 """
 
 from __future__ import annotations
@@ -133,12 +133,12 @@ def current_algebra(alg: KaryAlgebra, j: int, *, cap=DEFAULT_SIZE_CAP) -> KaryAl
 
     Basis b (x) t^p for p in [0, j); the bracket multiplies exponents
     additively and vanishes once the exponent sum reaches j, so each
-    bracket of g gives one product per exponent tuple with sum below j,
-    C(j+k-1, k) of the j^k that the cap counts.
+    bracket of g gives one product per exponent tuple with sum below j:
+    C(j+k-1, k) of them, which the cap counts.
     """
     if j < 1:
         raise InputError(f"truncation must be at least 1, got {j}")
-    products = len(alg.brackets) * j**alg.arity
+    products = len(alg.brackets) * _subsets(j + alg.arity - 1, alg.arity, cap)
     _check_build(f"current({alg!r}, {j})", j * alg.dim + products, cap)
     n = alg.dim
     labels = [f"{lab}.t{p}" for p in range(j) for lab in alg.labels]

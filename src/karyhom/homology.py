@@ -346,7 +346,7 @@ def property_m_check(alg: KaryAlgebra, j: int, *, cap=DEFAULT_SIZE_CAP) -> dict:
     """
     from .families import current_algebra
 
-    cur = current_algebra(alg, j)
+    cur = current_algebra(alg, j, cap=cap)
     base = betti_all(alg, cap=cap)
     curr = betti_all(cur, cap=cap)
     series = lower_central_series(cur)

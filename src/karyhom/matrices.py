@@ -152,38 +152,30 @@ def row_basis(rows: dict) -> list:
 
 def kernel_basis(rows: dict, ncols: int) -> list:
     """A basis of the rational null space of {row: {col: int}} rows over
-    columns 0..ncols-1, as {col: int} vectors.  The rows are reduced in
-    place.
+    columns 0..ncols-1, as primitive {col: int} vectors sorted by least
+    column.  The rows are left unchanged.
 
-    One vector per non-pivot column f: x_f = 1, the other non-pivot
-    coordinates 0, the pivot coordinates solved in decreasing pivot
-    column (a pivot row involves only its pivot and larger columns),
-    then scaled to coprime integers.
-
-    The solve stays in integers: x holds a positive multiple of the
-    rational solution, and solving a pivot coordinate first multiplies x
-    by a = |pivot| / g, g = gcd(sum, pivot), then sets the new
-    coordinate to -sign(pivot) * sum / g, which is prime to a.  So x
-    stays primitive from x_f = 1 on, and ends as the one primitive
-    vector with x_f > 0.
+    `_eliminate` runs on the transpose tagged with the identity: column
+    c of A becomes the row e_c + A e_c, with every A key (an input row
+    key) below every e key (base + c), so the rows span all (x, Ax), a
+    space of dimension ncols.  The basis is the pivot rows whose pivot
+    is an e key.  A pivot is the least key of its row, so such a row has
+    no A part: it is an x with Ax = 0; no two pivots coincide, so these
+    x are independent.  The pivot rows with an A-key pivot have
+    independent A parts in the column space of A, at most rank A of
+    them, so at least ncols - rank A pivots are e keys: the x span the
+    kernel.
     """
-    pivots = sorted(_eliminate(rows), reverse=True)  # pivot columns are distinct
-    free = set(range(ncols)).difference(pc for pc, _ in pivots)
-    basis = []
-    for f in sorted(free):
-        x = {f: 1}
-        for pc, row in pivots:
-            s = sum(v * x[c] for c, v in row.items() if c in x)
-            if s:
-                p = row[pc]
-                g = gcd(s, p)
-                a = abs(p) // g
-                if a != 1:
-                    for c in x:
-                        x[c] *= a
-                x[pc] = -s // g if p > 0 else s // g
-        basis.append(x)
-    return basis
+    base = max(rows, default=-1) + 1
+    tagged = {c: {base + c: 1} for c in range(ncols)}
+    for r, row in rows.items():
+        for c, v in row.items():
+            tagged[c][r] = v
+    return [
+        {c - base: v for c, v in prow.items()}
+        for pc, prow in sorted(_eliminate(tagged))  # pivots are distinct
+        if pc >= base
+    ]
 
 
 def rank_mod_p(rows: dict, p: int) -> int:

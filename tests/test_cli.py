@@ -422,9 +422,10 @@ def test_size_cap_exit_code(capsys):
 
 
 def test_family_builds_obey_size_cap(capsys):
-    # refused before allocating: C(26, 12) = 9657700 subsets, 400^3 exponent
-    # tuples for the one bracket of heisenberg(3, 1), and C(10^6, 5 * 10^5)
-    # subsets under dump's default cap, a number the check never forms
+    # refused before allocating: C(26, 12) = 9657700 subsets, C(402, 3) =
+    # 10746800 products for the one bracket of heisenberg(3, 1), and
+    # C(10^6, 5 * 10^5) subsets under dump's default cap, a number the
+    # check never forms
     for argv in (
         ("compute", "--family", "free2", "--k", "12", "--n", "26", "--size-cap", "1000"),
         ("compute", "--family", "current", "--inner", "heisenberg", "--k", "3", "--m", "1", "--j", "400"),

@@ -1,7 +1,9 @@
 from itertools import product
+from math import comb
 
 import pytest
 
+from karyhom import families
 from karyhom.algebra import (
     KaryAlgebra,
     algebra_to_json_dict,
@@ -188,14 +190,14 @@ def test_family_spec_builds_and_describes():
 
 def test_builds_over_cap_are_refused_before_allocating():
     # basis elements plus bracket-key entries; for a current algebra,
-    # basis elements plus j^k exponent tuples per bracket of the base
+    # basis elements plus the C(j+k-1, k) products per bracket of the base
     for build, size in (
         (lambda cap: heisenberg(3, 2, cap=cap), 13),
         (lambda cap: acj(3, 2, cap=cap), 13),
         (lambda cap: free_two_step(2, 4, cap=cap), 22),
         (lambda cap: free_three_step_small(3, cap=cap), 19),
         (lambda cap: abelian(2, 5, cap=cap), 5),
-        (lambda cap: current_algebra(heisenberg(2, 1), 3, cap=cap), 18),
+        (lambda cap: current_algebra(heisenberg(2, 1), 3, cap=cap), 15),
     ):
         build(size)
         with pytest.raises(ResourceCapError):
@@ -209,6 +211,23 @@ def test_builds_over_cap_are_refused_before_allocating():
     # parameters are checked before the size
     with pytest.raises(InputError):
         free_two_step(1, 10**9)
+
+
+def test_current_algebra_cap_counts_the_products_it_forms(monkeypatch):
+    # 4 * 30 basis elements and C(32, 3) = 4960 products fit a cap of 5080
+    # exactly; the 30^3 exponent tuples a product would visit do not
+    base = heisenberg(3, 1)
+    assert len(current_algebra(base, 30, cap=5080).brackets) == comb(32, 3)
+    # 400 + C(102, 3) = 172100 fits the default cap; the products of that
+    # build (seconds of work) are stubbed out, so only the cap check runs
+    formed = []
+    monkeypatch.setattr(families, "_exponents", lambda k, j: formed.append((k, j)) or ())
+    assert current_algebra(base, 100).dim == 400
+    assert formed == [(3, 100)]
+    # one under the count is refused before any product is formed
+    with pytest.raises(ResourceCapError, match="building current"):
+        current_algebra(base, 30, cap=5079)
+    assert formed == [(3, 100)]
 
 
 @pytest.mark.parametrize(

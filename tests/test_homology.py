@@ -383,6 +383,13 @@ def test_property_m_trivial_cases():
     assert rec1["equal"]
 
 
+def test_property_m_builds_the_current_algebra_under_its_cap():
+    # 9 basis elements and C(4, 2) = 6 products: the build, not a chain
+    # space, is the first thing over a cap of 12
+    with pytest.raises(ResourceCapError, match="building current"):
+        property_m_check(heisenberg(2, 1), 3, cap=12)
+
+
 def test_property_m_counterexample():
     rec = property_m_check(heisenberg(5, 1), 2)
     assert rec["current_dim"] == 12

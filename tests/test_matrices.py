@@ -99,16 +99,30 @@ def _with_dependent_rows(rng, dense):
     return dense
 
 
+def _assert_kernel_vectors(rows, kernel):
+    """Each vector is primitive with int entries and solves every row,
+    and the least columns are distinct and increasing, which also makes
+    the vectors independent."""
+    for v in kernel:
+        assert all(type(x) is int for x in v.values())
+        assert gcd(*v.values()) == 1
+        for row in rows.values():
+            assert sum(row[c] * x for c, x in v.items() if c in row) == 0
+    least = [min(v) for v in kernel]
+    assert least == sorted(set(least))
+
+
 def _assert_bases(m, dense):
     expected = dense_rank(dense)
     as_dense = lambda vecs: [[v.get(c, 0) for c in range(m.cols)] for v in vecs]
 
-    kernel = kernel_basis(m.row_dicts(), m.cols)
-    assert kernel == kernel_by_fraction_back_substitution(m.cols, list(_eliminate(m.row_dicts())))
-    assert len(kernel) == m.cols - expected
-    for v in kernel:
-        assert all(type(x) is int for x in v.values())
-        assert all(sum(row[c] * x for c, x in v.items()) == 0 for row in dense)
+    rows = m.row_dicts()
+    kernel = kernel_basis(rows, m.cols)
+    assert rows == m.row_dicts()
+    oracle = kernel_by_fraction_back_substitution(m.cols, list(_eliminate(m.row_dicts())))
+    assert len(kernel) == len(oracle) == m.cols - expected
+    assert dense_rank(as_dense(kernel + oracle)) == len(oracle)  # the same span
+    _assert_kernel_vectors(rows, kernel)
     assert dense_rank(as_dense(kernel)) == len(kernel)
 
     basis = row_basis(m.row_dicts())
@@ -140,6 +154,18 @@ def test_kernel_and_row_basis_edge_shapes():
     assert kernel_basis(from_dense(full).row_dicts(), 3) == []
     wide = [[1, 2, 0, 4], [0, 0, 3, 6]]
     _assert_bases(from_dense(wide), wide)
+
+
+def test_kernel_of_whole_indexed_boundaries():
+    for alg in (heisenberg(2, 5), acj(3, 3), free_two_step(2, 4)):
+        layout = ChainLayout.of(alg)
+        for t in range(alg.arity, alg.dim + 1):
+            m = differential_matrix(alg, t)
+            rows = m.row_dicts()
+            kernel = kernel_basis(rows, m.cols)
+            assert rows == m.row_dicts()
+            assert len(kernel) == m.cols - layout.boundary_rank(t), (alg, t)
+            _assert_kernel_vectors(rows, kernel)
 
 
 def test_rank_invariances_randomized():
