@@ -59,15 +59,7 @@ _EXPORTS = {
         "verify_free3",
         "verify_heisenberg",
     ),
-    "matrices": (
-        "SparseIntMatrix",
-        "is_probable_prime",
-        "kernel_dim",
-        "random_prime",
-        "rank",
-        "rank_mod_p",
-        "write_matrix_market",
-    ),
+    "matrices": ("rank", "rank_mod_p", "write_matrix_market"),
     "schur": (
         "character_by_weights",
         "decompose_character",

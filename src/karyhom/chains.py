@@ -20,11 +20,12 @@ number of nonzeros rather than C(dim, t) monomials times C(t, k)
 shuffles.  The terms are summed into one row form, `_boundary_rows`,
 {row mask: {column mask: int}}, and every consumer reads it: `ChainLayout`
 ranks it for Betti numbers, `schur.character_by_weights` bins its pivots
-by weight, `verify_d_squared` composes it (`_product`), and
-`differential_matrix` (with `--export-mm`) and the theta maps of
-`homology.theta_matrix` index it.  Indices come from one function,
-`_lex_index`, which reads the lexicographic position of a monomial off
-its mask, so the indexed matrices are reproducible bit for bit.
+by weight, `verify_d_squared` composes it (`_product`), and the theta
+maps of `homology` rank it with z deleted.  Only the export edge,
+`differential_matrix` (with `--export-mm`) and `homology.theta_matrix`,
+indexes it, through one function, `_lex_index`, which reads the
+lexicographic position of a monomial off its mask, so the indexed
+matrices are reproducible bit for bit.
 Only ranking (`ChainLayout.boundary_rank`) and indexing (`_indexed`)
 import `matrices`, when they run, so `verify_d_squared` alone, as
 `check` runs it, does not load it.
@@ -126,8 +127,9 @@ def _lex_index(mask: int, n: int) -> int:
 
 
 def _indexed(rows: dict, n: int, shape):
-    """Mask-keyed rows over n bits as a `SparseIntMatrix` of the given
-    shape, each row and column mask at its `_lex_index`."""
+    """Mask-keyed rows over n bits as a `matrices.SparseIntMatrix` of
+    the given shape, each row and column mask at its `_lex_index`; the
+    one builder of that type."""
     from .matrices import SparseIntMatrix
 
     cols, entries = {}, {}
@@ -214,10 +216,9 @@ class ChainLayout:
     Layout degrees are 0, 1, k, 2k-1, ... up to dim.  Each boundary d_t
     is assembled whole as mask-keyed rows (`_boundary_rows`), ranked once
     by `matrices._eliminate` and dropped; only {t: rank d_t} is kept, and
-    no lexicographic index or `SparseIntMatrix` is built.  Weights play
-    no part here: Betti numbers need whole ranks only, and
-    `schur.character_by_weights`, which needs per-weight ranks,
-    eliminates the same rows itself.
+    no lexicographic index is built.  Weights play no part here: Betti
+    numbers need whole ranks only, and `schur.character_by_weights`,
+    which needs per-weight ranks, eliminates the same rows itself.
     `ChainLayout.of(alg)` returns the layout kept on the algebra, so
     every caller shares one memo.
 

@@ -264,7 +264,7 @@ def _cmd_decompose(args) -> int:
     else:
         for item in payload:
             sys.stdout.write(
-                f"S_{tuple(item['partition'])} x{item['multiplicity']}"
+                f"S_({', '.join(map(str, item['partition']))}) x{item['multiplicity']}"
                 f"  (dim {item['dimension']})\n"
             )
     return 0

@@ -9,7 +9,8 @@ validators for the Heisenberg, ACJ and free 3-step families, the theta
 (adjoint contraction) route to ACJ homology, and the current-algebra
 total-homology comparison used to probe the tensor-power property.  The
 validators take every rank from the algebra's `ChainLayout`; the theta
-route ranks theta_j itself and serves library callers, demos and tests.
+route ranks the rows of theta_j itself, with no index built, and serves
+library callers, demos and tests.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from collections import namedtuple
 from .algebra import KaryAlgebra, lower_central_series
 from .chains import DEFAULT_SIZE_CAP, ChainLayout, _boundary_rows, _indexed, check_cap
 from .errors import InputError
-from .matrices import SparseIntMatrix, kernel_dim
+from .matrices import _eliminate
 from .util import comb0
 
 
@@ -185,28 +186,21 @@ def _acj_direction(alg: KaryAlgebra):
     return z, a
 
 
-def theta_matrix(alg: KaryAlgebra, j: int) -> SparseIntMatrix:
-    """Adjoint contraction theta_j : wedge^j a -> wedge^{j-k+2} a.
-
-    theta_j(x_1 ^ ... ^ x_j) sums ad(z) over all (k-1)-subsets of the
-    factors, with shuffle signs; equivalently the boundary of z ^ omega
-    read in the coordinates of the abelian complement a.
-
-    It is thus d_{j+1} with z deleted: z lies in every stored key and in
-    no output, so every column of `_boundary_rows` holds z and no row
-    does.  Deleting z's bit from each mask leaves a monomial of a, indexed
-    over the n-1 remaining bits, and each column is multiplied by the sign
-    of moving z to its front, (-1)^(number of factors before z), which
-    makes it z ^ omega.
+def _theta_rows(alg: KaryAlgebra, j: int):
+    """theta_j as (mask-keyed rows over the |a| bits of a, |a|, shape),
+    with no rows below j = k-1.  theta_j is d_{j+1} with z deleted: z
+    lies in every stored key and in no output, so every column of
+    `_boundary_rows` holds z and no row does.  Deleting z's bit from each
+    mask leaves a monomial of a, over the n-1 remaining bits, and each
+    column is multiplied by the sign of moving z to its front,
+    (-1)^(number of factors before z), which makes it z ^ omega.
     """
     k = alg.arity
     z, a = _acj_direction(alg)
     ma = len(a)
-    td = j - k + 2
-    rows = comb0(ma, td)
-    cols = comb0(ma, j)
-    if j < k - 1 or rows == 0 or cols == 0:
-        return SparseIntMatrix(rows, cols, {})
+    shape = (comb0(ma, j - k + 2), comb0(ma, j))
+    if j < k - 1 or 0 in shape:
+        return {}, ma, shape
 
     pos = alg.dim - 1 - z  # z is the mask bit 1 << pos, the factors before z lie above it
 
@@ -219,12 +213,25 @@ def theta_matrix(alg: KaryAlgebra, j: int) -> SparseIntMatrix:
         }
         for r, row in _boundary_rows(alg, j + 1).items()
     }
-    return _indexed(theta, ma, (rows, cols))
+    return theta, ma, shape
+
+
+def theta_matrix(alg: KaryAlgebra, j: int):
+    """Adjoint contraction theta_j : wedge^j a -> wedge^{j-k+2} a, as a
+    `matrices.SparseIntMatrix` in lexicographic order.
+
+    theta_j(x_1 ^ ... ^ x_j) sums ad(z) over all (k-1)-subsets of the
+    factors, with shuffle signs; equivalently the boundary of z ^ omega
+    read in the coordinates of the abelian complement a (`_theta_rows`).
+    """
+    return _indexed(*_theta_rows(alg, j))
 
 
 def theta_kernel_dim(alg: KaryAlgebra, j: int) -> int:
-    """dim ker theta_j; 0 outside [0, |a|], where theta_j has no columns."""
-    return kernel_dim(theta_matrix(alg, j))
+    """dim ker theta_j: cols - rank of theta_j's rows, eliminated with no
+    index built; 0 outside [0, |a|], where theta_j has no columns."""
+    rows, _, (_, cols) = _theta_rows(alg, j)
+    return cols - sum(1 for _ in _eliminate(rows))
 
 
 def acj_homology_via_theta(alg: KaryAlgebra, alpha: int) -> int:

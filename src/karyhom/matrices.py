@@ -14,46 +14,28 @@ the rows or their entries were inserted: every run is bit-reproducible.
 
 `rank_mod_p` is the cross-check: a one-pass least-key echelon modulo a
 prime over the same rows.  Rank mod p never exceeds the rational rank,
-and agreement at a few random primes confirms the exact value.  It
-shares no code with `_eliminate` (no gcd, no content strip), so a fault
-in the exact elimination cannot repeat itself in the check, and it
-leaves its rows unchanged, so it can run on them before `_eliminate`
-reduces them in place.
+so agreement at any one prime confirms the exact value; the tests check
+it at fixed large primes.  It shares no code with `_eliminate` (no gcd,
+no content strip), so a fault in the exact elimination cannot repeat
+itself in the check, and it leaves its rows unchanged, so it can run on
+them before `_eliminate` reduces them in place.
+
+`SparseIntMatrix` is the one indexed form, at the export edge:
+`chains._indexed` builds it for MatrixMarket export
+(`write_matrix_market`) and for `homology.theta_matrix`.  No engine path
+reads it.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import gcd
 
-from .errors import InputError
 
+class SparseIntMatrix(namedtuple("SparseIntMatrix", "rows cols entries")):
+    """A rows x cols integer matrix as {(row, col): nonzero int}."""
 
-class SparseIntMatrix:
-    """Sparse integer matrix stored as {(row, col): nonzero int}.
-
-    Dimensions, indices and entries must be ints proper: a float, str or
-    bool is refused, never truncated or coerced.
-    """
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries=None):
-        if not (type(rows) is type(cols) is int and rows >= 0 and cols >= 0):
-            raise InputError(f"matrix dimensions {rows!r}x{cols!r} are not nonnegative integers")
-        self.rows = rows
-        self.cols = cols
-        clean = {}
-        if entries:
-            for (r, c), v in entries.items():
-                if not (type(r) is type(c) is int and 0 <= r < rows and 0 <= c < cols):
-                    raise InputError(
-                        f"entry ({r!r},{c!r}) is not an index of a {rows}x{cols} matrix"
-                    )
-                if type(v) is not int:
-                    raise InputError(f"entry ({r},{c}) is {v!r}, not an integer")
-                if v:
-                    clean[(r, c)] = v
-        self.entries = clean
+    __slots__ = ()
 
     @property
     def nnz(self) -> int:
@@ -65,20 +47,6 @@ class SparseIntMatrix:
         for (r, c), v in self.entries.items():
             out.setdefault(r, {})[c] = v
         return out
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SparseIntMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        return f"SparseIntMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
 
 def _eliminate(rows: dict):
@@ -137,11 +105,6 @@ def _eliminate(rows: dict):
 def rank(matrix: SparseIntMatrix) -> int:
     """Rank over the rationals: the number of pivots `_eliminate` finds."""
     return sum(1 for _ in _eliminate(matrix.row_dicts()))
-
-
-def kernel_dim(matrix: SparseIntMatrix) -> int:
-    """Dimension of the rational null space: cols - rank."""
-    return matrix.cols - rank(matrix)
 
 
 def row_basis(rows: dict) -> list:
@@ -207,42 +170,6 @@ def rank_mod_p(rows: dict, p: int) -> int:
                 else:
                     del row[c]  # c was in row: a new entry -f * pv is nonzero
     return len(owner)
-
-
-# Deterministic Miller-Rabin witnesses for n < 3.3 * 10^24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = (x * x) % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def random_prime(rng, lo: int = 2**30, hi: int = 2**31) -> int:
-    """A random prime in [lo, hi)."""
-    while True:
-        n = rng.randrange(lo | 1, hi, 2)
-        if is_probable_prime(n):
-            return n
 
 
 def write_matrix_market(matrix: SparseIntMatrix, f) -> None:

@@ -50,28 +50,38 @@ def read_matrix_market(f) -> SparseIntMatrix:
     return SparseIntMatrix(rows, cols, entries)
 
 
-def dense_rank(dense_rows):
-    """Plain Gaussian elimination over Fraction; the rank oracle."""
+# Fixed primes for the `rank_mod_p` cross-check: 2^31 - 1, the least
+# prime above 2^31, and 2^61 - 1.
+PRIMES = (2**31 - 1, 2147483659, 2**61 - 1)
+
+
+def fraction_echelon(dense_rows):
+    """Plain Gauss-Jordan elimination over Fraction, by increasing
+    column: [(pivot column, reduced row)], each row 1 at its own pivot
+    and 0 at every other pivot column."""
     m = [[Fraction(x) for x in row] for row in dense_rows]
-    if not m:
-        return 0
-    rows, cols = len(m), len(m[0])
-    rank = 0
-    for c in range(cols):
-        piv = next((i for i in range(rank, rows) if m[i][c]), None)
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        done = len(pivots)
+        piv = next((i for i in range(done, len(m)) if m[i][c]), None)
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][c]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(rows):
-            if i != rank and m[i][c]:
+        m[done], m[piv] = m[piv], m[done]
+        inv = 1 / m[done][c]
+        m[done] = [x * inv for x in m[done]]
+        for i in range(len(m)):
+            if i != done and m[i][c]:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == rows:
+                m[i] = [a - f * b for a, b in zip(m[i], m[done])]
+        pivots.append(c)
+        if len(pivots) == len(m):
             break
-    return rank
+    return list(zip(pivots, m))
+
+
+def dense_rank(dense_rows):
+    """The rank oracle: the number of pivots of `fraction_echelon`."""
+    return len(fraction_echelon(dense_rows))
 
 
 def to_dense(matrix):
@@ -82,23 +92,23 @@ def to_dense(matrix):
     return dense
 
 
-def kernel_by_fraction_back_substitution(cols, pivots):
-    """Kernel basis from (pivot_col, pivot_row) pairs, each pivot the
-    least column of its row.
+def kernel_by_fraction_elimination(matrix):
+    """The kernel oracle: a basis of the rational null space of a
+    `SparseIntMatrix` from its own `fraction_echelon`, sharing nothing
+    with the library's elimination.
 
     One vector per non-pivot column f: x_f = 1, the other non-pivot
-    coordinates 0, each pivot coordinate solved in Fractions in
-    decreasing pivot column, then scaled by the lcm of the denominators
-    to the primitive integer vector.
+    coordinates 0, and each pivot coordinate minus the reduced row's
+    entry at f, scaled by the lcm of the denominators to an integer
+    vector.
     """
-    free = sorted(set(range(cols)).difference(pc for pc, _ in pivots))
+    pivots = fraction_echelon(to_dense(matrix))
     basis = []
-    for f in free:
+    for f in sorted(set(range(matrix.cols)).difference(c for c, _ in pivots)):
         x = {f: Fraction(1)}
-        for pc, row in sorted(pivots, key=lambda pair: pair[0], reverse=True):
-            s = sum(v * x[c] for c, v in row.items() if c in x)
-            if s:
-                x[pc] = -s / row[pc]
+        for c, row in pivots:
+            if row[f]:
+                x[c] = -row[f]
         d = lcm(*(v.denominator for v in x.values()))
         basis.append({c: int(v * d) for c, v in x.items()})
     return basis

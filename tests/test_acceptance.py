@@ -18,6 +18,7 @@ import random
 import pytest
 
 from conftest import (
+    PRIMES,
     acj_betti_closed_form,
     euler_ok_by_binomials,
     flip_bracket_signs,
@@ -43,7 +44,7 @@ from karyhom.homology import (
     heisenberg_in_range,
     property_m_check,
 )
-from karyhom.matrices import rank, rank_mod_p, random_prime
+from karyhom.matrices import rank, rank_mod_p
 from karyhom.schur import (
     character_by_weights,
     decompose_character,
@@ -293,12 +294,8 @@ def test_c10_property_suites():
     reports = [_report(name) for name, _ in _instances()]
     euler_ok = all(r.euler_ok and euler_ok_by_binomials(r.dim, r.betti) for r in reports)
 
-    # (c) modular-rank oracle at 3 random primes on every boundary map
+    # (c) modular-rank oracle at the 3 fixed primes on every boundary map
     # used by criteria 1-9 (per weight block for graded algebras)
-    primes = [random_prime(rng) for _ in range(3)]
-    while len(set(primes)) < 3:
-        primes.append(random_prime(rng))
-    primes = sorted(set(primes))[:3]
     modular_ok = True
     for name, alg in _instances():
         k = alg.arity
@@ -309,13 +306,13 @@ def test_c10_property_suites():
             if alg.weights is not None:
                 blocks = [b.matrix for b in weight_blocks(alg, t).values()]
                 q = sum(rank(b) for b in blocks)
-                for p in primes:
+                for p in PRIMES:
                     if sum(rank_mod_p(b.row_dicts(), p) for b in blocks) != q:
                         modular_ok = False
             else:
                 m = differential_matrix(alg, t)
                 q = rank(m)
-                for p in primes:
+                for p in PRIMES:
                     if rank_mod_p(m.row_dicts(), p) != q:
                         modular_ok = False
 

@@ -266,6 +266,18 @@ def test_decompose(capsys):
     assert sum(s["dimension"] for s in doc["summands"]) == 44
 
 
+def test_decompose_text_partitions(capsys):
+    # a one-part partition prints as S_(1), not as the 1-tuple S_(1,)
+    expected = {1: "S_(1) x1  (dim 3)\n", 2: "S_(2, 1) x1  (dim 8)\n"}
+    for degree, line in expected.items():
+        code, out = run_cli(
+            capsys, "decompose", "--family", "free2", "--k", "2", "--n", "3",
+            "--degree", str(degree), "--format", "text",
+        )
+        assert code == 0
+        assert out == line
+
+
 def test_check_and_dump_round_trip(tmp_path, capsys):
     code, out = run_cli(capsys, "dump", "--family", "heisenberg", "--k", "3", "--m", "1")
     assert code == 0

@@ -167,7 +167,7 @@ def test_theta_matrix_ranks():
     assert (th2.rows, th2.cols) == (3, 3)
     assert rank(th2) == 1
     # below k-1 arguments the contraction has nothing to act on
-    assert theta_matrix(a31, 0).is_zero()
+    assert not theta_matrix(a31, 0).entries
     a22 = acj(2, 2)
     th1 = theta_matrix(a22, 1)
     assert rank(th1) == 2  # x1_i -> x2_i
@@ -178,6 +178,17 @@ def test_theta_kernel_dim_is_zero_outside_the_exterior_algebra():
     a31 = acj(3, 1)  # |a| = 3
     assert theta_kernel_dim(a31, -1) == 0
     assert theta_kernel_dim(a31, 4) == 0
+
+
+def test_theta_kernel_dim_against_dense_rank_of_theta_matrix():
+    # the row route against the indexed matrix and the Fraction oracle,
+    # one degree past each end of the exterior algebra of a
+    for k in (2, 3, 4):
+        for m in (1, 2, 3):
+            alg = acj(k, m)
+            for j in range(-1, k * m + 2):
+                th = theta_matrix(alg, j)
+                assert theta_kernel_dim(alg, j) == th.cols - dense_rank(to_dense(th)), (k, m, j)
 
 
 def test_theta_requires_acj_shape():
