@@ -151,8 +151,8 @@ class KaryAlgebra:
         )
 
     @classmethod
-    def from_brackets(cls, arity, dim, labels, items, weights=None):
-        """Build from possibly unsorted bracket tuples.
+    def from_brackets(cls, arity, dim, labels, items):
+        """Build an unweighted algebra from possibly unsorted bracket tuples.
 
         items is an iterable of (args, vector); unsorted args are
         normalized with the permutation sign, entries on equal keys are
@@ -170,7 +170,7 @@ class KaryAlgebra:
             k: {i: c for i, c in v.items() if c} for k, v in merged.items()
         }
         merged = {k: v for k, v in merged.items() if v}
-        return cls(arity, dim, labels, merged, weights)
+        return cls(arity, dim, labels, merged)
 
 
 # -- structural checkers ----------------------------------------------
@@ -300,7 +300,7 @@ def center(alg: KaryAlgebra) -> list:
     [v, R] is zero for every other sorted (k-1)-tuple R, so these rows
     give the kernel over all basis subsets.  The basis is the list of
     primitive {index: int} rows `matrices.kernel_basis` returns, the
-    pivot rows of one `_eliminate` run, sorted by least index; it is not
+    pivot rows of one row echelon, sorted by least index; it is not
     canonical.
     """
     from .matrices import kernel_basis

@@ -18,15 +18,15 @@ generator), not monomial by monomial: only the monomials that contain a
 stored bracket key have a nonzero image, so assembly costs about the
 number of nonzeros rather than C(dim, t) monomials times C(t, k)
 shuffles.  The terms are summed into one row form, `_boundary_rows`,
-{row mask: {column mask: int}}, and every consumer reads it: `ChainLayout`
-ranks it for Betti numbers, `schur.character_by_weights` bins its pivots
-by weight, `verify_d_squared` composes it (`_product`), and the theta
-maps of `homology` rank it with z deleted.  Only the export edge,
+{row mask: {column mask: int}}, and every consumer reads it:
+`ChainLayout.pivot_columns` eliminates it, once, for every rank and
+for the pivots `schur.character_by_weights` bins by weight, and
+`verify_d_squared` composes it (`_product`).  Only the export edge,
 `differential_matrix` (with `--export-mm`) and `homology.theta_matrix`,
 indexes it, through one function, `_lex_index`, which reads the
 lexicographic position of a monomial off its mask, so the indexed
 matrices are reproducible bit for bit.
-Only ranking (`ChainLayout.boundary_rank`) and indexing (`_indexed`)
+Only elimination (`ChainLayout.pivot_columns`) and indexing (`_indexed`)
 import `matrices`, when they run, so `verify_d_squared` alone, as
 `check` runs it, does not load it.
 
@@ -213,14 +213,14 @@ def verify_d_squared(alg: KaryAlgebra, *, cap=DEFAULT_SIZE_CAP):
 class ChainLayout:
     """The chain complex of one algebra and the ranks of its boundaries.
 
-    Layout degrees are 0, 1, k, 2k-1, ... up to dim.  Each boundary d_t
-    is assembled whole as mask-keyed rows (`_boundary_rows`), ranked once
-    by `matrices._eliminate` and dropped; only {t: rank d_t} is kept, and
-    no lexicographic index is built.  Weights play no part here: Betti
-    numbers need whole ranks only, and `schur.character_by_weights`,
-    which needs per-weight ranks, eliminates the same rows itself.
-    `ChainLayout.of(alg)` returns the layout kept on the algebra, so
-    every caller shares one memo.
+    Layout degrees are 0, 1, k, 2k-1, ... up to dim (`check_degree`).
+    Each boundary d_t is assembled whole as mask-keyed rows
+    (`_boundary_rows`) and eliminated in `pivot_columns`, the one
+    elimination of a whole boundary: `boundary_rank` counts its pivots
+    and keeps only {t: rank d_t}, which `homology` reads, and
+    `schur.character_by_weights` bins them by weight.  No index is
+    built.  `ChainLayout.of(alg)` returns the layout kept on the
+    algebra, so every caller shares one memo.
 
     Duality.  Let n = dim, top = n+k-1, S^c the complement of S in
     {0, ..., n-1}, and e_S ^ e_{S^c} = eps(S) e_0 ^ ... ^ e_{n-1}.  If
@@ -271,18 +271,30 @@ class ChainLayout:
             alg._chain_layout = cls(alg)
         return alg._chain_layout
 
-    def boundary_rank(self, t: int) -> int:
-        """rank d_t (0 below degree k and above dim); the rank of its
-        mirror d_{top-t} when that degree is lower and top is set."""
+    def check_degree(self, t: int, cap) -> None:
+        """Refuse t unless it is a layout degree whose chain spaces t-k+1,
+        t and t+k-1 are under cap (`check_cap`)."""
+        if t not in self.degrees:
+            raise InputError(f"degree {t} is not in the layout {self.degrees}")
+        k = self.algebra.arity
+        check_cap(self.algebra, (t, t - k + 1, t + k - 1), cap)
+
+    def pivot_columns(self, t: int):
+        """The pivot columns `matrices._eliminate` finds in the rows of d_t
+        (none unless k <= t <= dim); each is the least column of its row."""
         alg = self.algebra
-        if self.top is not None and self.top - t < t:
-            t = self.top - t
-        if t < alg.arity or t > alg.dim:
-            return 0
-        if t not in self._ranks:
+        if alg.arity <= t <= alg.dim:
             from .matrices import _eliminate
 
-            self._ranks[t] = sum(1 for _ in _eliminate(_boundary_rows(alg, t)))
+            yield from (pc for pc, _ in _eliminate(_boundary_rows(alg, t)))
+
+    def boundary_rank(self, t: int) -> int:
+        """rank d_t, the number of `pivot_columns(t)`; the rank of its
+        mirror d_{top-t} when that degree is lower and top is set."""
+        if self.top is not None and self.top - t < t:
+            t = self.top - t
+        if t not in self._ranks:
+            self._ranks[t] = sum(1 for _ in self.pivot_columns(t))
         return self._ranks[t]
 
     def betti(self, t: int) -> int:

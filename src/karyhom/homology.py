@@ -8,9 +8,9 @@ Besides per-degree reports, this module carries the closed-form
 validators for the Heisenberg, ACJ and free 3-step families, the theta
 (adjoint contraction) route to ACJ homology, and the current-algebra
 total-homology comparison used to probe the tensor-power property.  The
-validators take every rank from the algebra's `ChainLayout`; the theta
-route ranks the rows of theta_j itself, with no index built, and serves
-library callers, demos and tests.
+validators and the theta route take every rank from the algebra's
+`ChainLayout`, so nothing here eliminates; `theta_matrix` indexes
+theta_j for demos, tests and outside checks.
 """
 
 from __future__ import annotations
@@ -20,17 +20,13 @@ from collections import namedtuple
 from .algebra import KaryAlgebra, lower_central_series
 from .chains import DEFAULT_SIZE_CAP, ChainLayout, _boundary_rows, _indexed, check_cap
 from .errors import InputError
-from .matrices import _eliminate
 from .util import comb0
 
 
 def betti(alg: KaryAlgebra, t: int, *, cap=DEFAULT_SIZE_CAP) -> int:
     """Betti number at a layout degree (0, 1, k, 2k-1, ...)."""
     layout = ChainLayout.of(alg)
-    if t not in layout.degrees:
-        raise InputError(f"degree {t} is not in the layout {layout.degrees}")
-    k = alg.arity
-    check_cap(alg, (t, t - k + 1, t + k - 1), cap)
+    layout.check_degree(t, cap)
     return layout.betti(t)
 
 
@@ -44,7 +40,9 @@ class HomologyReport(
     """Per-degree Betti numbers of one algebra, plus totals.
 
     The dicts are keyed by layout degree; image_dims holds the rank of
-    the boundary leaving each degree.
+    the boundary leaving each degree.  euler_ok is always true: beta_t =
+    C(n, t) - r_t - r_{t+k-1} with one rank r per degree, so the
+    alternating sums telescope; it stays for the karyhom-report/2 schema.
     """
 
     __slots__ = ()
@@ -186,52 +184,47 @@ def _acj_direction(alg: KaryAlgebra):
     return z, a
 
 
-def _theta_rows(alg: KaryAlgebra, j: int):
-    """theta_j as (mask-keyed rows over the |a| bits of a, |a|, shape),
-    with no rows below j = k-1.  theta_j is d_{j+1} with z deleted: z
-    lies in every stored key and in no output, so every column of
-    `_boundary_rows` holds z and no row does.  Deleting z's bit from each
-    mask leaves a monomial of a, over the n-1 remaining bits, and each
-    column is multiplied by the sign of moving z to its front,
-    (-1)^(number of factors before z), which makes it z ^ omega.
-    """
-    k = alg.arity
-    z, a = _acj_direction(alg)
-    ma = len(a)
-    shape = (comb0(ma, j - k + 2), comb0(ma, j))
-    if j < k - 1 or 0 in shape:
-        return {}, ma, shape
-
-    pos = alg.dim - 1 - z  # z is the mask bit 1 << pos, the factors before z lie above it
-
-    def drop_z(mask):
-        return (mask >> (pos + 1)) << pos | mask & ((1 << pos) - 1)
-
-    theta = {
-        drop_z(r): {
-            drop_z(c): -v if (c >> (pos + 1)).bit_count() & 1 else v for c, v in row.items()
-        }
-        for r, row in _boundary_rows(alg, j + 1).items()
-    }
-    return theta, ma, shape
-
-
 def theta_matrix(alg: KaryAlgebra, j: int):
     """Adjoint contraction theta_j : wedge^j a -> wedge^{j-k+2} a, as a
     `matrices.SparseIntMatrix` in lexicographic order.
 
     theta_j(x_1 ^ ... ^ x_j) sums ad(z) over all (k-1)-subsets of the
-    factors, with shuffle signs; equivalently the boundary of z ^ omega
-    read in the coordinates of the abelian complement a (`_theta_rows`).
+    factors, with shuffle signs: it is d_{j+1} on z ^ omega, read in the
+    coordinates of the abelian complement a.  z lies in every stored key
+    and in no output, so every column of `_boundary_rows` holds z and no
+    row does; deleting z's bit from each mask leaves a monomial of a, and
+    each column is multiplied by the sign of moving z to its front,
+    (-1)^(number of factors before z), which makes it z ^ omega.
     """
-    return _indexed(*_theta_rows(alg, j))
+    k = alg.arity
+    z, a = _acj_direction(alg)
+    ma = len(a)
+    pos = alg.dim - 1 - z  # z is the mask bit 1 << pos, the factors before z lie above it
+
+    def drop_z(mask):
+        return (mask >> (pos + 1)) << pos | mask & ((1 << pos) - 1)
+
+    rows = _boundary_rows(alg, j + 1) if j >= k - 1 else {}
+    theta = {
+        drop_z(r): {
+            drop_z(c): -v if (c >> (pos + 1)).bit_count() & 1 else v for c, v in row.items()
+        }
+        for r, row in rows.items()
+    }
+    return _indexed(theta, ma, (comb0(ma, j - k + 2), comb0(ma, j)))
 
 
 def theta_kernel_dim(alg: KaryAlgebra, j: int) -> int:
-    """dim ker theta_j: cols - rank of theta_j's rows, eliminated with no
-    index built; 0 outside [0, |a|], where theta_j has no columns."""
-    rows, _, (_, cols) = _theta_rows(alg, j)
-    return cols - sum(1 for _ in _eliminate(rows))
+    """dim ker theta_j = C(|a|, j) - rank d_{j+1}, read from the layout.
+
+    Proof that the ranks agree.  Deleting z's bit is one to one on the
+    monomials that hold z and on those that do not, so it maps the
+    nonzero rows and columns of d_{j+1} (`theta_matrix`) one to one onto
+    those of theta_j, entry for entry up to one sign per column, and
+    signing columns keeps the rank.  Outside [k-1, |a|] both are 0.
+    """
+    _, a = _acj_direction(alg)
+    return comb0(len(a), j) - ChainLayout.of(alg).boundary_rank(j + 1)
 
 
 def acj_homology_via_theta(alg: KaryAlgebra, alpha: int) -> int:

@@ -1,7 +1,8 @@
 """Sparse exact linear algebra over the integers.
 
-Rank, row-space bases and kernel bases over Q, and the whole-boundary
-ranks of `chains.ChainLayout`, all come from one integer-preserving row
+Rank, row-space bases and kernel bases over Q, and the pivots of every
+whole boundary (`chains.ChainLayout.pivot_columns`, its one caller
+elsewhere in the package), all come from one integer-preserving row
 echelon of {row: {col: int}} rows, `_eliminate`: rows are
 cross-multiplied through the gcd of the pivot pair and stripped of their
 content, so no fractions (and no floating point, hence no tolerances)

@@ -18,9 +18,8 @@ from functools import lru_cache
 from itertools import product
 
 from .algebra import KaryAlgebra
-from .chains import DEFAULT_SIZE_CAP, ChainLayout, _boundary_rows, check_cap
+from .chains import DEFAULT_SIZE_CAP, ChainLayout
 from .errors import ConsistencyError, InputError
-from .matrices import _eliminate
 from .util import comb0
 
 # -- partitions and Schur dimensions -------------------------------------
@@ -102,14 +101,14 @@ def character_by_weights(alg: KaryAlgebra, t: int, *, cap=DEFAULT_SIZE_CAP) -> d
     """GL(V)-character {weight: multiplicity} of the homology at layout
     degree t, zero entries dropped: at w, the degree-t monomials of
     weight w minus the pivots of weight w (a pivot weighs what its
-    column monomial does) that `matrices._eliminate` finds in d_t and in
-    d_{t+k-1}, each eliminated once, whole, from `chains._boundary_rows`
-    after both are checked against cap.
+    column monomial does) that `ChainLayout.pivot_columns` finds in d_t
+    and in d_{t+k-1}, each eliminated once, whole, after
+    `ChainLayout.check_degree` has put them under cap.
 
     Proof that the pivots of weight w in d_s count the rank of its
     weight-w block.  Brackets are weight-additive (the constructor
     checks it), so each term of d_s joins a row and a column of one
-    weight: every row is weight-homogeneous.  `_eliminate` combines two
+    weight: every row is weight-homogeneous.  The echelon combines two
     rows only through a column both hold, so rows stay homogeneous, and
     its run on the rows of weight w is its run on the weight-w block
     alone: the same rows, row order and reductions, and a pivot is the
@@ -119,10 +118,8 @@ def character_by_weights(alg: KaryAlgebra, t: int, *, cap=DEFAULT_SIZE_CAP) -> d
     if alg.weights is None:
         raise InputError("character requires a weight-graded algebra")
     k = alg.arity
-    degrees = ChainLayout.of(alg).degrees
-    if t not in degrees:
-        raise InputError(f"{t} is not a chain degree of the layout {degrees}")
-    check_cap(alg, (t, t - k + 1, t + k - 1), cap)
+    layout = ChainLayout.of(alg)
+    layout.check_degree(t, cap)
 
     packed, unpack, mask_weight = _weight_codec(alg, t + k - 1)
     # layers[j]: degree-j monomials of the indices seen, by weight, while t is in reach
@@ -131,14 +128,11 @@ def character_by_weights(alg: KaryAlgebra, t: int, *, cap=DEFAULT_SIZE_CAP) -> d
         for j in range(min(i + 1, t), max(0, t - alg.dim + i), -1):
             for w, c in layers[j - 1].items():
                 layers[j][w + p] += c
-    cols, pivots = layers[t], Counter()
-    for d in (t, t + k - 1):
-        if k <= d <= alg.dim:
-            pivots.update(mask_weight(pc) for pc, _ in _eliminate(_boundary_rows(alg, d)))
+    pivots = Counter(mask_weight(pc) for d in (t, t + k - 1) for pc in layout.pivot_columns(d))
 
     table = {}
-    for w in cols.keys() | pivots.keys():
-        mult = cols[w] - pivots[w]
+    for w in layers[t].keys() | pivots.keys():
+        mult = layers[t][w] - pivots[w]
         if mult < 0:
             raise ConsistencyError(f"negative multiplicity {mult} at weight {unpack(w)}")
         if mult:

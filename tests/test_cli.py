@@ -225,6 +225,17 @@ def test_compute_degree_outside_layout_ranks_nothing(monkeypatch, capsys):
     assert shapes == []
 
 
+def test_compute_and_decompose_refuse_a_degree_with_one_message(capsys):
+    # both verbs ask the layout whether t is a homology degree
+    errors = []
+    for verb in ("compute", "decompose"):
+        code = main([verb, "--family", "free2", "--k", "3", "--n", "4", "--degree", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", verb
+        errors.append(captured.err)
+    assert errors[0] == errors[1] == "error: degree 2 is not in the layout [0, 1, 3, 5, 7]\n"
+
+
 def test_verify_reports_non_nilpotent_algebra(tmp_path, capsys):
     # [x1, x2, z] = x1 on heisenberg(3, 1) breaks the Jacobi identity and
     # nilpotency; verify reports both failures instead of a usage error
@@ -506,7 +517,8 @@ def test_module_entry_point():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "karyhom.cli", "table", "--nmax", "1", "--format", "csv"],
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "karyhom.cli",
+         "table", "--nmax", "1", "--format", "csv"],
         capture_output=True,
         text=True,
         env=env,

@@ -246,6 +246,42 @@ def test_theta_reproduces_betti_everywhere():
             assert acj_homology_via_theta(alg, t) == rep.betti[t], (k, m, t)
 
 
+def test_theta_route_eliminates_nothing_of_its_own(monkeypatch):
+    # theta_j is d_{j+1} with z deleted, so the theta route reads the
+    # layout's ranks: once the layout has ranked a boundary, no theta
+    # call eliminates it again.  _eliminate is counted wherever the
+    # package binds it; homology need not bind it at all.
+    import karyhom.homology
+    import karyhom.matrices
+
+    eliminate = karyhom.matrices._eliminate
+    calls = []
+
+    def counting_eliminate(rows):
+        calls.append(len(rows))
+        return eliminate(rows)
+
+    monkeypatch.setattr(karyhom.matrices, "_eliminate", counting_eliminate)
+    monkeypatch.setattr(karyhom.homology, "_eliminate", counting_eliminate, raising=False)
+    for k in (2, 3):
+        for m in (1, 2, 3):
+            alg = acj(k, m)
+            report = betti_all(alg)
+            assert calls, (k, m)  # the counter sees the layout's eliminations
+            seen = len(calls)
+            for t in report.degrees:  # reads d_t and d_{t+k-1}, as betti does
+                acj_homology_via_theta(alg, t)
+            assert len(calls) == seen, (k, m)
+            # theta_j at j outside the layout reads d_{j+1} at degrees
+            # betti_all need not rank (d_4 and d_6 of acj(3, 3))
+            total_homology_all_degrees(alg)
+            seen = len(calls)
+            for j in range(-1, alg.dim + 1):  # [-1, |a| + 1]
+                theta_kernel_dim(alg, j)
+            assert len(calls) == seen, (k, m)
+            calls.clear()
+
+
 def test_theta_first_homology_value():
     for k, m in ((2, 2), (3, 2), (4, 1)):
         alg = acj(k, m)
