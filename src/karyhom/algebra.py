@@ -23,7 +23,6 @@ import re
 from math import lcm
 
 from .errors import InputError, LoadError, ResourceCapError
-from .util import sort_with_sign
 
 DEFAULT_SIZE_CAP = 10**6
 
@@ -31,6 +30,25 @@ DEFAULT_SIZE_CAP = 10**6
 def _all_int(values) -> bool:
     """Whether every value is an int proper (bool, float and str are not)."""
     return all(type(x) is int for x in values)
+
+
+def sort_with_sign(indices):
+    """Sort a tuple of indices, tracking the permutation parity.
+
+    Returns (sorted_tuple, sign); sign is 0 if an index repeats.
+    """
+    idx = list(indices)
+    sign = 1
+    for i in range(1, len(idx)):
+        j = i
+        while j > 0 and idx[j - 1] > idx[j]:
+            idx[j - 1], idx[j] = idx[j], idx[j - 1]
+            sign = -sign
+            j -= 1
+    for i in range(1, len(idx)):
+        if idx[i - 1] == idx[i]:
+            return tuple(idx), 0
+    return tuple(idx), sign
 
 
 class KaryAlgebra:
@@ -157,7 +175,8 @@ class KaryAlgebra:
 
         items is an iterable of (args, vector); unsorted args are
         normalized with the permutation sign, entries on equal keys are
-        accumulated.
+        accumulated; keys whose entries all cancel are dropped, and zero
+        entries are left to the constructor.
         """
         merged = {}
         for args, vec in items:
@@ -167,10 +186,7 @@ class KaryAlgebra:
             acc = merged.setdefault(key, {})
             for i, c in vec.items():
                 acc[i] = acc.get(i, 0) + sign * c
-        merged = {
-            k: {i: c for i, c in v.items() if c} for k, v in merged.items()
-        }
-        merged = {k: v for k, v in merged.items() if v}
+        merged = {k: v for k, v in merged.items() if any(v.values())}
         return cls(arity, dim, labels, merged)
 
 
@@ -178,6 +194,25 @@ class KaryAlgebra:
 
 
 _ZERO = {}  # the zero vector, shared by lookups that miss; never written
+
+
+def _product(a: dict, b: dict) -> dict:
+    """a . b of int-keyed rows: row r is sum over m of a[r][m] * b[m].
+
+    The column keys of a are the row keys of b.  Sums that cancel are
+    dropped, and so are rows left empty, so the product is {} iff it is
+    zero.  Neither argument is changed.
+    """
+    out = {}
+    for r, row in a.items():
+        acc = {}
+        for m, x in row.items():
+            for c, y in b.get(m, _ZERO).items():
+                acc[c] = acc.get(c, 0) + x * y
+        acc = {c: v for c, v in acc.items() if v}
+        if acc:
+            out[r] = acc
+    return out
 
 
 def _adjoint(alg: KaryAlgebra):
@@ -267,7 +302,10 @@ def lower_central_series(alg: KaryAlgebra):
     for g, then the rows `matrices.row_basis` keeps, which are not
     canonical (equal terms built from different generators may keep
     different rows).  C^{i+1} is spanned by [v, R] = sum_x v_x ad_R(x)
-    over the rows v of C^i and the rows R of `_adjoint`.  Stops at the
+    over the rows v of C^i and the rows R of `_adjoint`: for each R the
+    images are the rows of `_product`(C^i, ad_R), and the image of the
+    i-th v under the j-th R is span row i * |ad| + j, so `row_basis`
+    breaks ties in v-major order.  Stops at the
     empty term or at the first repeat; the algebra is nilpotent iff the
     last term is empty.
     """
@@ -276,14 +314,10 @@ def lower_central_series(alg: KaryAlgebra):
     ad = list(_adjoint(alg).values())
     series = [[{i: 1} for i in range(alg.dim)]]
     while series[-1]:
-        spans = {}
-        for v in series[-1]:
-            for row in ad:
-                img = {}
-                for x, c in v.items():
-                    for j, cj in row.get(x, _ZERO).items():
-                        img[j] = img.get(j, 0) + c * cj
-                spans[len(spans)] = {j: c for j, c in img.items() if c}
+        current, spans = dict(enumerate(series[-1])), {}
+        for j, ad_r in enumerate(ad):
+            for i, img in _product(current, ad_r).items():
+                spans[i * len(ad) + j] = img
         series.append(row_basis(spans))
         if len(series[-1]) == len(series[-2]):
             break
@@ -383,6 +417,8 @@ def algebra_from_json_dict(doc: dict) -> KaryAlgebra:
                     raise LoadError(f"bracket {list(args)} repeats output index {idx!r}")
                 q = vec[idx] = _parse_coefficient(coeff)
                 denom = lcm(denom, q.denominator)
+        except LoadError:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise LoadError(f"malformed bracket {item!r}: {exc}") from exc
 

@@ -13,15 +13,15 @@ one degree is descending mask order.  The homology layout uses degrees
 0, 1, k, 2k-1, ... (step k-1); the boundary itself makes sense at every
 degree t >= k and is exposed that way.
 
-Boundaries are built from the bracket side (`_terms`, the one term
-generator), not monomial by monomial: only the monomials that contain a
-stored bracket key have a nonzero image, so assembly costs about the
-number of nonzeros rather than C(dim, t) monomials times C(t, k)
-shuffles.  The terms are summed into one row form, `_boundary_rows`,
-{row mask: {column mask: int}}, and every consumer reads it:
+Boundaries are built from the bracket side, not monomial by monomial:
+only the monomials that contain a stored bracket key have a nonzero
+image, so assembly costs about the number of nonzeros rather than
+C(dim, t) monomials times C(t, k) shuffles.  One loop,
+`_boundary_rows`, sums the terms into one row form, {row mask:
+{column mask: int}}, and every consumer reads it:
 `ChainLayout.pivot_columns` eliminates it, once, for every rank and
 for the pivots `schur.character_by_weights` bins by weight, and
-`verify_d_squared` composes it (`_product`).  Only the export edge,
+`verify_d_squared` composes it (`algebra._product`).  Only the export edge,
 `differential_matrix` (with `--export-mm`) and `homology.theta_matrix`,
 indexes it, through one function, `_lex_index`, which reads the
 lexicographic position of a monomial off its mask, so the indexed
@@ -41,9 +41,15 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .algebra import _ZERO, DEFAULT_SIZE_CAP, KaryAlgebra, _adjoint
+from .algebra import DEFAULT_SIZE_CAP, KaryAlgebra, _adjoint, _product
 from .errors import InputError, ResourceCapError
-from .util import comb0
+
+
+def comb0(n: int, r: int) -> int:
+    """Binomial coefficient, 0 whenever r is outside [0, n]."""
+    if n < 0 or r < 0 or r > n:
+        return 0
+    return comb(n, r)
 
 
 def check_cap(alg: KaryAlgebra, degrees, cap) -> None:
@@ -58,8 +64,9 @@ def check_cap(alg: KaryAlgebra, degrees, cap) -> None:
             )
 
 
-def _terms(alg: KaryAlgebra, t: int):
-    """d_t from the bracket side, as (row mask, column mask, coeff).
+def _boundary_rows(alg: KaryAlgebra, t: int) -> dict:
+    """d_t as {row mask: {column mask: int}}, for k <= t <= dim, summed
+    from the bracket side.
 
     A monomial is an int mask with bit 1 << (dim-1-i) set for each basis
     index i in it, so lexicographic order of the monomials of one degree
@@ -68,11 +75,14 @@ def _terms(alg: KaryAlgebra, t: int):
     mask r, the column r | mask(K) receives sgn [K]_w at the row
     r | bit(w), where sgn is that of the shuffle moving K to the front
     times that of inserting w into R.  Only monomials that contain a key
-    are visited and each visit yields one term, so the cost is about
-    nnz.  A (row, column) pair may recur; callers add its terms.
+    are visited, so the cost is about nnz.  A (row, column) pair may
+    recur: its terms are added and sums that cancel are deleted (a row
+    may be left empty), so no index or matrix is built.  This is the one
+    form of d_t that every consumer reads.
     """
     k, n = alg.arity, alg.dim
     bit = [1 << (n - 1 - i) for i in range(n)]
+    rows = {}
     for key, vec in alg.brackets.items():
         key_mask = sum(map(bit.__getitem__, key))
         for w, c in vec.items():
@@ -82,27 +92,17 @@ def _terms(alg: KaryAlgebra, t: int):
             pool = [bit[x] for x in range(n) if x != w and x not in key]
             w_bit, minus = bit[w], -c
             for r in map(sum, combinations(pool, t - k)):
-                yield r | w_bit, r | key_mask, minus if (r & odd).bit_count() & 1 else c
-
-
-def _boundary_rows(alg: KaryAlgebra, t: int) -> dict:
-    """d_t as {row mask: {column mask: int}}, for k <= t <= dim.
-
-    The terms are summed straight into the rows and sums that cancel are
-    deleted (a row may be left empty), so no index or matrix is built.
-    This is the one form of d_t that every consumer reads.
-    """
-    rows = {}
-    for r, c, v in _terms(alg, t):
-        row = rows.get(r)
-        if row is None:
-            rows[r] = {c: v}
-        else:
-            v += row.get(c, 0)
-            if v:
-                row[c] = v
-            else:
-                del row[c]
+                col = r | key_mask
+                v = minus if (r & odd).bit_count() & 1 else c
+                row = rows.get(r | w_bit)
+                if row is None:
+                    rows[r | w_bit] = {col: v}
+                    continue
+                v += row.get(col, 0)
+                if v:
+                    row[col] = v
+                else:
+                    del row[col]
     return rows
 
 
@@ -153,25 +153,6 @@ def differential_matrix(alg: KaryAlgebra, t: int):
     if t > n:
         raise InputError(f"degree {t} exceeds dimension {n}")
     return _indexed(_boundary_rows(alg, t), n, (comb(n, t - k + 1), comb(n, t)))
-
-
-def _product(a: dict, b: dict) -> dict:
-    """a . b of mask-keyed rows: row r is sum over m of a[r][m] * b[m].
-
-    The column keys of a are the row keys of b.  Sums that cancel are
-    dropped, and so are rows left empty, so the product is {} iff it is
-    zero.  Neither argument is changed.
-    """
-    out = {}
-    for r, row in a.items():
-        acc = {}
-        for m, x in row.items():
-            for c, y in b.get(m, _ZERO).items():
-                acc[c] = acc.get(c, 0) + x * y
-        acc = {c: v for c, v in acc.items() if v}
-        if acc:
-            out[r] = acc
-    return out
 
 
 def verify_d_squared(alg: KaryAlgebra, *, cap=DEFAULT_SIZE_CAP):

@@ -140,10 +140,9 @@ def build_parser(verb=None) -> argparse.ArgumentParser:
 
 
 def _cmd_compute(args) -> int:
-    from .chains import ChainLayout, check_cap, differential_matrix
+    from .chains import ChainLayout, check_cap, comb0, differential_matrix
     from .homology import betti, betti_all
     from .matrices import write_matrix_market
-    from .util import comb0
 
     if args.degree is not None and args.format != "json":
         raise InputError(f"--degree prints JSON only, not --format {args.format}")

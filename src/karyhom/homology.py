@@ -17,9 +17,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .algebra import KaryAlgebra, lower_central_series
-from .chains import DEFAULT_SIZE_CAP, ChainLayout, _boundary_rows, _indexed, check_cap
+from .chains import DEFAULT_SIZE_CAP, ChainLayout, _boundary_rows, _indexed, check_cap, comb0
 from .errors import InputError
-from .util import comb0
 
 
 def betti(alg: KaryAlgebra, t: int, *, cap=DEFAULT_SIZE_CAP) -> int:

@@ -18,9 +18,8 @@ from functools import lru_cache
 from itertools import product
 
 from .algebra import KaryAlgebra
-from .chains import DEFAULT_SIZE_CAP, ChainLayout
+from .chains import DEFAULT_SIZE_CAP, ChainLayout, comb0
 from .errors import ConsistencyError, InputError
-from .util import comb0
 
 # -- partitions and Schur dimensions -------------------------------------
 

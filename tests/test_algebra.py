@@ -114,7 +114,8 @@ def test_storage_invariants_enforced():
 
 def test_weight_additivity_enforced():
     good = free_two_step(2, 2)  # e1, e2, w_12
-    assert good.weights is not None
+    assert good.weights is not None and good.weight_rank == 2
+    assert KaryAlgebra(2, 3, good.labels, good.brackets).weight_rank == 0
     bad_weights = {i: w for i, w in good.weights.items()}
     bad_weights[2] = (5, 5)
     with pytest.raises(InputError):
@@ -128,6 +129,11 @@ def test_from_brackets_normalizes():
     assert alg.brackets == {(0, 1): {2: -1}}
     with pytest.raises(InputError):
         KaryAlgebra.from_brackets(2, 3, list("abc"), [((1, 1), {2: 1})])
+    # a key whose entries all cancel is dropped; zero entries go to the constructor
+    alg = KaryAlgebra.from_brackets(
+        2, 3, list("abc"), [((0, 1), {2: 1}), ((1, 0), {2: 1}), ((0, 2), {1: 2, 0: 0})]
+    )
+    assert alg.brackets == {(0, 2): {1: 2}}
 
 
 # -- Jacobi ----------------------------------------------------------------

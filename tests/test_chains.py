@@ -17,12 +17,11 @@ from conftest import (
     wedge_basis,
     weight_blocks,
 )
-from karyhom.algebra import KaryAlgebra, check_jacobi
+from karyhom.algebra import KaryAlgebra, _product, check_jacobi
 from karyhom.chains import (
     ChainLayout,
     _boundary_rows,
     _lex_index,
-    _product,
     differential_matrix,
     verify_d_squared,
 )

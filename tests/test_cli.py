@@ -95,6 +95,21 @@ def test_verify_abelian_passes_the_toral_power_bound(capsys, k, n):
     assert toral["detail"]["total_all_degrees"] == toral["detail"]["power_bound"] == 2**n
 
 
+def test_verify_text_format(capsys):
+    # one PASS/FAIL line per check; the ACJ closed forms fail at m = 2
+    code, out = run_cli(
+        capsys, "verify", "--family", "acj", "--k", "2", "--m", "2", "--format", "text"
+    )
+    assert code == 1
+    assert out == (
+        "algebra: acj(k=2, m=2)\n"
+        "  jacobi: PASS\n"
+        "  d_squared: PASS\n"
+        "  toral: PASS\n"
+        "  acj_formulas: FAIL\n"
+    )
+
+
 def test_verify_reports_formula_failures(capsys):
     # the degree-k ACJ closed form overcounts for m >= 2: exit 1, honest record
     code, out = run_cli(capsys, "verify", "--family", "acj", "--k", "3", "--m", "2")
@@ -374,12 +389,22 @@ HEIS21 = {"arity": 2, "dim": 3, "labels": ["x", "y", "z"]}
         # raw text that json.dumps cannot produce
         "[" * 100_000,
         '{"arity": 2, "dim": 1' + "0" * 5000 + ', "labels": [], "brackets": []}',
+        {"arity": 2, "labels": ["x", "y", "z"], "brackets": []},
+        {**HEIS21, "arity": 1, "brackets": []},
+        {"arity": 2, "dim": 0, "labels": [], "brackets": []},
+        {**HEIS21, "brackets": [{"args": [0, 1], "value": [[1, 3]]}]},
+        {**HEIS21, "brackets": [{"args": [0, 1], "value": [[1, 2]]}] * 2},
+        {**HEIS21, "brackets": [{"args": [0, 1], "value": [["1/0", 2]]}]},
+        {**HEIS21, "brackets": [], "weights": [[1], [1]]},
+        {**HEIS21, "brackets": [], "weights": [[1], [1], [2, 0]]},
     ],
     ids=[
         "no-value", "short-pair", "arity-not-int", "missing-file",
         "floats", "bool-coefficient", "dim-string", "repeated-output-index",
         "labels-string", "labels-not-strings", "decimal-coefficient",
         "exponent-coefficient", "spaced-coefficient", "deep-array", "long-dim",
+        "no-dim", "arity-1", "dim-0", "output-out-of-range", "duplicate-args",
+        "zero-denominator", "weights-missing-index", "weights-two-lengths",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, doc):
@@ -391,6 +416,27 @@ def test_malformed_input_exits_2(tmp_path, capsys, doc):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([[[1, 2]], [[1, 2]]], "duplicate bracket args [0, 1]"),
+        ([[[1, 2], [3, 2]]], "bracket [0, 1] repeats output index 2"),
+        ([[["1/0", 2]]], "bad coefficient '1/0'"),
+        ([[["0.5", 2]]], "coefficients must be integers or 'p/q' strings, got '0.5'"),
+    ],
+    ids=["duplicate-args", "repeated-output-index", "zero-denominator", "decimal-coefficient"],
+)
+def test_bracket_faults_are_reported_unwrapped(tmp_path, capsys, values, message):
+    # a loader fault inside a bracket item is named once, without the item
+    items = [{"args": [0, 1], "value": value} for value in values]
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({**HEIS21, "brackets": items}))
+    code = main(["check", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def _assert_one_line_error(capsys, code):
@@ -580,12 +626,15 @@ def test_format_outside_verb_choices_exits_2(capsys, verb, extra, fmt):
         ("table", "--nmax", "-3"),
         ("table", "--nmax", "0"),
         ("table", "--k", "2,2"),
+        ("compute", "--family", "current", "--k", "2", "--m", "1", "--j", "2"),
+        ("check", "--input", "x", "--family", "heisenberg"),
+        ("table", "--k", "2,x"),
     ],
     ids=[
         "heisenberg-n", "free2-m", "acj-j", "abelian-inner", "current-inner-n",
         "degree-csv", "degree-text", "compute-negative-cap", "verify-negative-cap",
         "decompose-negative-cap", "check-negative-cap", "table-negative-nmax", "table-zero-nmax",
-        "table-repeated-arity",
+        "table-repeated-arity", "current-without-inner", "input-and-family", "table-bad-arity",
     ],
 )
 def test_unused_parameters_and_degree_formats_exit_2(capsys, argv):

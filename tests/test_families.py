@@ -10,6 +10,7 @@ from karyhom.algebra import (
     center,
     check_jacobi,
     lower_central_series,
+    sort_with_sign,
 )
 from karyhom.errors import InputError, ResourceCapError
 from karyhom.families import (
@@ -22,7 +23,6 @@ from karyhom.families import (
     free_two_step,
     heisenberg,
 )
-from karyhom.util import sort_with_sign
 
 
 def test_heisenberg_shapes():

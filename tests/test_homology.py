@@ -15,7 +15,7 @@ from conftest import (
     heisenberg_betti_closed_form,
     to_dense,
 )
-from karyhom.algebra import KaryAlgebra
+from karyhom.algebra import KaryAlgebra, sort_with_sign
 from karyhom.chains import ChainLayout, differential_matrix
 from karyhom.errors import InputError, ResourceCapError
 from karyhom.families import (
@@ -41,7 +41,6 @@ from karyhom.homology import (
     verify_heisenberg,
 )
 from karyhom.matrices import SparseIntMatrix, rank
-from karyhom.util import sort_with_sign
 
 
 # -- direct Betti numbers ---------------------------------------------------

@@ -258,6 +258,12 @@ def test_decompose_rejects_asymmetric_table():
         decompose_character({(2, 0): 1}, 2)
     with pytest.raises(ConsistencyError):
         decompose_character({(1, 0): 2, (0, 1): 1}, 2)
+    with pytest.raises(ConsistencyError):  # no dominant weight
+        decompose_character({(0, 1): 1}, 2)
+    with pytest.raises(ConsistencyError):  # negative dominant multiplicity
+        decompose_character({(1, 0): -1}, 2)
+    with pytest.raises(InputError):  # a weight outside Z^2
+        decompose_character({(1,): 1}, 2)
 
 
 def test_decompose_refuses_non_integer_multiplicities():
@@ -292,6 +298,8 @@ def test_lower_bound_validation():
             lower_bound_betti(n, k, 2)
         with pytest.raises(InputError):
             second_homology_bound(n, k)
+    with pytest.raises(InputError):  # n < k
+        second_homology_bound(2, 3)
 
 
 def test_second_homology_bound_values():
@@ -361,3 +369,5 @@ def test_stability_k2_degree2_self_conjugate():
 def test_stability_first_homology():
     rec = stability_check(2, 1, [2, 3, 4])
     assert all(dec == [((1,), 1)] for dec in rec["per_n"].values())
+    with pytest.raises(InputError):
+        stability_check(2, 1, [])

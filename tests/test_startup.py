@@ -205,7 +205,7 @@ def test_annotations_of_every_exported_function_resolve():
 
 # The computational core.  `toral` is the one module of the engine left
 # out: its bound is an exact integer, but its table shows a log2 column.
-CORE = ("algebra", "chains", "matrices", "homology", "schur", "families", "util")
+CORE = ("algebra", "chains", "matrices", "homology", "schur", "families")
 MATH_ALLOWED = {"comb", "gcd", "lcm"}
 
 
