@@ -7,11 +7,15 @@ degree t contracts one k-bracket:
         = sum over (k, t-k)-shuffles s of
           sgn(s) [x_{s(1)},...,x_{s(k)}] ^ x_{s(k+1)} ^ ... ^ x_{s(t)}
 
-Inside this module a monomial x_{i_1} ^ ... ^ x_{i_t} is an int mask,
-bit i at 1 << (dim-1-i), so the lexicographic order of the monomials of
-one degree is descending mask order.  The homology layout uses degrees
-0, 1, k, 2k-1, ... (step k-1); the boundary itself makes sense at every
-degree t >= k and is exposed that way.
+The homology layout uses degrees 0, 1, k, 2k-1, ... (step k-1); the
+boundary itself makes sense at every degree t >= k and is exposed that
+way.  A monomial x_{i_1} ^ ... ^ x_{i_t} is an int mask, bit i at
+1 << (dim-1-i), so lexicographic order of the monomials of one degree
+is descending mask order.  No other module reads mask bits; here four
+functions do: `_boundary_rows` writes masks, `_lex_index` reads the
+lexicographic position of one, `_drop_factor` deletes one basis index
+from the masks of a row form, and `_weight_codec` reads the torus
+weight of one.
 
 Boundaries are built from the bracket side, not monomial by monomial:
 only the monomials that contain a stored bracket key have a nonzero
@@ -21,14 +25,12 @@ C(dim, t) monomials times C(t, k) shuffles.  One loop,
 {column mask: int}}, and every consumer reads it:
 `ChainLayout.pivot_columns` eliminates it, once, for every rank and
 for the pivots `schur.character_by_weights` bins by weight, and
-`verify_d_squared` composes it (`algebra._product`).  Only the export edge,
-`differential_matrix` (with `--export-mm`) and `homology.theta_matrix`,
-indexes it, through one function, `_lex_index`, which reads the
-lexicographic position of a monomial off its mask, so the indexed
-matrices are reproducible bit for bit.
-Only elimination (`ChainLayout.pivot_columns`) and indexing (`_indexed`)
-import `matrices`, when they run, so `verify_d_squared` alone, as
-`check` runs it, does not load it.
+`verify_d_squared` composes it (`algebra._product`).  Only
+`differential_matrix` (with `--export-mm`) and `homology.theta_matrix`
+index it, through `_indexed`, so the indexed matrices are reproducible
+bit for bit.  Only elimination and indexing import `matrices`, when
+they run, so `verify_d_squared` alone, as `check` runs it, does not
+load it.
 
 When every ad(y_2, ..., y_k) is traceless, as in every nilpotent
 algebra, rank d_t = rank d_{n+k-1-t} (see `ChainLayout`), and each pair
@@ -59,26 +61,23 @@ def check_cap(alg: KaryAlgebra, degrees, cap) -> None:
     for t in degrees:
         size = comb0(alg.dim, t)
         if size > cap:
-            raise ResourceCapError(
-                f"chain space at degree {t} has {size} monomials (cap {cap})"
-            )
+            raise ResourceCapError(f"chain space at degree {t} has {size} monomials (cap {cap})")
 
 
 def _boundary_rows(alg: KaryAlgebra, t: int) -> dict:
     """d_t as {row mask: {column mask: int}}, for k <= t <= dim, summed
     from the bracket side.
 
-    A monomial is an int mask with bit 1 << (dim-1-i) set for each basis
-    index i in it, so lexicographic order of the monomials of one degree
-    is descending mask order.  For each stored key K, each output w of
-    [K] and each (t-k)-subset R of the complement of K u {w}, with rest
-    mask r, the column r | mask(K) receives sgn [K]_w at the row
-    r | bit(w), where sgn is that of the shuffle moving K to the front
-    times that of inserting w into R.  Only monomials that contain a key
-    are visited, so the cost is about nnz.  A (row, column) pair may
-    recur: its terms are added and sums that cancel are deleted (a row
-    may be left empty), so no index or matrix is built.  This is the one
-    form of d_t that every consumer reads.
+    Monomials are masks (see the module docstring).  For each stored
+    key K, each output w of [K] and each (t-k)-subset R of the
+    complement of K u {w}, with rest mask r, the column r | mask(K)
+    receives sgn [K]_w at the row r | bit(w), where sgn is that of the
+    shuffle moving K to the front times that of inserting w into R.
+    Only monomials that contain a key are visited, so the cost is about
+    nnz.  A (row, column) pair may recur: its terms are added and sums
+    that cancel are deleted (a row may be left empty), so no index or
+    matrix is built.  This is the one form of d_t that every consumer
+    reads.
     """
     k, n = alg.arity, alg.dim
     bit = [1 << (n - 1 - i) for i in range(n)]
@@ -126,6 +125,21 @@ def _lex_index(mask: int, n: int) -> int:
     return index
 
 
+def _drop_factor(rows: dict, n: int, z: int) -> dict:
+    """Mask-keyed rows over n bits as rows over the n-1 indices other than
+    z, z's bit deleted from every mask, each column times (-1)^(number of
+    its factors before z), the sign of moving z to its front."""
+    pos = n - 1 - z  # z is the mask bit 1 << pos, the factors before z lie above it
+
+    def drop(mask):
+        return (mask >> (pos + 1)) << pos | mask & ((1 << pos) - 1)
+
+    return {
+        drop(r): {drop(c): -v if (c >> (pos + 1)).bit_count() & 1 else v for c, v in row.items()}
+        for r, row in rows.items()
+    }
+
+
 def _indexed(rows: dict, n: int, shape):
     """Mask-keyed rows over n bits as a `matrices.SparseIntMatrix` of
     the given shape, each row and column mask at its `_lex_index`; the
@@ -141,6 +155,39 @@ def _indexed(rows: dict, n: int, shape):
                 j = cols[c] = _lex_index(c, n)
             entries[i, j] = v
     return SparseIntMatrix(*shape, entries)
+
+
+def _weight_codec(alg: KaryAlgebra, degree: int):
+    """Torus weights as ints: (packed weight of each basis index, unpack,
+    packed weight of a monomial mask, one table lookup per byte).
+    Coordinate j is a signed field of B bits at bit B*j, with 2^(B-1)
+    above the coordinates of any monomial of at most `degree` factors, so
+    packing adds up over such monomials."""
+    n, r = alg.dim, alg.weight_rank
+    width = (degree * max((abs(x) for w in alg.weights.values() for x in w), default=0)).bit_length() + 1
+    packed = [sum(x << (width * j) for j, x in enumerate(alg.weights[i])) for i in range(n)]
+    half = 1 << (width - 1)
+    bias = sum(half << (width * j) for j in range(r))  # makes every field nonnegative
+
+    def unpack(x: int) -> tuple:
+        return tuple(((x + bias) >> (width * j) & (2 * half - 1)) - half for j in range(r))
+
+    tables = []
+    for shift in range(0, n, 8):
+        table = [0]
+        # bit shift+b of a mask is basis index n-1-shift-b, b = 0..7
+        for i in range(n - 1 - shift, max(-1, n - 9 - shift), -1):
+            table += [v + packed[i] for v in table]
+        tables.append(table)
+
+    def mask_weight(mask: int) -> int:
+        total = 0
+        for table in tables:
+            total += table[mask & 255]
+            mask >>= 8
+        return total
+
+    return packed, unpack, mask_weight
 
 
 def differential_matrix(alg: KaryAlgebra, t: int):
@@ -198,10 +245,10 @@ class ChainLayout:
     Each boundary d_t is assembled whole as mask-keyed rows
     (`_boundary_rows`) and eliminated in `pivot_columns`, the one
     elimination of a whole boundary: `boundary_rank` counts its pivots
-    and keeps only {t: rank d_t}, which `homology` reads, and
-    `schur.character_by_weights` bins them by weight.  No index is
-    built.  `ChainLayout.of(alg)` returns the layout kept on the
-    algebra, so every caller shares one memo.
+    and keeps only {t: rank d_t}, which `kernel_dim`, `betti` and
+    `homology` read, and `schur.character_by_weights` bins them by
+    weight.  No index is built.  `ChainLayout.of(alg)` returns the
+    layout kept on the algebra, so every caller shares one memo.
 
     Duality.  Let n = dim, top = n+k-1, S^c the complement of S in
     {0, ..., n-1}, and e_S ^ e_{S^c} = eps(S) e_0 ^ ... ^ e_{n-1}.  If
@@ -278,9 +325,11 @@ class ChainLayout:
             self._ranks[t] = sum(1 for _ in self.pivot_columns(t))
         return self._ranks[t]
 
+    def kernel_dim(self, t: int) -> int:
+        """dim ker d_t = C(dim, t) - rank d_t."""
+        return comb0(self.algebra.dim, t) - self.boundary_rank(t)
+
     def betti(self, t: int) -> int:
-        """C(dim, t) - rank d_t - rank d_{t+k-1}: the Betti number at a
-        layout degree t (1 at t = 0, where both boundaries are zero)."""
-        alg = self.algebra
-        kernel = comb0(alg.dim, t) - self.boundary_rank(t)
-        return kernel - self.boundary_rank(t + alg.arity - 1)
+        """dim ker d_t - rank d_{t+k-1}: the Betti number at a layout
+        degree t (1 at t = 0, where both boundaries are zero)."""
+        return self.kernel_dim(t) - self.boundary_rank(t + self.algebra.arity - 1)

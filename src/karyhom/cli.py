@@ -49,6 +49,8 @@ def _family_spec(args):
         return FamilySpec(tag=args.family, k=args.k, m=args.m, n=args.n, j=args.j, inner=inner)
     if inner is None:
         raise InputError("--family current requires --inner")
+    if inner.tag == "current":
+        raise InputError("--inner current is not supported: --j sets the outer truncation only")
     return FamilySpec(tag="current", j=args.j, inner=inner)
 
 
@@ -140,7 +142,7 @@ def build_parser(verb=None) -> argparse.ArgumentParser:
 
 
 def _cmd_compute(args) -> int:
-    from .chains import ChainLayout, check_cap, comb0, differential_matrix
+    from .chains import ChainLayout, check_cap, differential_matrix
     from .homology import betti, betti_all
     from .matrices import write_matrix_market
 
@@ -164,8 +166,7 @@ def _cmd_compute(args) -> int:
         except OSError as exc:
             raise InputError(f"cannot export to {args.export_mm}: {exc}") from exc
     if t is not None:
-        image = layout.boundary_rank(t)
-        kernel = comb0(alg.dim, t) - image
+        kernel, image = layout.kernel_dim(t), layout.boundary_rank(t)
         _json_out({"algebra": desc, "degree": t, "betti": h, "kernel": kernel, "image": image})
         return 0
     report = betti_all(alg, description=desc, cap=args.size_cap)

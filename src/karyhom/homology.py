@@ -17,7 +17,9 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .algebra import KaryAlgebra, lower_central_series
-from .chains import DEFAULT_SIZE_CAP, ChainLayout, _boundary_rows, _indexed, check_cap, comb0
+from .chains import (
+    DEFAULT_SIZE_CAP, ChainLayout, _boundary_rows, _drop_factor, _indexed, check_cap, comb0,
+)
 from .errors import InputError
 
 
@@ -70,7 +72,7 @@ def betti_all(
     check_cap(alg, degrees, cap)
     chain_dims = {t: comb0(alg.dim, t) for t in degrees}
     image_dims = {t: layout.boundary_rank(t) for t in degrees}
-    kernel_dims = {t: chain_dims[t] - image_dims[t] for t in degrees}
+    kernel_dims = {t: layout.kernel_dim(t) for t in degrees}
     bettis = {t: layout.betti(t) for t in degrees}
 
     total = sum(bettis.values())
@@ -128,10 +130,8 @@ def verify_heisenberg(alg: KaryAlgebra, *, cap=DEFAULT_SIZE_CAP) -> dict:
     m = (alg.dim - 1) // k
     report = betti_all(alg, cap=cap)
     rows = []
-    ok = True
     for t in report.degrees[2:]:  # degrees k, 2k-1, ...: i = 1, 2, ...
         idx = (t - 1) // (k - 1)
-        in_range = heisenberg_in_range(k, m, idx)
         brow = {
             "i": idx,
             "degree": t,
@@ -139,12 +139,10 @@ def verify_heisenberg(alg: KaryAlgebra, *, cap=DEFAULT_SIZE_CAP) -> dict:
             "formula": heisenberg_betti_formula(k, m, idx),
             "image": report.image_dims[t],
             "image_formula": heisenberg_image_formula(k, m, idx),
-            "in_range": in_range,
+            "in_range": heisenberg_in_range(k, m, idx),
         }
         brow["betti_match"] = brow["betti"] == brow["formula"]
         brow["image_match"] = brow["image"] == brow["image_formula"]
-        if in_range:
-            ok = ok and brow["betti_match"] and brow["image_match"]
         rows.append(brow)
     return {
         "family": "heisenberg",
@@ -152,15 +150,15 @@ def verify_heisenberg(alg: KaryAlgebra, *, cap=DEFAULT_SIZE_CAP) -> dict:
         "m": m,
         "rows": rows,
         "total": report.total,
-        "ok": ok,
+        "ok": all(r["betti_match"] and r["image_match"] for r in rows if r["in_range"]),
     }
 
 
 # -- ACJ: theta maps and closed forms -----------------------------------
 
 
-def _acj_direction(alg: KaryAlgebra):
-    """(z, sorted complement) for an algebra with codim-1 abelian ideal.
+def _acj_direction(alg: KaryAlgebra) -> int:
+    """The basis index z whose complement a spans a codim-1 abelian ideal.
 
     z must occur in every bracket's arguments and in no bracket's output;
     the complement then brackets to zero among itself.
@@ -174,9 +172,7 @@ def _acj_direction(alg: KaryAlgebra):
         candidates -= set(vec)
     if not candidates:
         raise InputError("no basis direction lies in every bracket argument")
-    z = min(candidates)
-    a = [i for i in range(alg.dim) if i != z]
-    return z, a
+    return min(candidates)
 
 
 def theta_matrix(alg: KaryAlgebra, j: int):
@@ -187,12 +183,13 @@ def theta_matrix(alg: KaryAlgebra, j: int):
     factors, with shuffle signs: it is d_{j+1} on z ^ omega, read in the
     coordinates of the abelian complement a.  z lies in every stored key
     and in no output, so every column of `_boundary_rows` holds z and no
-    row does; deleting z's bit from each mask leaves a monomial of a, and
-    each column is multiplied by the sign of moving z to its front,
-    (-1)^(number of factors before z), which makes it z ^ omega.
+    row does; `chains._drop_factor` deletes z from each mask, which
+    leaves a monomial of a, and multiplies each column by the sign of
+    moving z to its front, (-1)^(number of factors before z), which
+    makes it z ^ omega.
 
     So rank theta_j = rank d_{j+1}, and dim ker theta_j = C(|a|, j) -
-    rank d_{j+1}: deleting z's bit is one to one on the monomials that
+    rank d_{j+1}: deleting z is one to one on the monomials that
     hold z and on those that do not, so it maps the nonzero rows and
     columns of d_{j+1} one to one onto those of theta_j, entry for entry
     up to one sign per column, and signing columns keeps the rank.
@@ -200,22 +197,9 @@ def theta_matrix(alg: KaryAlgebra, j: int):
     beta_alpha = C(|a|, alpha) - C(|a|, alpha+k-2) + dim ker theta_{alpha-1}
     + dim ker theta_{alpha+k-2} is then the layout's `betti`.
     """
-    k = alg.arity
-    z, a = _acj_direction(alg)
-    ma = len(a)
-    pos = alg.dim - 1 - z  # z is the mask bit 1 << pos, the factors before z lie above it
-
-    def drop_z(mask):
-        return (mask >> (pos + 1)) << pos | mask & ((1 << pos) - 1)
-
+    z, k, ma = _acj_direction(alg), alg.arity, alg.dim - 1
     rows = _boundary_rows(alg, j + 1) if j >= k - 1 else {}
-    theta = {
-        drop_z(r): {
-            drop_z(c): -v if (c >> (pos + 1)).bit_count() & 1 else v for c, v in row.items()
-        }
-        for r, row in rows.items()
-    }
-    return _indexed(theta, ma, (comb0(ma, j - k + 2), comb0(ma, j)))
+    return _indexed(_drop_factor(rows, alg.dim, z), ma, (comb0(ma, j - k + 2), comb0(ma, j)))
 
 
 def acj_second_homology_formula(k: int, m: int) -> int:
@@ -287,22 +271,17 @@ def verify_free3(alg: KaryAlgebra, *, cap=DEFAULT_SIZE_CAP) -> dict:
     `free3_expected_betti`."""
     k = alg.arity
     report = betti_all(alg, cap=cap)
-    expected = free3_expected_betti(k)
-    rows = []
-    ok = True
-    for t in sorted(expected):
-        match = report.betti.get(t) == expected[t]
-        ok = ok and match
-        rows.append(
-            {"degree": t, "betti": report.betti.get(t), "formula": expected[t], "match": match}
-        )
+    rows = [
+        {"degree": t, "betti": report.betti.get(t), "formula": f, "match": report.betti.get(t) == f}
+        for t, f in sorted(free3_expected_betti(k).items())
+    ]
     return {
         "family": "free3small",
         "k": k,
         "rows": rows,
         "total": report.total,
         "total_excluding_h0": report.total_excluding_h0,
-        "ok": ok,
+        "ok": all(r["match"] for r in rows),
     }
 
 

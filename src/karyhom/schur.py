@@ -3,9 +3,10 @@
 For a weight-graded algebra the boundary maps preserve every torus
 weight, so each homology group carries a polynomial GL(V)-character.
 The character is read off the pivots of whole boundaries, binned by
-weight (kernel minus image per weight), and decomposed into Schur
-modules by highest-weight peeling: repeatedly subtract the character of
-the lexicographically greatest dominant weight present.  All of it is
+the weight `chains._weight_codec` reads off each pivot's mask (kernel
+minus image per weight), and decomposed into Schur modules by
+highest-weight peeling: repeatedly subtract the character of the
+lexicographically greatest dominant weight present.  All of it is
 exact integer combinatorics; Schur characters come from the GL(n) ->
 GL(n-1) branching rule (Gelfand-Tsetlin) and dimensions from the hook
 content formula.
@@ -18,7 +19,7 @@ from functools import lru_cache
 from itertools import product
 
 from .algebra import KaryAlgebra
-from .chains import DEFAULT_SIZE_CAP, ChainLayout, comb0
+from .chains import DEFAULT_SIZE_CAP, ChainLayout, _weight_codec, comb0
 from .errors import ConsistencyError, InputError
 
 # -- partitions and Schur dimensions -------------------------------------
@@ -102,7 +103,9 @@ def character_by_weights(alg: KaryAlgebra, t: int, *, cap=DEFAULT_SIZE_CAP) -> d
     weight w minus the pivots of weight w (a pivot weighs what its
     column monomial does) that `ChainLayout.pivot_columns` finds in d_t
     and in d_{t+k-1}, each eliminated once, whole, after
-    `ChainLayout.check_degree` has put them under cap.
+    `ChainLayout.check_degree` has put them under cap.  Weights stay the
+    packed ints of `chains._weight_codec` until the table is written:
+    they add over factors, and `mask_weight` reads a pivot's off its mask.
 
     Proof that the pivots of weight w in d_s count the rank of its
     weight-w block.  Brackets are weight-additive (the constructor
@@ -139,39 +142,6 @@ def character_by_weights(alg: KaryAlgebra, t: int, *, cap=DEFAULT_SIZE_CAP) -> d
     return table
 
 
-def _weight_codec(alg: KaryAlgebra, degree: int):
-    """Torus weights as ints: (packed weight of each basis index, unpack,
-    packed weight of a `chains` monomial mask, one table lookup per byte).
-    Coordinate j is a signed field of B bits at bit B*j, with 2^(B-1)
-    above the coordinates of any monomial of at most `degree` factors, so
-    packing adds up over such monomials."""
-    n, r = alg.dim, alg.weight_rank
-    width = (degree * max((abs(x) for w in alg.weights.values() for x in w), default=0)).bit_length() + 1
-    packed = [sum(x << (width * j) for j, x in enumerate(alg.weights[i])) for i in range(n)]
-    half = 1 << (width - 1)
-    bias = sum(half << (width * j) for j in range(r))  # makes every field nonnegative
-
-    def unpack(x: int) -> tuple:
-        return tuple(((x + bias) >> (width * j) & (2 * half - 1)) - half for j in range(r))
-
-    tables = []
-    for shift in range(0, n, 8):
-        table = [0]
-        # bit shift+b of a mask is basis index n-1-shift-b, b = 0..7
-        for i in range(n - 1 - shift, max(-1, n - 9 - shift), -1):
-            table += [v + packed[i] for v in table]
-        tables.append(table)
-
-    def mask_weight(mask: int) -> int:
-        total = 0
-        for table in tables:
-            total += table[mask & 255]
-            mask >>= 8
-        return total
-
-    return packed, unpack, mask_weight
-
-
 def decompose_character(table: dict, n: int):
     """Highest-weight peeling of a weight table.
 
@@ -202,9 +172,7 @@ def decompose_character(table: dict, n: int):
         for w2, c in schur_weight_multiplicities(lam, n).items():
             nv = work.get(w2, 0) - mult * c
             if nv < 0:
-                raise ConsistencyError(
-                    f"peeling {lam} drove weight {w2} negative"
-                )
+                raise ConsistencyError(f"peeling {lam} drove weight {w2} negative")
             if nv:
                 work[w2] = nv
             else:

@@ -627,6 +627,7 @@ def test_format_outside_verb_choices_exits_2(capsys, verb, extra, fmt):
         ("table", "--nmax", "0"),
         ("table", "--k", "2,2"),
         ("compute", "--family", "current", "--k", "2", "--m", "1", "--j", "2"),
+        ("compute", "--family", "current", "--inner", "current", "--j", "2"),
         ("check", "--input", "x", "--family", "heisenberg"),
         ("table", "--k", "2,x"),
     ],
@@ -634,7 +635,8 @@ def test_format_outside_verb_choices_exits_2(capsys, verb, extra, fmt):
         "heisenberg-n", "free2-m", "acj-j", "abelian-inner", "current-inner-n",
         "degree-csv", "degree-text", "compute-negative-cap", "verify-negative-cap",
         "decompose-negative-cap", "check-negative-cap", "table-negative-nmax", "table-zero-nmax",
-        "table-repeated-arity", "current-without-inner", "input-and-family", "table-bad-arity",
+        "table-repeated-arity", "current-without-inner", "current-inner-current",
+        "input-and-family", "table-bad-arity",
     ],
 )
 def test_unused_parameters_and_degree_formats_exit_2(capsys, argv):
@@ -643,3 +645,9 @@ def test_unused_parameters_and_degree_formats_exit_2(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_inner_current_is_refused_by_name(capsys):
+    # --j is given: the error names --inner current, not a missing --j
+    assert main(["compute", "--family", "current", "--inner", "current", "--j", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: --inner current is not supported")

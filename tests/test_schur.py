@@ -205,8 +205,10 @@ def test_character_matches_the_block_oracle_at_every_degree(tmp_path):
     relabelled = load_algebra(path)
     assert relabelled.weights != f34.weights
     algebras = [free_two_step(k, n) for k, n in FREE2]
-    for alg in algebras + [graded_filiform3(), negative, by_degree, relabelled]:
-        degrees = ChainLayout(alg).degrees
+    # free2(2, 6) has dim 21: its masks reach the codec's third byte table
+    f26 = free_two_step(2, 6)
+    for alg in algebras + [graded_filiform3(), negative, by_degree, relabelled, f26]:
+        degrees = [t for t in ChainLayout(alg).degrees if alg is not f26 or t <= 3]
         oracle = characters_by_blocks(alg, degrees)
         for t in degrees:
             assert character_by_weights(alg, t) == oracle[t], (alg, t)

@@ -3,7 +3,8 @@
 The footprint test counts modules in a fresh interpreter, not time, so
 it does not depend on the host's speed.  ``python -S`` skips the site
 module, so no host ``.pth`` file adds modules of its own.  The source
-scan at the end keeps floating point out of the computational core.
+scans at the end keep floating point out of the computational core and
+monomial-mask bit arithmetic inside ``chains``.
 """
 
 import ast
@@ -238,3 +239,34 @@ def test_computational_core_uses_no_floating_point():
     assert not found, found
     # the scan does see toral's display floats
     assert list(_float_uses(ast.parse((package / "toral.py").read_text())))
+
+
+# Monomial masks are `chains`' own format: no other module shifts bits or
+# counts them, so mask layout changes touch one module.
+BIT_METHODS = {"bit_count", "bit_length"}
+
+
+def _bit_uses(tree):
+    """(line, what) for each <<, >> (also augmented) and call of
+    .bit_count() or .bit_length() in a module's AST."""
+    for node in ast.walk(tree):
+        operation = isinstance(node, (ast.BinOp, ast.AugAssign))
+        if operation and isinstance(node.op, (ast.LShift, ast.RShift)):
+            yield node.lineno, type(node.op).__name__
+        elif isinstance(node, ast.Attribute) and node.attr in BIT_METHODS:
+            yield node.lineno, f".{node.attr}"
+
+
+def test_only_chains_reads_mask_bits():
+    package = Path(karyhom.__file__).resolve().parent
+    found = [
+        f"{path.name}:{line}: {what}"
+        for path in sorted(package.glob("*.py"))
+        if path.stem != "chains"
+        for line, what in _bit_uses(ast.parse(path.read_text()))
+    ]
+    assert not found, found
+    # the scan does see chains' own bit arithmetic, and every form it looks for
+    assert list(_bit_uses(ast.parse((package / "chains.py").read_text())))
+    probe = "a << 1\nb >> 1\nc >>= 8\nd <<= 8\ne.bit_count()\nf.bit_length()\n"
+    assert sorted(line for line, _ in _bit_uses(ast.parse(probe))) == [1, 2, 3, 4, 5, 6]
