@@ -23,9 +23,9 @@ image, so assembly costs about the number of nonzeros rather than
 C(dim, t) monomials times C(t, k) shuffles.  One loop,
 `_boundary_rows`, sums the terms into one row form, {row mask:
 {column mask: int}}, and every consumer reads it:
-`ChainLayout.pivot_columns` eliminates it, once, for every rank and
-for the pivots `schur.character_by_weights` bins by weight, and
-`verify_d_squared` composes it (`algebra._product`).  Only
+`ChainLayout` eliminates it once and keeps its pivots counted by
+weight, the one record every rank and `schur.character_by_weights`
+read, and `verify_d_squared` composes it (`algebra._product`).  Only
 `differential_matrix` (with `--export-mm`) and `homology.theta_matrix`
 index it, through `_indexed`, so the indexed matrices are reproducible
 bit for bit.  Only elimination and indexing import `matrices`, when
@@ -33,13 +33,15 @@ they run, so `verify_d_squared` alone, as `check` runs it, does not
 load it.
 
 When every ad(y_2, ..., y_k) is traceless, as in every nilpotent
-algebra, rank d_t = rank d_{n+k-1-t} (see `ChainLayout`), and each pair
-{t, n+k-1-t} gets one rank.  The condition is checked on each algebra's
-brackets; a custom algebra that fails it ranks every degree.
+algebra, the record of d_{n+k-1-t} is that of d_t mirrored in weight
+(see `ChainLayout`), and each pair {t, n+k-1-t} is eliminated once.
+The condition is checked on each algebra's brackets; a custom algebra
+that fails it eliminates every degree.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -157,14 +159,16 @@ def _indexed(rows: dict, n: int, shape):
     return SparseIntMatrix(*shape, entries)
 
 
-def _weight_codec(alg: KaryAlgebra, degree: int):
+def _weight_codec(alg: KaryAlgebra):
     """Torus weights as ints: (packed weight of each basis index, unpack,
     packed weight of a monomial mask, one table lookup per byte).
     Coordinate j is a signed field of B bits at bit B*j, with 2^(B-1)
-    above the coordinates of any monomial of at most `degree` factors, so
-    packing adds up over such monomials."""
+    above the coordinates of any monomial (at most dim factors), so
+    packing adds up over monomials, and W - w, W the packed weight of
+    all basis elements, is the packed weight of the complement of a
+    monomial of weight w."""
     n, r = alg.dim, alg.weight_rank
-    width = (degree * max((abs(x) for w in alg.weights.values() for x in w), default=0)).bit_length() + 1
+    width = (n * max((abs(x) for w in alg.weights.values() for x in w), default=0)).bit_length() + 1
     packed = [sum(x << (width * j) for j, x in enumerate(alg.weights[i])) for i in range(n)]
     half = 1 << (width - 1)
     bias = sum(half << (width * j) for j in range(r))  # makes every field nonnegative
@@ -239,16 +243,29 @@ def verify_d_squared(alg: KaryAlgebra, *, cap=DEFAULT_SIZE_CAP):
 
 
 class ChainLayout:
-    """The chain complex of one algebra and the ranks of its boundaries.
+    """The chain complex of one algebra and one record per boundary.
 
     Layout degrees are 0, 1, k, 2k-1, ... up to dim (`check_degree`).
     Each boundary d_t is assembled whole as mask-keyed rows
-    (`_boundary_rows`) and eliminated in `pivot_columns`, the one
-    elimination of a whole boundary: `boundary_rank` counts its pivots
-    and keeps only {t: rank d_t}, which `kernel_dim`, `betti` and
-    `homology` read, and `schur.character_by_weights` bins them by
-    weight.  No index is built.  `ChainLayout.of(alg)` returns the
-    layout kept on the algebra, so every caller shares one memo.
+    (`_boundary_rows`) and eliminated once, by `matrices._eliminate`.
+    Its record, `pivots(t)`, keeps only {packed weight: number of
+    pivots}, each pivot counted at the weight of its column
+    (`_weight_codec`, which the layout builds once per algebra); an
+    ungraded algebra has one bin, 0.  No pivot mask, index or weight
+    block is kept.  `boundary_rank` is the record's total, which
+    `kernel_dim`, `betti` and `homology` read, and
+    `schur.character_by_weights` subtracts the records of d_t and
+    d_{t+k-1} from its monomial counts.  `ChainLayout.of(alg)` returns
+    the layout kept on the algebra, so every caller shares one memo.
+
+    Weights.  The pivots of weight w in d_t number the rank of its
+    weight-w block.  Brackets are weight-additive (the constructor
+    checks it), so each term of d_t joins a row and a column of one
+    weight: every row is weight-homogeneous.  The echelon combines two
+    rows only through a column both hold, so rows stay homogeneous, and
+    its run on the rows of weight w is its run on the weight-w block
+    alone: the same rows, row order and reductions, and a pivot is the
+    least column of its own row.
 
     Duality.  Let n = dim, top = n+k-1, S^c the complement of S in
     {0, ..., n-1}, and e_S ^ e_{S^c} = eps(S) e_0 ^ ... ^ e_{n-1}.  If
@@ -277,20 +294,35 @@ class ChainLayout:
     sum [K]_w (e_w ^) i_K for the contraction i_K, moving e_w ^ back
     past i_K after the star leaves (-1)^k d + sum_Y tr ad(Y) i_Y.
 
+    Reflection.  Let W be the packed weight of all basis elements.  The
+    star sends a monomial S of weight w to S^c, of weight W - w, so the
+    identity above carries the weight-v block of d_t (rows U and columns
+    S of weight v) onto the weight-(W-v) block of d_{top-t} (rows S^c
+    and columns U^c of weight W - v): that block is the weight-v block
+    of d_t transposed, its rows and columns signed.  The two blocks have
+    one rank, so by the weight rule the record of d_{top-t} is the
+    record of d_t reflected, w -> W - w.  Ungraded, W = 0 and the one
+    bin keeps its count.
+
     The condition is checked once, on the adjoint table: a Y in no
-    stored key has ad(Y) = 0.  When it holds, `boundary_rank(t)` with
-    top - t < t returns `boundary_rank(top - t)`, so only degrees up to
-    top / 2 are assembled and ranked.  Nilpotent ad maps are traceless;
-    an algebra that fails the check (a solvable one, say) ranks every
-    degree.
+    stored key has ad(Y) = 0.  When it holds, `pivots(t)` with top - t <
+    t reflects the record of d_{top-t}, so only degrees up to top / 2
+    are assembled and eliminated, and ranks and characters read the
+    upper half through that one rule.  Nilpotent ad maps are traceless;
+    an algebra that fails the check (a solvable one, say) eliminates
+    every degree.
     """
 
     def __init__(self, alg: KaryAlgebra):
         self.algebra = alg
         self.degrees = [0] + list(range(1, alg.dim + 1, alg.arity - 1))
-        self._ranks = {}
+        self._pivots = {}
         traceless = all(sum(row[x].get(x, 0) for x in row) == 0 for row in _adjoint(alg).values())
         self.top = alg.dim + alg.arity - 1 if traceless else None
+        # packed weight of each basis index, unpack, packed weight of a mask;
+        # ungraded, every weight is 0
+        codec = _weight_codec(alg) if alg.weights is not None else ([0] * alg.dim, None, lambda mask: 0)
+        self.packed, self.unpack, self._weight = codec
 
     @classmethod
     def of(cls, alg: KaryAlgebra) -> "ChainLayout":
@@ -307,23 +339,24 @@ class ChainLayout:
         k = self.algebra.arity
         check_cap(self.algebra, (t, t - k + 1, t + k - 1), cap)
 
-    def pivot_columns(self, t: int):
-        """The pivot columns `matrices._eliminate` finds in the rows of d_t
-        (none unless k <= t <= dim); each is the least column of its row."""
-        alg = self.algebra
-        if alg.arity <= t <= alg.dim:
+    def pivots(self, t: int) -> Counter:
+        """The record of d_t, {packed weight: number of pivots}, empty
+        unless k <= t <= dim: d_t eliminated once, or, when top is set
+        and top - t < t, the record of d_{top-t} reflected.  A caller
+        must not change it."""
+        if self.top is not None and self.top - t < t:
+            whole = sum(self.packed)
+            return Counter({whole - w: c for w, c in self.pivots(self.top - t).items()})
+        if t not in self._pivots and self.algebra.arity <= t <= self.algebra.dim:
             from .matrices import _eliminate
 
-            yield from (pc for pc, _ in _eliminate(_boundary_rows(alg, t)))
+            columns = (pc for pc, _ in _eliminate(_boundary_rows(self.algebra, t)))
+            self._pivots[t] = Counter(map(self._weight, columns))
+        return self._pivots.get(t, Counter())
 
     def boundary_rank(self, t: int) -> int:
-        """rank d_t, the number of `pivot_columns(t)`; the rank of its
-        mirror d_{top-t} when that degree is lower and top is set."""
-        if self.top is not None and self.top - t < t:
-            t = self.top - t
-        if t not in self._ranks:
-            self._ranks[t] = sum(1 for _ in self.pivot_columns(t))
-        return self._ranks[t]
+        """rank d_t, the total of its record."""
+        return self.pivots(t).total()
 
     def kernel_dim(self, t: int) -> int:
         """dim ker d_t = C(dim, t) - rank d_t."""

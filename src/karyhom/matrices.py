@@ -1,17 +1,18 @@
 """Sparse exact linear algebra over the integers.
 
 Rank, row-space bases and kernel bases over Q, and the pivots of every
-whole boundary (`chains.ChainLayout.pivot_columns`, its one caller
-elsewhere in the package), all come from one integer-preserving row
-echelon of {row: {col: int}} rows, `_eliminate`: rows are
-cross-multiplied through the gcd of the pivot pair and stripped of their
-content, so no fractions (and no floating point, hence no tolerances)
-appear in it.  Rows are taken shortest first, ties by key, and each is
-reduced at its least column while a pivot row owns that column; a row
-that survives becomes the pivot row of its least column.  So every pivot
-row is zero below its pivot, no two pivots coincide, and the pivots and
-pivot rows depend only on the row and column keys, never on the order
-the rows or their entries were inserted: every run is bit-reproducible.
+whole boundary (`chains.ChainLayout.pivots`, its one caller elsewhere in
+the package, which keeps them counted by weight), all come from one
+integer-preserving row echelon of {row: {col: int}} rows, `_eliminate`:
+rows are cross-multiplied through the gcd of the pivot pair and stripped
+of their content, so no fractions (and no floating point, hence no
+tolerances) appear in it.  Rows are taken shortest first, ties by key,
+and each is reduced at its least column while a pivot row owns that
+column; a row that survives becomes the pivot row of its least column.
+So every pivot row is zero below its pivot, no two pivots coincide, and
+the pivots and pivot rows depend only on the row and column keys, never
+on the order the rows or their entries were inserted: every run is
+bit-reproducible.
 
 `rank_mod_p` is the cross-check: a one-pass least-key echelon modulo a
 prime over the same rows.  Rank mod p never exceeds the rational rank,

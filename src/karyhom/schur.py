@@ -2,14 +2,13 @@
 
 For a weight-graded algebra the boundary maps preserve every torus
 weight, so each homology group carries a polynomial GL(V)-character.
-The character is read off the pivots of whole boundaries, binned by
-the weight `chains._weight_codec` reads off each pivot's mask (kernel
-minus image per weight), and decomposed into Schur modules by
-highest-weight peeling: repeatedly subtract the character of the
-lexicographically greatest dominant weight present.  All of it is
-exact integer combinatorics; Schur characters come from the GL(n) ->
-GL(n-1) branching rule (Gelfand-Tsetlin) and dimensions from the hook
-content formula.
+The character is read off the layout's record of each whole boundary,
+its pivots counted by torus weight (kernel minus image per weight), and
+decomposed into Schur modules by highest-weight peeling: repeatedly
+subtract the character of the lexicographically greatest dominant weight
+present.  All of it is exact integer combinatorics; Schur characters
+come from the GL(n) -> GL(n-1) branching rule (Gelfand-Tsetlin) and
+dimensions from the hook content formula.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from functools import lru_cache
 from itertools import product
 
 from .algebra import KaryAlgebra
-from .chains import DEFAULT_SIZE_CAP, ChainLayout, _weight_codec, comb0
+from .chains import DEFAULT_SIZE_CAP, ChainLayout, comb0
 from .errors import ConsistencyError, InputError
 
 # -- partitions and Schur dimensions -------------------------------------
@@ -100,46 +99,32 @@ def _branch(lam: tuple, n: int) -> dict:
 def character_by_weights(alg: KaryAlgebra, t: int, *, cap=DEFAULT_SIZE_CAP) -> dict:
     """GL(V)-character {weight: multiplicity} of the homology at layout
     degree t, zero entries dropped: at w, the degree-t monomials of
-    weight w minus the pivots of weight w (a pivot weighs what its
-    column monomial does) that `ChainLayout.pivot_columns` finds in d_t
-    and in d_{t+k-1}, each eliminated once, whole, after
-    `ChainLayout.check_degree` has put them under cap.  Weights stay the
-    packed ints of `chains._weight_codec` until the table is written:
-    they add over factors, and `mask_weight` reads a pivot's off its mask.
-
-    Proof that the pivots of weight w in d_s count the rank of its
-    weight-w block.  Brackets are weight-additive (the constructor
-    checks it), so each term of d_s joins a row and a column of one
-    weight: every row is weight-homogeneous.  The echelon combines two
-    rows only through a column both hold, so rows stay homogeneous, and
-    its run on the rows of weight w is its run on the weight-w block
-    alone: the same rows, row order and reductions, and a pivot is the
-    least column of its own row.  The rows of d_{t+k-1} are degree-t
-    monomials, so both boundaries bin on degree-t weights.
+    weight w minus the pivots of weight w in the records
+    (`ChainLayout.pivots`, mirrored above top / 2) of d_t and d_{t+k-1},
+    which count the ranks of their weight-w blocks, after
+    `ChainLayout.check_degree` has put them under cap.  The rows of
+    d_{t+k-1} are degree-t monomials, so both records bin on degree-t
+    weights.  Weights stay the layout's packed ints until the table is
+    written: they add over factors.
     """
     if alg.weights is None:
         raise InputError("character requires a weight-graded algebra")
-    k = alg.arity
     layout = ChainLayout.of(alg)
     layout.check_degree(t, cap)
 
-    packed, unpack, mask_weight = _weight_codec(alg, t + k - 1)
     # layers[j]: degree-j monomials of the indices seen, by weight, while t is in reach
     layers = [Counter({0: 1})] + [Counter() for _ in range(t)]
-    for i, p in enumerate(packed):
+    for i, p in enumerate(layout.packed):
         for j in range(min(i + 1, t), max(0, t - alg.dim + i), -1):
             for w, c in layers[j - 1].items():
                 layers[j][w + p] += c
-    pivots = Counter(mask_weight(pc) for d in (t, t + k - 1) for pc in layout.pivot_columns(d))
-
-    table = {}
-    for w in layers[t].keys() | pivots.keys():
-        mult = layers[t][w] - pivots[w]
+    counts = layers[t]
+    for d in (t, t + alg.arity - 1):
+        counts.subtract(layout.pivots(d))
+    for w, mult in counts.items():
         if mult < 0:
-            raise ConsistencyError(f"negative multiplicity {mult} at weight {unpack(w)}")
-        if mult:
-            table[unpack(w)] = mult
-    return table
+            raise ConsistencyError(f"negative multiplicity {mult} at weight {layout.unpack(w)}")
+    return {layout.unpack(w): mult for w, mult in counts.items() if mult}
 
 
 def decompose_character(table: dict, n: int):

@@ -495,6 +495,20 @@ def test_size_cap_exit_code(capsys):
     assert code == 3
 
 
+def test_size_cap_admits_a_chain_space_of_exactly_cap_monomials(capsys):
+    # the largest chain space is C(5, 2) = 10 for compute heisenberg(2, 2),
+    # and C(6, 3) = 20, at degree t+k-1 = 3, for decompose free2(2, 3) at 2
+    for argv, size, degree in (
+        (("compute", "--family", "heisenberg", "--k", "2", "--m", "2"), 10, 2),
+        (("decompose", "--family", "free2", "--k", "2", "--n", "3", "--degree", "2"), 20, 3),
+    ):
+        assert main([*argv, "--size-cap", str(size)]) == 0, argv
+        assert capsys.readouterr().err == ""
+        assert main([*argv, "--size-cap", str(size - 1)]) == 3, argv
+        message = f"error: chain space at degree {degree} has {size} monomials (cap {size - 1})\n"
+        assert capsys.readouterr().err == message
+
+
 def test_family_builds_obey_size_cap(capsys):
     # refused before allocating: C(26, 12) = 9657700 subsets, C(402, 3) =
     # 10746800 products for the one bracket of heisenberg(3, 1), and

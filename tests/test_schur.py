@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -9,7 +10,7 @@ from karyhom.errors import ConsistencyError, InputError
 from karyhom.families import free_two_step, heisenberg
 from karyhom.algebra import KaryAlgebra, algebra_to_json_dict, load_algebra
 from karyhom.chains import ChainLayout
-from karyhom.homology import betti
+from karyhom.homology import betti, betti_all
 from karyhom.schur import (
     character_by_weights,
     conjugate_partition,
@@ -189,8 +190,9 @@ def _relabelled_document(alg, rng):
 
 
 def test_character_matches_the_block_oracle_at_every_degree(tmp_path):
-    # the pivots of whole boundaries, binned by weight, against ranks of
-    # weight blocks cut from differential_matrix, weight by weight
+    # the layout's records of whole boundaries, upper degrees reflected
+    # from lower ones, against ranks of weight blocks cut from
+    # differential_matrix, weight by weight
     f24, f34, heis = free_two_step(2, 4), free_two_step(3, 4), heisenberg(3, 2)
     # Z^4 -> Z^2 by a matrix with negative entries: a coarser grading
     negative = _with_weights(f24, {
@@ -207,7 +209,10 @@ def test_character_matches_the_block_oracle_at_every_degree(tmp_path):
     algebras = [free_two_step(k, n) for k, n in FREE2]
     # free2(2, 6) has dim 21: its masks reach the codec's third byte table
     f26 = free_two_step(2, 6)
-    for alg in algebras + [graded_filiform3(), negative, by_degree, relabelled, f26]:
+    # [x, y] = y: tr ad(x) = 1, so no degree is read through the mirror
+    trace = KaryAlgebra(2, 2, "xy", {(0, 1): {1: 1}}, {0: (0,), 1: (1,)})
+    assert ChainLayout(trace).top is None
+    for alg in algebras + [graded_filiform3(), negative, by_degree, relabelled, f26, trace]:
         degrees = [t for t in ChainLayout(alg).degrees if alg is not f26 or t <= 3]
         oracle = characters_by_blocks(alg, degrees)
         for t in degrees:
@@ -215,6 +220,45 @@ def test_character_matches_the_block_oracle_at_every_degree(tmp_path):
     # a relabelled basis moves weights with their basis elements
     for t in ChainLayout(f34).degrees:
         assert character_by_weights(relabelled, t) == character_by_weights(f34, t), t
+
+
+def test_an_extra_pivot_in_a_record_is_a_negative_multiplicity():
+    # one pivot more at a weight whose multiplicity is 0 drives it to -1
+    alg = free_two_step(2, 3)
+    layout = ChainLayout.of(alg)
+    table = character_by_weights(alg, 2)
+    record = layout.pivots(2)
+    spare = [w for w in record if layout.unpack(w) not in table]
+    assert spare
+    record[spare[0]] += 1
+    message = f"negative multiplicity -1 at weight {layout.unpack(spare[0])}"
+    with pytest.raises(ConsistencyError, match=re.escape(message)):
+        character_by_weights(alg, 2)
+
+
+def test_ranks_and_characters_share_one_elimination_per_boundary(monkeypatch):
+    # betti_all eliminates each boundary degree from k to top/2 once, and
+    # the mirrors give the rest; characters at every layout degree then
+    # read the same records, and a second pass eliminates nothing
+    import karyhom.matrices
+
+    eliminate = karyhom.matrices._eliminate
+    calls = []
+
+    def counting_eliminate(rows):
+        calls.append(len(rows))
+        return eliminate(rows)
+
+    monkeypatch.setattr(karyhom.matrices, "_eliminate", counting_eliminate)
+    for alg, boundaries in ((free_two_step(2, 4), 4), (free_two_step(3, 5), 6)):
+        layout = ChainLayout.of(alg)
+        assert boundaries == layout.top // 2 - alg.arity + 1
+        calls.clear()
+        for _ in range(2):
+            report = betti_all(alg)
+            for t in layout.degrees:
+                assert sum(character_by_weights(alg, t).values()) == report.betti[t], (alg, t)
+            assert len(calls) == boundaries, alg
 
 
 def test_character_requires_grading():

@@ -3,8 +3,9 @@
 The footprint test counts modules in a fresh interpreter, not time, so
 it does not depend on the host's speed.  ``python -S`` skips the site
 module, so no host ``.pth`` file adds modules of its own.  The source
-scans at the end keep floating point out of the computational core and
-monomial-mask bit arithmetic inside ``chains``.
+scans at the end keep floating point out of the computational core,
+monomial-mask bit arithmetic inside ``chains``, and the elimination of
+whole boundaries inside ``chains`` and ``matrices``.
 """
 
 import ast
@@ -270,3 +271,37 @@ def test_only_chains_reads_mask_bits():
     assert list(_bit_uses(ast.parse((package / "chains.py").read_text())))
     probe = "a << 1\nb >> 1\nc >>= 8\nd <<= 8\ne.bit_count()\nf.bit_length()\n"
     assert sorted(line for line, _ in _bit_uses(ast.parse(probe))) == [1, 2, 3, 4, 5, 6]
+
+
+# Whole boundaries are eliminated in `chains`, on the rows it assembles,
+# and `matrices` owns the echelon: no other module calls it, so every
+# rank and character reads one record per boundary.
+def _eliminate_uses(tree):
+    """(line, what) for each name, attribute, import or string constant
+    `_eliminate` in a module's AST."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "_eliminate":
+            yield node.lineno, "name"
+        elif isinstance(node, ast.Attribute) and node.attr == "_eliminate":
+            yield node.lineno, "attribute"
+        elif isinstance(node, ast.alias) and node.name == "_eliminate":
+            yield node.lineno, "import"
+        elif isinstance(node, ast.Constant) and node.value == "_eliminate":
+            yield node.lineno, "string"
+
+
+def test_only_matrices_and_chains_name_eliminate():
+    package = Path(karyhom.__file__).resolve().parent
+    found = [
+        f"{path.name}:{line}: {what}"
+        for path in sorted(package.glob("*.py"))
+        if path.stem not in ("matrices", "chains")
+        for line, what in _eliminate_uses(ast.parse(path.read_text()))
+    ]
+    assert not found, found
+    # the scan does see chains' import and call, and every form it looks for
+    chains = ast.parse((package / "chains.py").read_text())
+    assert {what for _, what in _eliminate_uses(chains)} == {"import", "name"}
+    probe = "from .matrices import _eliminate as e\n_eliminate(r)\nm._eliminate\ngetattr(m, '_eliminate')\n"
+    kinds = [(1, "import"), (2, "name"), (3, "attribute"), (4, "string")]
+    assert sorted(_eliminate_uses(ast.parse(probe))) == kinds
