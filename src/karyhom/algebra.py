@@ -8,12 +8,14 @@ of the sorting permutation.  The generalized (Filippov) Jacobi identity
     [[x_1,...,x_k], y_2,...,y_k]
         = sum_i [x_1,...,[x_i, y_2,...,y_k],...,x_k]
 
-is not assumed; `check_jacobi` verifies it on every basis-tuple pair
-whose residual can be nonzero, which suffices by multilinearity.  The
-structural checkers (`check_jacobi`, `lower_central_series`, `center`)
-read brackets from one signed adjoint table {R: {x: [x, R]}} built from
-the stored keys, not through `KaryAlgebra.bracket`; an outer tuple R in
-no stored key has ad_R = 0, so every term it could enter vanishes.
+is not assumed; `check_jacobi` verifies it on basis tuples, which
+suffices by multilinearity.  The structural checkers (`check_jacobi`,
+`lower_central_series`, `center`) read brackets from one signed adjoint
+table {R: {x: [x, R]}} built from the stored keys, not through
+`KaryAlgebra.bracket`; a tuple R in no stored key has ad_R = 0, so every
+term it could enter vanishes.  The first two multiply rows of the table
+through `_product`, the one sparse row product, which
+`chains.verify_d_squared` also uses.
 """
 
 from __future__ import annotations
@@ -64,8 +66,8 @@ class KaryAlgebra:
     ints (bool, float and str are refused), in range and consistent.
     An algebra is immutable after construction: nothing may change its
     brackets or weights.  Its chain layout (`chains.ChainLayout.of`),
-    with every boundary rank computed so far, is kept on the algebra
-    and shared by all callers.
+    with the record of every boundary eliminated so far, is kept on the
+    algebra and shared by all callers.
     """
 
     __slots__ = ("arity", "dim", "labels", "brackets", "weights", "_chain_layout")
@@ -197,11 +199,13 @@ _ZERO = {}  # the zero vector, shared by lookups that miss; never written
 
 
 def _product(a: dict, b: dict) -> dict:
-    """a . b of int-keyed rows: row r is sum over m of a[r][m] * b[m].
+    """a . b of sparse rows: row r is sum over m of a[r][m] * b[m].
 
-    The column keys of a are the row keys of b.  Sums that cancel are
-    dropped, and so are rows left empty, so the product is {} iff it is
-    zero.  Neither argument is changed.
+    The row keys of a are any hashable keys (basis indices, masks or the
+    bracket-key tuples of `KaryAlgebra.brackets`); its column keys are
+    the row keys of b.  Sums that cancel are dropped, and so are rows
+    left empty, so the product is {} iff it is zero.  Neither argument
+    is changed, and no row of the product is a row of either.
     """
     out = {}
     for r, row in a.items():
@@ -237,23 +241,25 @@ def check_jacobi(alg: KaryAlgebra, *, cap=DEFAULT_SIZE_CAP):
     Checks strictly increasing inner k-tuples I against strictly
     increasing outer (k-1)-tuples O (overlaps allowed); this covers every
     case by multilinearity, since tuples with a repeat inside either
-    group vanish identically on both sides.  With ad_R(x) = [x, R] read
-    from `_adjoint`, the residual of (I, O) is
+    group vanish identically on both sides.  The residual of (I, O) is
 
-        sum_w [I]_w ad_O(w) - sum_i (-1)^i sum_w ad_O(I_i)_w ad_{I - I_i}(w),
+        [[I], O] - sum_i [I_1, ..., [I_i, O], ..., I_k],
 
-    i.e. [[I], O] - sum_i [I_1, ..., [I_i, O], ..., I_k].  Only pairs
-    with a possibly nonzero term are visited, by two joins of the stored
-    keys K with the rows of the table:
-    - (K, O) for each row O meeting the outputs of K: [[I], O] needs I a
-      key and some [w, O] != 0 with w in [I];
-    - (sorted R + {e}, K - e) for each e in K and each row R without e:
-      [I_i, O] != 0 makes sorted {I_i} + O a key K, and the term needs
-      ad_{I - I_i} != 0, i.e. R = I - I_i a row.
+    and it is zero unless O is a row of the table {R: {x: [x, R]}} of
+    `_adjoint`.  For each row O, two kinds of `_product` give every term:
+    - brackets . ad_O has row I equal to [[I], O], for every key I;
+    - ad_O . ad_R has row x equal to [[x, O], R].  For x not in R this
+      is [[I_i, O], I - I_i] with I = sorted R + {x} and i the number of
+      entries of R below x; moving the bracket from position i to the
+      front takes i transpositions, so the term enters as -(-1)^i.
     Returns the violating (2k-1)-tuples, inner part first, in
-    lexicographic order; empty means the identity holds.  The joins make
-    (k+1) * |keys| * |rows| iterations; more than cap is refused before
-    they start (cap None: no limit).
+    lexicographic order; empty means the identity holds.
+
+    The loop makes |rows| * (|keys| + |rows|) row visits: |rows| products
+    over the stored keys and |rows|^2 products of table rows.  Each key
+    gives k rows, so |rows| <= k * |keys| and the visits are at most
+    (k+1) * |keys| * |rows|; more than cap is refused before they start
+    (cap None: no limit).
     """
     ad = _adjoint(alg)
     bound = (alg.arity + 1) * len(alg.brackets) * len(ad)
@@ -261,38 +267,19 @@ def check_jacobi(alg: KaryAlgebra, *, cap=DEFAULT_SIZE_CAP):
         raise ResourceCapError(
             f"Jacobi check visits up to {bound} (inner, outer) pairs (cap {cap})"
         )
-    pairs = set()
-    for key, vec in alg.brackets.items():
-        pairs.update((key, outer) for outer, row in ad.items() if not row.keys().isdisjoint(vec))
-        for i, e in enumerate(key):
-            outer = key[:i] + key[i + 1 :]
-            pairs.update((tuple(sorted(rest + (e,))), outer) for rest in ad if e not in rest)
-    return [
-        inner + outer
-        for inner, outer in sorted(pairs)
-        if _jacobi_fails(alg.brackets, ad, inner, outer)
-    ]
-
-
-def _jacobi_fails(brackets, ad, inner, outer):
-    """Whether the residual of (inner, outer) is nonzero; outer is in ad."""
-    ad_outer = ad[outer]
-    residual = {}
-    for w, c in brackets.get(inner, _ZERO).items():
-        for j, cj in ad_outer.get(w, _ZERO).items():
-            residual[j] = residual.get(j, 0) + c * cj
-    for i, x in enumerate(inner):
-        moved = ad_outer.get(x)
-        if not moved:
-            continue
-        rest = ad.get(inner[:i] + inner[i + 1 :])
-        if not rest:
-            continue
-        sign = 1 if i % 2 else -1  # the term enters as -(-1)^i
-        for w, c in moved.items():
-            for j, cj in rest.get(w, _ZERO).items():
-                residual[j] = residual.get(j, 0) + sign * c * cj
-    return any(residual.values())
+    fails = []
+    for outer, ad_outer in ad.items():
+        residual = _product(alg.brackets, ad_outer)
+        for rest, ad_rest in ad.items():
+            for x, term in _product(ad_outer, ad_rest).items():
+                if x in rest:
+                    continue
+                i = sum(r < x for r in rest)
+                acc = residual.setdefault(rest[:i] + (x,) + rest[i:], {})
+                for j, c in term.items():  # the term enters as -(-1)^i
+                    acc[j] = acc.get(j, 0) + (c if i % 2 else -c)
+        fails.extend(inner + outer for inner, vec in residual.items() if any(vec.values()))
+    return sorted(fails)
 
 
 def lower_central_series(alg: KaryAlgebra):

@@ -5,7 +5,8 @@ any other consistent sign choice differs only by a basis change and
 leaves every computed rank unchanged.
 
 Each constructor checks its parameters, then counts the terms it would
-allocate (basis elements plus bracket-key entries; for a current
+allocate (basis elements plus bracket-key entries; for free2, also the
+n entries of each basis element's weight vector; for a current
 algebra, basis elements plus the C(j+k-1, k) products it forms per
 bracket of its base) and refuses a count above cap (None: no limit)
 before allocating anything.
@@ -20,11 +21,9 @@ from .algebra import DEFAULT_SIZE_CAP, KaryAlgebra
 from .errors import InputError, ResourceCapError
 
 
-def _check_build(name: str, size: int, cap) -> None:
+def _check_build(name: str, size: int, cap, terms="basis elements and bracket terms") -> None:
     if cap is not None and size > cap:
-        raise ResourceCapError(
-            f"building {name} exceeds the size cap: over {cap} basis elements and bracket terms"
-        )
+        raise ResourceCapError(f"building {name} exceeds the size cap: over {cap} {terms}")
 
 
 def _subsets(n: int, k: int, cap) -> int:
@@ -78,7 +77,9 @@ def free_two_step(k: int, n: int, *, cap=DEFAULT_SIZE_CAP) -> KaryAlgebra:
         raise InputError(f"arity must be at least 2, got {k}")
     if n < k:
         raise InputError(f"free_two_step needs n >= k, got n={n} < k={k}")
-    _check_build(f"free_two_step({k}, {n})", n + (k + 1) * _subsets(n, k, cap), cap)
+    c = _subsets(n, k, cap)  # weights: n + c vectors of n entries
+    terms = "basis elements, bracket terms and weight entries"
+    _check_build(f"free_two_step({k}, {n})", n + (k + 1) * c + (n + c) * n, cap, terms)
     subsets = list(combinations(range(n), k))
     labels = [f"e{i + 1}" for i in range(n)] + [
         "w_" + "_".join(str(i + 1) for i in s) for s in subsets

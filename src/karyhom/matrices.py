@@ -66,6 +66,16 @@ def _eliminate(rows: dict):
     pivot rows are independent: each is zero at every column below its
     pivot, and no two share a pivot.
 
+    The pivot columns are the least columns of the nonzero vectors of
+    the row space, so they do not depend on the row keys or the tie
+    order, which choose only the pivot rows.  A step replaces a row by
+    a * row - b * prow with a != 0, so every pivot row lies in the row
+    space, and every input row is a combination of pivot rows and of the
+    row it ends as, zero or a pivot row: the pivot rows span the row
+    space.  A nonzero combination of pivot rows has its least column at
+    the least pivot p among the rows it uses: the row of p is nonzero at
+    p, and every other row it uses is zero at p and below.
+
     Yielded rows are kept to reduce later rows: a caller must not change
     one before the generator is exhausted.
     """

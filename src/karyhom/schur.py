@@ -81,16 +81,35 @@ def _branch(lam: tuple, n: int) -> dict:
     """Weights of S_lambda(C^n), lambda normalized with at most n rows, by
     the branching rule: restricted to GL(n-1) x GL(1) it is the sum, each
     mu once, of S_mu(C^{n-1}) (x) x_n^{|lambda|-|mu|} over the mu that
-    interlace lambda (lambda_1 >= mu_1 >= lambda_2 >= ... >= lambda_n)."""
-    if n == 0:
-        return {(): 1}
-    lam += (0,) * (n - len(lam))
-    table = {}
-    for mu in product(*(range(b, a + 1) for a, b in zip(lam, lam[1:]))):
-        tail = (sum(lam) - sum(mu),)
-        for w, c in _branch(tuple(p for p in mu if p), n - 1).items():
-            table[w + tail] = table.get(w + tail, 0) + c
-    return table
+    interlace lambda (lambda_1 >= mu_1 >= lambda_2 >= ... >= lambda_n).
+
+    Iterates over m = 1..n, so any n fits the stack.  Level m tables
+    every nu inside lambda with at most m rows; the mu that interlace
+    such a nu lie inside it with at most m-1 rows, in level m-1.  A
+    GL(m) weight is kept as one int, its coordinates the digits in base
+    |lambda| + 1, the last one least, and spelled out only at GL(n).
+    """
+    base = sum(lam) + 1
+    tables = {(): {0: 1}}  # level m: {nu: {packed weight: multiplicity}}
+    for m in range(1, n + 1):
+        level = {}
+        for nu in product(*(range(p + 1) for p in lam[:m])):
+            if any(a < b for a, b in zip(nu, nu[1:])):
+                continue
+            table = level[tuple(p for p in nu if p)] = {}
+            for mu in product(*(range(b, a + 1) for a, b in zip(nu[: m - 1], nu[1:] + (0,)))):
+                tail = sum(nu) - sum(mu)
+                for w, c in tables[tuple(p for p in mu if p)].items():
+                    w = w * base + tail
+                    table[w] = table.get(w, 0) + c
+        tables = level
+
+    def spell(w):
+        for _ in range(n):
+            w, x = divmod(w, base)
+            yield x
+
+    return {tuple(spell(w))[::-1]: c for w, c in tables[lam].items()}
 
 
 # -- characters from whole boundaries ---------------------------------------

@@ -12,10 +12,11 @@ the full exterior algebra.  `toral_table_rows` tabulates the z-free factor.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import islice
 
 from .algebra import DEFAULT_SIZE_CAP, KaryAlgebra, center, lower_central_series
-from .errors import InputError
+from .errors import InputError, ResourceCapError
 
 
 def _bounds(k: int):
@@ -51,9 +52,19 @@ def log2_display(x: float) -> str:
 
 def toral_table_rows(n_max: int, k_list=(2, 3, 4, 5)):
     """One dict per n with bound and log2 per arity (serialization-friendly);
-    the renderers below take their columns from the first row."""
+    the renderers below take their columns from the first row.
+
+    Every bound is a sum of |coefficients| of (1+x)^n, so at most 2^n_max.
+    A table whose 2^n_max has more digits than the interpreter converts
+    to str (`sys.get_int_max_str_digits`, where it exists; 0 means no
+    limit) is refused before any bound is computed, since printing it
+    could fail.
+    """
     if n_max < 1:
         raise InputError(f"the table needs n_max >= 1, got {n_max}")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and n_max * math.log10(2) >= limit:
+        raise ResourceCapError(f"table bounds up to 2^{n_max} exceed the {limit}-digit str limit")
     if len(set(k_list)) != len(k_list):
         raise InputError(f"arities must be distinct, got {list(k_list)}")
     columns = [(k, islice(_bounds(k), 1, None)) for k in k_list]

@@ -180,7 +180,7 @@ def increasing_oracle(alg):
 
 def test_jacobi_matches_exhaustive_oracle_randomized():
     # random bracket tables, mostly upper-triangular: some satisfy the
-    # identity, most do not; the candidate-pair sweep must report exactly
+    # identity, most do not; check_jacobi must report exactly
     # the oracle's violations, in the oracle's order
     rng = random.Random(20261018)
     broken = 0
@@ -357,7 +357,7 @@ def test_json_dict_is_serializable_and_stable():
 
 
 def test_jacobi_refuses_more_pairs_than_cap():
-    # heisenberg(3, 2): the joins make (3 + 1) * 2 stored keys * 6 table rows iterations
+    # heisenberg(3, 2): the bound is (3 + 1) * 2 stored keys * 6 table rows
     alg = heisenberg(3, 2)
     with pytest.raises(ResourceCapError):
         check_jacobi(alg, cap=47)
@@ -405,28 +405,24 @@ def test_jacobi_matches_increasing_oracle_at_arity_4_and_5():
             assert check_jacobi(relabelled) == jacobi_residuals_increasing(relabelled) == []
 
 
-def _visited_pairs(monkeypatch, alg):
-    """The (inner, outer) pairs check_jacobi hands to _jacobi_fails, in order."""
+def test_jacobi_multiplies_through_product_per_adjoint_row(monkeypatch):
     import karyhom.algebra
 
-    original = karyhom.algebra._jacobi_fails
-    visited = []
+    original = karyhom.algebra._product
+    right = []
 
-    def counting(brackets, ad, inner, outer):
-        visited.append((inner, outer))
-        return original(brackets, ad, inner, outer)
+    def counting(a, b):
+        right.append(b)
+        return original(a, b)
 
-    monkeypatch.setattr(karyhom.algebra, "_jacobi_fails", counting)
-    assert check_jacobi(alg) == []
-    return visited
-
-
-def test_jacobi_visits_only_outers_of_the_adjoint_table(monkeypatch):
+    monkeypatch.setattr(karyhom.algebra, "_product", counting)
     alg = free_three_step_small(4)
-    visited = _visited_pairs(monkeypatch, alg)
-    assert len(visited) == len(set(visited)) == 50
-    assert visited == sorted(visited)
-    assert all(any(set(o) <= set(K) for K in alg.brackets) for _, o in visited)
+    rows = list(karyhom.algebra._adjoint(alg).values())
+    assert check_jacobi(alg) == []
+    # one product over the stored keys and one per table row, for each row
+    assert len(rows) == 10
+    assert len(right) == len(rows) + len(rows) ** 2 == 110
+    assert all(b in rows for b in right)
 
 
 def _candidate_pairs_by_brackets(alg):
@@ -453,19 +449,25 @@ def _candidate_pairs_by_brackets(alg):
 
 
 @pytest.mark.parametrize(
-    "alg",
+    "alg, args, vec",
     [
-        free_three_step_small(4),
-        heisenberg(3, 2),
-        current_algebra(heisenberg(3, 1), 2),
-        free_two_step(2, 4),
+        (free_three_step_small(4), (0, 1, 2, 5), {3: 1}),
+        (heisenberg(3, 2), (0, 2, 5), {1: 1}),
+        (current_algebra(heisenberg(3, 1), 2), (0, 3, 4), {1: 1}),
+        (free_two_step(2, 4), (0, 4), {1: 1}),
     ],
     ids=["free3small4", "heisenberg32", "current_heisenberg31_2", "free2_2_4"],
 )
-def test_jacobi_visits_exactly_the_brute_force_candidates(monkeypatch, alg):
-    expected = _candidate_pairs_by_brackets(alg)
+def test_jacobi_finds_exactly_the_oracle_violations_among_candidates(alg, args, vec):
+    # one bracket entry on a new key breaks each algebra
+    assert args not in alg.brackets
+    broken = mutate(alg, args, vec)
+    expected = jacobi_residuals_increasing(broken)
     assert expected
-    assert _visited_pairs(monkeypatch, alg) == expected
+    assert check_jacobi(broken) == expected
+    k = alg.arity
+    candidates = set(_candidate_pairs_by_brackets(broken))
+    assert all((t[:k], t[k:]) in candidates for t in expected)
 
 
 def test_structural_checkers_read_only_the_table(monkeypatch):

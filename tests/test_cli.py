@@ -292,6 +292,40 @@ def test_decompose(capsys):
     assert sum(s["dimension"] for s in doc["summands"]) == 44
 
 
+def test_table_past_the_int_str_digit_limit_exits_3(capsys, monkeypatch):
+    # each bound is at most 2^nmax, and 2^16000 and 2^30000 have more than
+    # the 4300 digits int-to-str gives by default; refused from nmax alone
+    def refuse(k):
+        raise AssertionError("a bound was computed")
+
+    monkeypatch.setattr(karyhom.toral, "_bounds", refuse)
+    for argv in (("--nmax", "16000"), ("--nmax", "30000", "--k", "2")):
+        for fmt in ("json", "csv", "text"):
+            code = main(["table", *argv, "--format", fmt])
+            captured = capsys.readouterr()
+            assert code == 3, (argv, fmt)
+            assert captured.out == ""
+            assert captured.err == f"error: table bounds up to 2^{argv[1]} exceed the 4300-digit str limit\n"
+
+
+def test_decompose_weights_wider_than_the_recursion_limit(tmp_path, capsys):
+    # abelian on 1200 elements with weights e_i: H_1 is the standard module,
+    # and the largest chain space checked, C(1200, 2) = 719400, fits the cap
+    n = 1200
+    doc = {
+        "arity": 2,
+        "dim": n,
+        "labels": [f"a{i}" for i in range(n)],
+        "brackets": [],
+        "weights": [[int(i == j) for j in range(n)] for i in range(n)],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "decompose", "--input", str(path), "--degree", "1", "--format", "text")
+    assert code == 0
+    assert out == "S_(1) x1  (dim 1200)\n"
+
+
 def test_decompose_text_partitions(capsys):
     # a one-part partition prints as S_(1), not as the 1-tuple S_(1,)
     expected = {1: "S_(1) x1  (dim 3)\n", 2: "S_(2, 1) x1  (dim 8)\n"}
@@ -497,10 +531,11 @@ def test_size_cap_exit_code(capsys):
 
 def test_size_cap_admits_a_chain_space_of_exactly_cap_monomials(capsys):
     # the largest chain space is C(5, 2) = 10 for compute heisenberg(2, 2),
-    # and C(6, 3) = 20, at degree t+k-1 = 3, for decompose free2(2, 3) at 2
+    # and C(10, 5) = 252, at degree t+k-1 = 5, for decompose free2(2, 4) at
+    # 4 (its build counts 62)
     for argv, size, degree in (
         (("compute", "--family", "heisenberg", "--k", "2", "--m", "2"), 10, 2),
-        (("decompose", "--family", "free2", "--k", "2", "--n", "3", "--degree", "2"), 20, 3),
+        (("decompose", "--family", "free2", "--k", "2", "--n", "4", "--degree", "4"), 252, 5),
     ):
         assert main([*argv, "--size-cap", str(size)]) == 0, argv
         assert capsys.readouterr().err == ""
@@ -511,13 +546,17 @@ def test_size_cap_admits_a_chain_space_of_exactly_cap_monomials(capsys):
 
 def test_family_builds_obey_size_cap(capsys):
     # refused before allocating: C(26, 12) = 9657700 subsets, C(402, 3) =
-    # 10746800 products for the one bracket of heisenberg(3, 1), and
+    # 10746800 products for the one bracket of heisenberg(3, 1),
     # C(10^6, 5 * 10^5) subsets under dump's default cap, a number the
-    # check never forms
+    # check never forms, and the n + C(n, k) weight vectors of n entries
+    # each of free2(2, 400) (32 million) and free2(10^5, 10^5) (10^10),
+    # whose bracket counts alone fit the default cap
     for argv in (
         ("compute", "--family", "free2", "--k", "12", "--n", "26", "--size-cap", "1000"),
         ("compute", "--family", "current", "--inner", "heisenberg", "--k", "3", "--m", "1", "--j", "400"),
         ("dump", "--family", "free2", "--k", "500000", "--n", "1000000"),
+        ("compute", "--family", "free2", "--k", "2", "--n", "400"),
+        ("compute", "--family", "free2", "--k", "100000", "--n", "100000"),
     ):
         code = main(list(argv))
         captured = capsys.readouterr()
@@ -527,13 +566,14 @@ def test_family_builds_obey_size_cap(capsys):
 
 
 def test_size_cap_reaches_chain_space_and_jacobi_checks(capsys):
-    # the builds fit (13, 25, 22 and 13 basis elements and bracket entries);
-    # the chain spaces (35, 1287, 120 monomials) and the 48 Jacobi joins do not
+    # the builds fit (13, 25, 62 and 13 basis elements, bracket entries and
+    # weight entries); the chain spaces (35, 1287, 120 monomials) and the
+    # Jacobi bound of 48 do not
     for argv, check in (
         (("compute", "--family", "heisenberg", "--k", "3", "--m", "2", "--size-cap", "20"), "chain space"),
         (("check", "--family", "heisenberg", "--k", "3", "--m", "4", "--size-cap", "30"), "chain space"),
         (
-            ("decompose", "--family", "free2", "--k", "2", "--n", "4", "--degree", "3", "--size-cap", "30"),
+            ("decompose", "--family", "free2", "--k", "2", "--n", "4", "--degree", "3", "--size-cap", "100"),
             "chain space",
         ),
         (("check", "--family", "heisenberg", "--k", "3", "--m", "2", "--size-cap", "40"), "Jacobi"),
@@ -593,7 +633,7 @@ def test_module_entry_point():
 
 
 def test_jacobi_check_obeys_size_cap(capsys):
-    # the Jacobi joins make 48 iterations; the largest chain space has 35 monomials
+    # the Jacobi bound is 48 row visits; the largest chain space has 35 monomials
     for verb in ("check", "verify"):
         code, _ = run_cli(
             capsys, verb, "--family", "heisenberg", "--k", "3", "--m", "2",

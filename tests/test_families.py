@@ -189,12 +189,13 @@ def test_family_spec_builds_and_describes():
 
 
 def test_builds_over_cap_are_refused_before_allocating():
-    # basis elements plus bracket-key entries; for a current algebra,
-    # basis elements plus the C(j+k-1, k) products per bracket of the base
+    # basis elements plus bracket-key entries (free2(2, 4): 4 + 3 * 6, and
+    # (4 + 6) * 4 weight entries); for a current algebra, basis elements
+    # plus the C(j+k-1, k) products per bracket of the base
     for build, size in (
         (lambda cap: heisenberg(3, 2, cap=cap), 13),
         (lambda cap: acj(3, 2, cap=cap), 13),
-        (lambda cap: free_two_step(2, 4, cap=cap), 22),
+        (lambda cap: free_two_step(2, 4, cap=cap), 62),
         (lambda cap: free_three_step_small(3, cap=cap), 19),
         (lambda cap: abelian(2, 5, cap=cap), 5),
         (lambda cap: current_algebra(heisenberg(2, 1), 3, cap=cap), 15),

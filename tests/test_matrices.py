@@ -13,7 +13,7 @@ from conftest import (
 )
 from karyhom.chains import ChainLayout, _boundary_rows, differential_matrix
 from karyhom.errors import LoadError
-from karyhom.families import acj, free_two_step, heisenberg
+from karyhom.families import acj, free_three_step_small, free_two_step, heisenberg
 from karyhom.matrices import (
     SparseIntMatrix,
     _eliminate,
@@ -276,6 +276,29 @@ def test_eliminate_does_not_depend_on_insertion_order():
         expected = list(_eliminate({r: dict(row) for r, row in rows.items()}))
         for _ in range(4):
             assert list(_eliminate(_reinserted(rows, rng))) == expected
+
+
+def test_eliminate_pivot_columns_do_not_depend_on_row_keys():
+    # the pivot columns are the least columns of the row space; relabelling
+    # the row keys, reversed order included, changes only the tie order
+    rng = random.Random(20261020)
+    cases = [
+        _boundary_rows(alg, t)
+        for alg in (heisenberg(2, 4), acj(3, 2), free_two_step(2, 4), free_three_step_small(4))
+        for t in ChainLayout.of(alg).degrees
+        if t >= alg.arity
+    ]
+    cases += [from_dense(_dependent_sparse(rng)).row_dicts() for _ in range(30)]
+    other_rows = 0  # relabellings that pick different pivot rows
+    for rows in cases:
+        keys = sorted(rows)
+        expected = dict(_eliminate({r: dict(row) for r, row in rows.items()}))
+        relabellings = [keys[::-1]] + [rng.sample(keys, len(keys)) for _ in range(3)]
+        for new_keys in relabellings:
+            pivots = dict(_eliminate({new: dict(rows[old]) for old, new in zip(keys, new_keys)}))
+            assert pivots.keys() == expected.keys()
+            other_rows += pivots != expected
+    assert other_rows > len(cases)
 
 
 def test_boundary_ranks_heisenberg_3_2():

@@ -104,6 +104,14 @@ def test_weight_multiplicities_match_tableau_oracle():
         assert schur_weight_multiplicities(lam, n) == schur_weights_by_tableaux(lam, n), (lam, n)
 
 
+def test_branching_iterates_over_coordinates():
+    # one level per coordinate: 1500 levels would overflow a recursion
+    weights = schur_weight_multiplicities((1,), 1500)
+    assert len(weights) == 1500
+    assert set(weights.values()) == {1}
+    assert all(sum(w) == max(w) == 1 for w in weights)
+
+
 def test_partition_validation():
     assert conjugate_partition((3, 1)) == (2, 1, 1)
     with pytest.raises(InputError):
