@@ -21,9 +21,11 @@ from .algebra import DEFAULT_SIZE_CAP, KaryAlgebra
 from .errors import InputError, ResourceCapError
 
 
-def _check_build(name: str, size: int, cap, terms="basis elements and bracket terms") -> None:
+def _check_build(name: str, size: int, cap) -> None:
     if cap is not None and size > cap:
-        raise ResourceCapError(f"building {name} exceeds the size cap: over {cap} {terms}")
+        raise ResourceCapError(
+            f"building {name} exceeds the size cap: over {cap} basis elements and bracket terms"
+        )
 
 
 def _subsets(n: int, k: int, cap) -> int:
@@ -78,8 +80,11 @@ def free_two_step(k: int, n: int, *, cap=DEFAULT_SIZE_CAP) -> KaryAlgebra:
     if n < k:
         raise InputError(f"free_two_step needs n >= k, got n={n} < k={k}")
     c = _subsets(n, k, cap)  # weights: n + c vectors of n entries
-    terms = "basis elements, bracket terms and weight entries"
-    _check_build(f"free_two_step({k}, {n})", n + (k + 1) * c + (n + c) * n, cap, terms)
+    if cap is not None and n + (k + 1) * c + (n + c) * n > cap:
+        raise ResourceCapError(
+            f"building free_two_step({k}, {n}) exceeds the size cap: "
+            f"over {cap} basis elements, bracket terms and weight entries"
+        )
     subsets = list(combinations(range(n), k))
     labels = [f"e{i + 1}" for i in range(n)] + [
         "w_" + "_".join(str(i + 1) for i in s) for s in subsets

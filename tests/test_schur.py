@@ -112,6 +112,18 @@ def test_branching_iterates_over_coordinates():
     assert all(sum(w) == max(w) == 1 for w in weights)
 
 
+def test_branching_tables_only_the_partitions_reached_by_interlacing():
+    # a shape with a row per coordinate has one weight, and interlacing
+    # reaches one partition per level; a scan of every tuple inside
+    # (1^40) is 2^40 steps, and (6^6) holds 924 partitions
+    assert schur_weight_multiplicities((1,) * 40, 40) == {(1,) * 40: 1}
+    assert schur_weight_multiplicities((6,) * 6, 6) == {(6,) * 6: 1}
+    weights = schur_weight_multiplicities((1,) * 38, 40)
+    assert len(weights) == comb(40, 38)
+    assert set(weights.values()) == {1}
+    assert all(sorted(w) == [0, 0] + [1] * 38 for w in weights)
+
+
 def test_partition_validation():
     assert conjugate_partition((3, 1)) == (2, 1, 1)
     with pytest.raises(InputError):
