@@ -2,7 +2,8 @@
 
 The torus grading (generators get unit weights) makes every boundary map
 block diagonal by weight; kernel minus image per block is the character
-of the homology, and highest-weight peeling recovers the Schur-module
+of the homology, and straightening (each multiplicity a coefficient of
+the character times the Vandermonde alternant) recovers the Schur-module
 decomposition.  Representation stability is visible: the multiset of
 partitions freezes once dim V admits all rows.
 """

@@ -62,10 +62,8 @@ _EXPORTS = {
         "character_by_weights",
         "decompose_character",
         "decomposition_dimension",
-        "expand_decomposition",
         "lower_bound_betti",
         "schur_dim",
-        "schur_weight_multiplicities",
         "second_homology_bound",
         "second_homology_summands",
         "stability_check",

@@ -166,25 +166,35 @@ def _weight_codec(alg: KaryAlgebra):
     above the coordinates of any monomial (at most dim factors), so
     packing adds up over monomials, and W - w, W the packed weight of
     all basis elements, is the packed weight of the complement of a
-    monomial of weight w."""
+    monomial of weight w.  B is a whole number of bytes, so a weight
+    packs and unpacks through one bytes object, in time linear in its
+    rank: adding the bias 2^(B-1) to every field makes each field its
+    own bytes."""
     n, r = alg.dim, alg.weight_rank
-    width = (n * max((abs(x) for w in alg.weights.values() for x in w), default=0)).bit_length() + 1
-    packed = [sum(x << (width * j) for j, x in enumerate(alg.weights[i])) for i in range(n)]
-    half = 1 << (width - 1)
-    bias = sum(half << (width * j) for j in range(r))  # makes every field nonnegative
+    size = ((n * max((abs(x) for w in alg.weights.values() for x in w), default=0)).bit_length() + 8) // 8
+    half = 1 << (8 * size - 1)
+    bias = int.from_bytes(half.to_bytes(size, "little") * r, "little")  # makes every field nonnegative
 
     def unpack(x: int) -> tuple:
-        return tuple(((x + bias) >> (width * j) & (2 * half - 1)) - half for j in range(r))
+        fields = (x + bias).to_bytes(size * r, "little")
+        if size == 1:  # each byte is a field
+            return tuple(b - half for b in fields)
+        return tuple(int.from_bytes(fields[j : j + size], "little") - half for j in range(0, size * r, size))
 
+    packed = [
+        int.from_bytes(b"".join((x + half).to_bytes(size, "little") for x in alg.weights[i]), "little") - bias
+        for i in range(n)
+    ]
     tables = []
-    for shift in range(0, n, 8):
-        table = [0]
-        # bit shift+b of a mask is basis index n-1-shift-b, b = 0..7
-        for i in range(n - 1 - shift, max(-1, n - 9 - shift), -1):
-            table += [v + packed[i] for v in table]
-        tables.append(table)
 
     def mask_weight(mask: int) -> int:
+        if not tables:  # built for the first pivot: a layout without pivots never reads them
+            for shift in range(0, n, 8):
+                table = [0]
+                # bit shift+b of a mask is basis index n-1-shift-b, b = 0..7
+                for i in range(n - 1 - shift, max(-1, n - 9 - shift), -1):
+                    table += [v + packed[i] for v in table]
+                tables.append(table)
         total = 0
         for table in tables:
             total += table[mask & 255]

@@ -4,20 +4,18 @@ For a weight-graded algebra the boundary maps preserve every torus
 weight, so each homology group carries a polynomial GL(V)-character.
 The character is read off the layout's record of each whole boundary,
 its pivots counted by torus weight (kernel minus image per weight), and
-decomposed into Schur modules by highest-weight peeling: repeatedly
-subtract the character of the lexicographically greatest dominant weight
-present.  All of it is exact integer combinatorics; Schur characters
-come from the GL(n) -> GL(n-1) branching rule (Gelfand-Tsetlin) and
-dimensions from the hook content formula.
+decomposed into Schur modules by straightening: one pass over the table
+reads every multiplicity as a coefficient of the character times the
+Vandermonde alternant, s_lambda = a_{lambda+delta} / a_delta, so no
+Schur character is ever tabled.  All of it is exact integer
+combinatorics; dimensions come from the hook content formula.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
-from itertools import product, repeat
 
-from .algebra import KaryAlgebra
+from .algebra import KaryAlgebra, sort_with_sign
 from .chains import DEFAULT_SIZE_CAP, ChainLayout, comb0
 from .errors import ConsistencyError, InputError
 
@@ -64,56 +62,6 @@ def schur_dim(partition, n: int) -> int:
     return value
 
 
-def schur_weight_multiplicities(partition, n: int) -> dict:
-    """Weight multiplicities of S_lambda(C^n): {weight vector: count}.
-
-    Checked here, outside the cache, where 3.0 and 3 are one key.  The
-    table is shared between callers and must not be mutated.
-    """
-    if type(n) is not int:
-        raise InputError(f"n must be an integer, got {n!r}")
-    lam = normalize_partition(partition)
-    return _branch(lam, n) if len(lam) <= n else {}
-
-
-@lru_cache(maxsize=None)
-def _branch(lam: tuple, n: int) -> dict:
-    """Weights of S_lambda(C^n), lambda normalized with at most n rows, by
-    the branching rule: restricted to GL(n-1) x GL(1) it is the sum, each
-    mu once, of S_mu(C^{n-1}) (x) x_n^{|lambda|-|mu|} over the mu that
-    interlace lambda (lambda_1 >= mu_1 >= lambda_2 >= ... >= lambda_n).
-
-    Iterates over the levels, so any n fits the stack: a pass down from
-    GL(n) collects the partitions each level reaches from lambda by
-    interlacing, and a pass up tables each of them from the level below.
-    Below GL(n) a weight is kept sparse, as its (coordinate, nonzero
-    entry) pairs, and spelled out once at GL(n): copying dense weights
-    level by level costs n^3 / 3 entries for lambda = (1), which at
-    n = 1500 is half a minute.
-    """
-
-    def interlacing(nu, m):
-        nu += (0,) * (m - len(nu))
-        for mu in product(*(range(b, a + 1) for a, b in zip(nu, nu[1:]))):
-            yield tuple(p for p in mu if p), sum(nu) - sum(mu)
-
-    levels, nus = [], {lam}
-    for m in range(n, 0, -1):
-        levels.append((m, nus))
-        nus = {mu for nu in nus for mu, _ in interlacing(nu, m)}
-    tables = {(): {(): 1}}
-    for m, nus in reversed(levels):
-        below, tables = tables, {}
-        for nu in nus:
-            table = tables[nu] = {}
-            for mu, tail in interlacing(nu, m):
-                for w, c in below[mu].items():
-                    w += ((m - 1, tail),) if tail else ()
-                    table[w] = table.get(w, 0) + c
-    # spelled out: coordinate j of w is dict(w).get(j, 0)
-    return {tuple(map(dict(w).get, range(n), repeat(0))): c for w, c in tables[lam].items()}
-
-
 # -- characters from whole boundaries ---------------------------------------
 
 
@@ -149,51 +97,73 @@ def character_by_weights(alg: KaryAlgebra, t: int, *, cap=DEFAULT_SIZE_CAP) -> d
 
 
 def decompose_character(table: dict, n: int):
-    """Highest-weight peeling of a weight table.
+    """Schur multiplicities of a weight table by straightening.
 
-    Returns [(partition, multiplicity), ...] in peeling order (dominance
-    downward); re-expanding through Schur characters reproduces the
-    input exactly, otherwise a ConsistencyError is raised.  Peeling only
-    lowers entries and refuses to drive one negative, so a table peels
-    to empty exactly when it is a sum of Schur characters.  Multiplicities
-    must be ints; anything else is refused, never truncated.
+    Returns [(partition, multiplicity), ...], greatest partition first,
+    multiplicities positive, so that the table is the sum of the
+    multiplicity times the character of S_partition(C^n); a table that
+    is no such sum raises ConsistencyError.  Multiplicities and n must
+    be ints; anything else is refused, never truncated.
+
+    Proof.  Let delta = (n-1, ..., 1, 0) and a_v the alternant
+    sum_pi sgn(pi) x^pi(v).  For a partition lambda of at most n rows,
+    s_lambda = a_{lambda+delta} / a_delta (Macdonald, Symmetric Functions
+    and Hall Polynomials, I.3).  The table is refused unless it is a
+    symmetric polynomial chi: every coordinate >= 0, and every orbit
+    under permuting coordinates whole and carrying one multiplicity.
+    Then chi a_delta is antisymmetric with exponents >= 0, so it is
+    sum_lambda m_lambda a_{lambda+delta}, one term for each strictly
+    decreasing exponent lambda+delta, and chi = sum m_lambda s_lambda
+    because a_delta is not a zero divisor.  The one strictly decreasing
+    exponent of a_{lambda+delta} is lambda+delta, so m_lambda is the
+    coefficient of x^{lambda+delta} in chi a_delta, the sum of
+    sgn(pi) chi_{lambda+delta-pi(delta)} over pi, which by symmetry is
+    the sum of sgn(pi) chi_u over the weights u with
+    u + delta = pi(lambda + delta).  So one pass that sorts -(u + delta)
+    credits each weight to at most one lambda, with the sign of the
+    sort, and a weight whose shifted entries repeat to none.  Schur
+    characters are independent, so the table is a sum of them exactly
+    when every m_lambda is >= 0.  The result lists lambda in lex order,
+    greatest first: the order in which subtracting the character of the
+    lex-greatest dominant weight left, in turn, meets them.
     """
+    if type(n) is not int:
+        raise InputError(f"n must be an integer, got {n!r}")
     if not all(type(m) is int for m in table.values()):
         raise InputError("character multiplicities must be integers")
     work = {tuple(w): m for w, m in table.items() if m}
-    for w in work:
+    orbits = Counter()
+    for w, m in work.items():
         if len(w) != n:
             raise InputError(f"weight {w} does not live in Z^{n}")
+        if min(w, default=0) < 0:
+            raise ConsistencyError(f"weight {w} has a negative coordinate")
+        top = tuple(sorted(w, reverse=True))
+        if work.get(top) != m:
+            got = work.get(top, 0)
+            raise ConsistencyError(f"weight {w} has multiplicity {m}, its sorted form {top} {got}")
+        orbits[top] += 1
+    for top, count in orbits.items():
+        size, left = 1, n
+        for c in Counter(top).values():
+            size *= comb0(left, c)
+            left -= c
+        if count != size:
+            raise ConsistencyError(f"the orbit of {top} has {count} of its {size} weights")
 
+    delta = range(n - 1, -1, -1)
+    mults = Counter()
+    for w, m in work.items():
+        shifted, sign = sort_with_sign([-a - d for a, d in zip(w, delta)])
+        if sign:
+            mults[tuple(-v - d for v, d in zip(shifted, delta))] += sign * m
     out = []
-    while work:
-        dominant = [w for w in work if all(a >= b for a, b in zip(w, w[1:]))]
-        if not dominant:
-            raise ConsistencyError("nonzero table without a dominant weight")
-        lam_w = max(dominant)
-        mult = work[lam_w]
-        if mult < 0:
-            raise ConsistencyError(f"negative multiplicity at {lam_w}")
-        lam = normalize_partition(lam_w)
-        for w2, c in schur_weight_multiplicities(lam, n).items():
-            nv = work.get(w2, 0) - mult * c
-            if nv < 0:
-                raise ConsistencyError(f"peeling {lam} drove weight {w2} negative")
-            if nv:
-                work[w2] = nv
-            else:
-                work.pop(w2, None)
-        out.append((lam, mult))
+    for lam, m in sorted(mults.items(), reverse=True):
+        if m < 0:
+            raise ConsistencyError(f"partition {normalize_partition(lam)} has multiplicity {m}")
+        if m:
+            out.append((normalize_partition(lam), m))
     return out
-
-
-def expand_decomposition(decomposition, n: int) -> dict:
-    """Inverse of decompose_character (for round-trip checks)."""
-    table = {}
-    for lam, mult in decomposition:
-        for w, c in schur_weight_multiplicities(lam, n).items():
-            table[w] = table.get(w, 0) + mult * c
-    return {w: m for w, m in table.items() if m}
 
 
 def decomposition_dimension(decomposition, n: int) -> int:

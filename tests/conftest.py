@@ -288,8 +288,11 @@ def refinement_bound_by_binomials(dim_v, dim_z, k):
 def schur_weights_by_tableaux(lam, n):
     """Weight table {weight: count} of S_lambda(C^n), lambda a partition,
     by enumerating the semistandard tableaux of shape lambda with entries
-    in 1..n (rows weakly increase, columns strictly increase)."""
+    in 1..n (rows weakly increase, columns strictly increase).  A cell
+    with h cells below it in its column holds at most n - h, so when
+    lambda has at most n rows no partial filling is a dead end."""
     counts = {}
+    below = [[sum(1 for p in lam[r + 1:] if p > c) for c in range(lam[r])] for r in range(len(lam))]
 
     def fill(row_idx, prev_row):
         if row_idx == len(lam):
@@ -305,7 +308,7 @@ def schur_weights_by_tableaux(lam, n):
             lo = row[col - 1] if col else 1
             if prev_row is not None and col < len(prev_row):
                 lo = max(lo, prev_row[col] + 1)
-            for v in range(lo, n + 1):
+            for v in range(lo, n + 1 - below[row_idx][col]):
                 yield from build(col + 1, row + (v,))
 
         yield from build(0, ())

@@ -482,7 +482,7 @@ def _assert_one_line_error(capsys, code):
 
 def test_decompose_non_schur_character_exits_2(tmp_path, capsys):
     # weights (1,0) and (0,0) on an abelian algebra: H^1 has the weights
-    # of no sum of Schur characters, so peeling S_(1) fails at (0,1)
+    # of no sum of Schur characters, since the orbit of (1,0) lacks (0,1)
     doc = {"arity": 2, "dim": 2, "labels": ["a", "b"], "brackets": [],
            "weights": [[1, 0], [0, 0]]}
     path = tmp_path / "alg.json"

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -16,11 +17,9 @@ from karyhom.schur import (
     conjugate_partition,
     decompose_character,
     decomposition_dimension,
-    expand_decomposition,
     lower_bound_betti,
     normalize_partition,
     schur_dim,
-    schur_weight_multiplicities,
     second_homology_bound,
     second_homology_summands,
     stability_check,
@@ -93,60 +92,26 @@ def test_schur_dim_zero_iff_too_many_rows():
 def test_schur_dim_matches_tableau_count():
     for lam in ((2, 1), (2, 2, 1), (3, 2, 1, 1), (2, 1, 1, 1)):
         for n in (3, 4, 5):
-            counts = schur_weight_multiplicities(lam, n)
+            counts = schur_weights_by_tableaux(lam, n)
             assert sum(counts.values()) == schur_dim(lam, n)
-
-
-def test_weight_multiplicities_match_tableau_oracle():
-    pairs = [(lam, n) for size in range(9) for lam in _partitions(size) for n in range(7)]
-    assert len(pairs) == 469
-    for lam, n in pairs:
-        assert schur_weight_multiplicities(lam, n) == schur_weights_by_tableaux(lam, n), (lam, n)
-
-
-def test_branching_iterates_over_coordinates():
-    # one level per coordinate: 1500 levels would overflow a recursion
-    weights = schur_weight_multiplicities((1,), 1500)
-    assert len(weights) == 1500
-    assert set(weights.values()) == {1}
-    assert all(sum(w) == max(w) == 1 for w in weights)
-
-
-def test_branching_tables_only_the_partitions_reached_by_interlacing():
-    # a shape with a row per coordinate has one weight, and interlacing
-    # reaches one partition per level; a scan of every tuple inside
-    # (1^40) is 2^40 steps, and (6^6) holds 924 partitions
-    assert schur_weight_multiplicities((1,) * 40, 40) == {(1,) * 40: 1}
-    assert schur_weight_multiplicities((6,) * 6, 6) == {(6,) * 6: 1}
-    weights = schur_weight_multiplicities((1,) * 38, 40)
-    assert len(weights) == comb(40, 38)
-    assert set(weights.values()) == {1}
-    assert all(sorted(w) == [0, 0] + [1] * 38 for w in weights)
 
 
 def test_partition_validation():
     assert conjugate_partition((3, 1)) == (2, 1, 1)
     with pytest.raises(InputError):
         schur_dim((1, 2), 3)
-    # parts are never truncated: 1.5 is not 1, and '2', 1.9, True are not (2, 1, 1);
-    # (2.0, 1) equals the cached key (2, 1) and must still be refused
-    schur_weight_multiplicities((2, 1), 3)
+    # parts are never truncated: 1.5 is not 1, and '2', 1.9, True are not
+    # (2, 1, 1); (2.0, 1) compares equal to (2, 1) and must still be refused
     for bad in [(1.5,), ("2", 1.9, True), ("2",), (2, 1.9), (2, 1, True), (0.0, 1), (2.0, 1)]:
         with pytest.raises(InputError):
             schur_dim(bad, 3)
-        with pytest.raises(InputError):
-            schur_weight_multiplicities(bad, 3)
         with pytest.raises(InputError):
             normalize_partition(bad)
     # n is an int proper: schur_dim((2, 1), 3.0) must not give 8.0
     for n in (3.0, True):
         with pytest.raises(InputError):
             schur_dim((2, 1), n)
-        with pytest.raises(InputError):
-            schur_weight_multiplicities((2, 1), n)
     assert schur_dim((2, 1), -1) == 0
-    assert schur_weight_multiplicities((2, 1), -1) == {}
-    assert schur_weight_multiplicities((), -1) == {}
 
 
 # -- characters ----------------------------------------------------------
@@ -311,12 +276,91 @@ def test_decompose_h3_free2():
     assert decomposition_dimension(dec, 4) == 44
 
 
+def _expand(decomposition, n):
+    """The weight table of a decomposition, through the tableau oracle."""
+    table = Counter()
+    for lam, mult in decomposition:
+        for w, c in schur_weights_by_tableaux(lam, n).items():
+            table[w] += mult * c
+    return {w: m for w, m in table.items() if m}
+
+
 def test_decompose_round_trip():
     for k, n, t in ((3, 4, 3), (2, 3, 2), (2, 4, 3)):
         table = character_by_weights(free_two_step(k, n), t)
         dec = decompose_character(table, n)
-        assert expand_decomposition(dec, n) == table
+        assert _expand(dec, n) == table
         assert decomposition_dimension(dec, n) == sum(table.values())
+
+
+def test_straightening_reproduces_every_free2_character():
+    # free2(k, n) for k = 2..4, n <= 5, and free2(2, 6), at every layout degree
+    cases = [(k, n) for k in (2, 3, 4) for n in range(k, 6)] + [(2, 6)]
+    for k, n in cases:
+        alg = free_two_step(k, n)
+        for t in ChainLayout(alg).degrees:
+            table = character_by_weights(alg, t)
+            dec = decompose_character(table, n)
+            assert _expand(dec, n) == table, (k, n, t)
+            assert decomposition_dimension(dec, n) == betti(alg, t), (k, n, t)
+
+
+def _shapes(n, largest=6):
+    """The partitions of at most n rows and size at most largest."""
+    return [lam for size in range(largest + 1) for lam in _partitions(size) if len(lam) <= n]
+
+
+def test_random_sums_of_schur_characters_decompose_to_their_summands():
+    rng = random.Random(34)
+    for _ in range(80):
+        n = rng.randint(0, 5)
+        shapes = _shapes(n)
+        chosen = rng.sample(shapes, min(len(shapes), rng.randint(1, 4)))
+        summands = sorted(((lam, rng.randint(0, 3)) for lam in chosen), reverse=True)
+        expected = [(lam, m) for lam, m in summands if m]
+        assert decompose_character(_expand(summands, n), n) == expected, (n, summands)
+
+
+def test_perturbed_schur_tables_are_refused():
+    rng = random.Random(35)
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        summands = [((1,), rng.randint(1, 3)), (rng.choice(_shapes(n)[1:]), rng.randint(1, 3))]
+        table = _expand(summands, n)
+        assert decompose_character(table, n)
+        w = rng.choice([u for u in table if list(u) != sorted(u, reverse=True)])
+        dropped = {u: m for u, m in table.items() if u != w}
+        changed = {**table, w: table[w] + rng.choice((-1, 1))}
+        negative = {tuple(x - 1 for x in u): m for u, m in table.items()}  # times det^-1
+        for bad in (dropped, changed, negative):
+            with pytest.raises(ConsistencyError):
+                decompose_character(bad, n)
+
+
+def test_each_refusal_catches_a_table_the_others_pass():
+    # (0, 1) carries more than its sorted form (1, 0), though the orbit is whole
+    with pytest.raises(ConsistencyError, match="sorted form"):
+        decompose_character({(1, 0): 1, (0, 1): 2}, 2)
+    # the orbit of (1, 0) lacks (0, 1); straightening alone would read S_(1)
+    with pytest.raises(ConsistencyError, match="orbit"):
+        decompose_character({(1, 0): 1}, 2)
+    # x^2 + y^2 is symmetric but is s_(2) - s_(1,1)
+    with pytest.raises(ConsistencyError, match=re.escape("(1, 1) has multiplicity -1")):
+        decompose_character({(2, 0): 1, (0, 2): 1}, 2)
+    with pytest.raises(ConsistencyError, match="negative coordinate"):
+        decompose_character({(-1, 0): 1, (0, -1): 1}, 2)
+
+
+def test_decompose_n_is_an_int_proper():
+    # len(w) == 3.0 and len(w) == True hold, so only the type check refuses these
+    for table, n in (({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}, 3.0), ({(1,): 1}, True)):
+        with pytest.raises(InputError):
+            decompose_character(table, n)
+
+
+def test_decompose_with_no_coordinates():
+    assert decompose_character({(): 2}, 0) == [((), 2)]
+    assert decompose_character({}, 0) == []
 
 
 def test_decompose_rejects_asymmetric_table():
@@ -324,16 +368,16 @@ def test_decompose_rejects_asymmetric_table():
         decompose_character({(2, 0): 1}, 2)
     with pytest.raises(ConsistencyError):
         decompose_character({(1, 0): 2, (0, 1): 1}, 2)
-    with pytest.raises(ConsistencyError):  # no dominant weight
+    with pytest.raises(ConsistencyError):  # an orbit without its sorted form
         decompose_character({(0, 1): 1}, 2)
-    with pytest.raises(ConsistencyError):  # negative dominant multiplicity
+    with pytest.raises(ConsistencyError):  # a negative multiplicity, half an orbit
         decompose_character({(1, 0): -1}, 2)
     with pytest.raises(InputError):  # a weight outside Z^2
         decompose_character({(1,): 1}, 2)
 
 
 def test_decompose_refuses_non_integer_multiplicities():
-    # truncating 1.5 to 1 would peel to S_(1) and hide the bad input
+    # truncating 1.5 to 1 would read S_(1) and hide the bad input
     with pytest.raises(InputError):
         decompose_character({(1, 0): 1.5, (0, 1): 1.5}, 2)
 
