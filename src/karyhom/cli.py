@@ -1,30 +1,22 @@
-"""Command-line front end.
+"""Command-line front end: ``karyhom VERB --OPTION VALUE ...``.
 
-Subcommands:
-    compute    Betti numbers of a family or custom algebra
-    verify     run every validator applicable to the algebra
-    table      toral lower-bound table
-    decompose  Schur decomposition of one homology group
-    check      Jacobi identity and d^2 = 0 only
-    dump       emit the algebra in the JSON interchange format
-
-Exit status: 0 success, 1 a validator assertion failed, 2 usage error
-(including a character that is not a sum of Schur characters), 3 size
+The verb table `_VERBS` declares the options of each verb; one parser
+reads argv and writes ``--help`` from it.  Exit status: 0 success, 1 a
+validator assertion failed, 2 usage error (one line on stderr; this
+includes a character that is not a sum of Schur characters), 3 size
 cap exceeded.  JSON output is byte-deterministic.
 
-Only argument parsing and the algebra core are imported with this
-module.  `families` loads only when --family is given, each verb
-imports the engine modules it runs when it runs, and `main` builds the
-parser of its own verb alone, so a process pays start-up only for what
-it runs.
+Only the algebra core is imported with this module: `families` loads
+only for --family, and each verb imports the engine modules it runs
+when it runs, so a process pays start-up only for what it runs.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .algebra import DEFAULT_SIZE_CAP, algebra_to_json_dict, check_jacobi, load_algebra
@@ -54,7 +46,11 @@ def _family_spec(args):
     return FamilySpec(tag="current", j=args.j, inner=inner)
 
 
-_FAMILY_PARAMETERS = ("k", "m", "n", "j", "inner")
+REQUIRED = object()  # the default of an option that must be given
+_SOURCE = {  # the options of every verb that reads an algebra
+    "family": (str, None), "input": (str, None), "k": (int, None), "m": (int, None),
+    "n": (int, None), "j": (int, None), "inner": (str, None), "size-cap": (int, DEFAULT_SIZE_CAP),
+}
 
 
 def _resolve_algebra(args):
@@ -62,83 +58,84 @@ def _resolve_algebra(args):
     if args.input and args.family:
         raise InputError("provide exactly one algebra source, not both")
     if args.input:
-        for name in _FAMILY_PARAMETERS:
+        for name in ("k", "m", "n", "j", "inner"):
             if getattr(args, name) is not None:
                 raise InputError(f"--{name} is a family parameter; --input takes none")
         alg = load_algebra(args.input)
         return alg, f"custom({os.path.basename(args.input)})", None
     if args.family:
         spec = _family_spec(args)
-        return spec.build(getattr(args, "size_cap", DEFAULT_SIZE_CAP)), spec.describe(), spec
+        return spec.build(args.size_cap), spec.describe(), spec
     raise InputError("provide exactly one algebra source: --family or --input")
 
 
-def _add_source_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", help="family tag, such as heisenberg (an unknown tag lists them all)")
-    p.add_argument("--input", help="path to an algebra JSON document")
-    p.add_argument("--k", type=int, help="bracket arity")
-    p.add_argument("--m", type=int, help="number of bracket blocks")
-    p.add_argument("--n", type=int, help="dimension of the generating space")
-    p.add_argument("--j", type=int, help="current-algebra truncation")
-    p.add_argument("--inner", help="inner family for --family current")
+class _Parser:
+    """Reads argv as `_VERBS` declares it: a verb, then ``--name value``
+    or ``--name=value`` pairs.  A usage error raises InputError; --help,
+    VERB --help and --version parse to command None and the text to print."""
+
+    def __init__(self, verb=None):
+        self.verb = verb if verb in _VERBS else None
+
+    def format_help(self) -> str:
+        """The options of self.verb, or the list of verbs."""
+        if self.verb is None:
+            lines = [f"usage: karyhom {{{','.join(_VERBS)}}} [--OPTION VALUE ...]",
+                     "       karyhom [VERB] --help | --version", "",
+                     "Exact homology of nilpotent k-ary Lie algebras.", "", "verbs:"]
+            lines += (f"    {verb:<10} {entry[1]}" for verb, entry in _VERBS.items())
+        else:
+            _, about, options = _VERBS[self.verb]
+            lines = [f"usage: karyhom {self.verb} [--OPTION VALUE ...]", "", about, "", "options:"]
+            for name, (kind, default) in options.items():
+                shape = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else kind.__name__.upper()
+                note = {None: "", REQUIRED: "  (required)"}.get(default, f"  (default {default})")
+                lines.append(f"    --{name} {shape}{note}")
+        return "\n".join(lines) + "\n"
+
+    def parse_args(self, argv) -> SimpleNamespace:
+        """The verb as command, and one attribute per option of the verb,
+        its dashes read as underscores."""
+        if not argv:
+            raise InputError(f"give a verb: {', '.join(_VERBS)}")
+        verb, *words = argv
+        if verb in ("-h", "--help", "--version"):
+            text = f"karyhom {__version__}\n" if verb == "--version" else self.format_help()
+            return SimpleNamespace(command=None, text=text)
+        if verb not in _VERBS:
+            raise InputError(f"unknown verb {verb!r}; the verbs are {', '.join(_VERBS)}")
+        options = _VERBS[verb][2]
+        values = {name: default for name, (_, default) in options.items()}
+        words = iter(words)
+        for word in words:
+            if word in ("-h", "--help"):
+                return SimpleNamespace(command=None, text=_Parser(verb).format_help())
+            flag, eq, value = word.partition("=")
+            if flag[:2] != "--" or flag[2:] not in options:
+                listed = ", ".join(f"--{name}" for name in options)
+                raise InputError(f"unknown option {word!r} for {verb}; its options are {listed}")
+            if not eq:
+                value = next(words, None)
+                if value is None or value.startswith("--"):
+                    raise InputError(f"{flag} expects a value")
+            kind = options[flag[2:]][0]
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise InputError(f"{flag} expects an integer, got {value!r}") from None
+            elif isinstance(kind, tuple) and value not in kind:
+                raise InputError(f"{flag} expects one of {', '.join(kind)}, got {value!r}")
+            values[flag[2:]] = value
+        for name, value in values.items():
+            if value is REQUIRED:
+                raise InputError(f"{verb} requires --{name}")
+        return SimpleNamespace(command=verb, **{k.replace("-", "_"): v for k, v in values.items()})
 
 
-def _add_size_cap(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
-
-
-def _compute_args(p: argparse.ArgumentParser) -> None:
-    _add_source_args(p)
-    _add_size_cap(p)
-    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    p.add_argument("--degree", type=int, help="restrict the report to one chain degree")
-    p.add_argument("--export-mm", metavar="DIR", help="write boundary matrices in MatrixMarket format")
-
-
-def _verify_args(p: argparse.ArgumentParser) -> None:
-    _add_source_args(p)
-    _add_size_cap(p)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-
-
-def _table_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--nmax", type=int, default=20)
-    p.add_argument("--k", default="2,3,4,5", help="comma-separated arities")
-    p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-
-
-def _decompose_args(p: argparse.ArgumentParser) -> None:
-    _add_source_args(p)
-    _add_size_cap(p)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--degree", type=int, required=True)
-
-
-def _check_args(p: argparse.ArgumentParser) -> None:
-    _add_source_args(p)
-    _add_size_cap(p)
-
-
-def build_parser(verb=None) -> argparse.ArgumentParser:
-    """The parser of every verb, or of verb alone when it names one.
-
-    `main` passes the first word of argv, so a run builds one
-    subparser; its usage line still lists every verb.  With no verb, or
-    a word that is no verb (--help, --version, a typo), all six are
-    built.
-    """
-    parser = argparse.ArgumentParser(
-        prog="karyhom",
-        description="Exact homology of nilpotent k-ary Lie algebras.",
-    )
-    parser.add_argument("--version", action="version", version=f"karyhom {__version__}")
-    one = verb in _VERBS
-    every_verb = "{" + ",".join(_VERBS) + "}" if one else None  # argparse's own when all are built
-    sub = parser.add_subparsers(dest="command", required=True, metavar=every_verb)
-    for name in (verb,) if one else _VERBS:
-        _, help_text, add_args = _VERBS[name]
-        add_args(sub.add_parser(name, help=help_text))
-    return parser
+def build_parser(verb=None) -> _Parser:
+    """The parser of every verb; its help is verb's when verb names one."""
+    return _Parser(verb)
 
 
 def _cmd_compute(args) -> int:
@@ -298,25 +295,28 @@ def _cmd_dump(args) -> int:
     return 0
 
 
-# verb -> (handler, help line, the function that adds its arguments)
+# verb -> (handler, help line, {option: (int, str or a tuple of choices, default)})
 _VERBS = {
-    "compute": (_cmd_compute, "Betti numbers of one algebra", _compute_args),
-    "verify": (_cmd_verify, "run all validators applicable to the algebra", _verify_args),
-    "table": (_cmd_table, "toral lower-bound table", _table_args),
-    "decompose": (_cmd_decompose, "Schur decomposition of one homology group", _decompose_args),
-    "check": (_cmd_check, "Jacobi identity and d^2 = 0 only (JSON)", _check_args),
-    "dump": (_cmd_dump, "emit the algebra JSON document", _add_source_args),
+    "compute": (_cmd_compute, "Betti numbers of one algebra",
+                {**_SOURCE, "format": (("json", "csv", "text"), "json"), "degree": (int, None),
+                 "export-mm": (str, None)}),
+    "verify": (_cmd_verify, "run all validators applicable to the algebra",
+               {**_SOURCE, "format": (("json", "text"), "json")}),
+    "table": (_cmd_table, "toral lower-bound table",
+              {"nmax": (int, 20), "k": (str, "2,3,4,5"), "format": (("json", "csv", "text"), "text")}),
+    "decompose": (_cmd_decompose, "Schur decomposition of one homology group",
+                  {**_SOURCE, "format": (("json", "text"), "json"), "degree": (int, REQUIRED)}),
+    "check": (_cmd_check, "Jacobi identity and d^2 = 0 only (JSON)", _SOURCE),
+    "dump": (_cmd_dump, "emit the algebra JSON document", _SOURCE),
 }
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = build_parser().parse_args(sys.argv[1:] if argv is None else list(argv))
+        if args.command is None:  # --help or --version
+            sys.stdout.write(args.text)
+            return 0
         if getattr(args, "size_cap", 0) < 0:
             raise InputError(f"--size-cap must be at least 0, got {args.size_cap}")
         return _VERBS[args.command][0](args)

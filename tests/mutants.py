@@ -1,4 +1,4 @@
-"""Mutation runner: every listed mutant of the engine must fail its tests.
+"""Mutation runner: every listed mutant must fail its tests.
 
 Run from the repository root (stdlib only; pytest does not collect this
 file):
@@ -31,6 +31,7 @@ SCHUR = ("tests/test_schur.py", "-k", "decompose or summands or refus or round_t
 CHARACTER = ("tests/test_schur.py", "-k", "character and not straightening")
 MATRICES = ("tests/test_matrices.py",)
 CHAINS = ("tests/test_chains.py",)
+PARSER = ("tests/test_cli.py", "-k", "usage or version or name_equals or verb_help")
 
 # (name, file, old, new, pytest arguments)
 MUTANTS = [
@@ -55,6 +56,14 @@ MUTANTS = [
      "content = gcd(*row.values())", "content = 1", MATRICES),
     ("_lex_index off by one", "chains.py",
      "index += comb(low.bit_length() - 1, j)", "index += comb(low.bit_length(), j)", CHAINS),
+    ("choice check dropped", "cli.py",
+     "elif isinstance(kind, tuple) and value not in kind:", "elif False:", PARSER),
+    ("required-option check dropped", "cli.py",
+     "if value is REQUIRED:", "if False:", PARSER),
+    ("--name=value split ignored", "cli.py",
+     'flag, eq, value = word.partition("=")', 'flag, eq, value = word, "", None', PARSER),
+    ("missing-value check dropped", "cli.py",
+     'if value is None or value.startswith("--"):', "if False:", PARSER),
 ]
 
 

@@ -19,7 +19,7 @@ import karyhom.toral  # noqa: F401
 from conftest import read_matrix_market
 from karyhom import families
 from karyhom.chains import differential_matrix
-from karyhom.cli import main
+from karyhom.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -385,6 +385,60 @@ def test_usage_errors(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        ((), "give a verb: compute, verify, table, decompose, check, dump"),
+        (("homology", "--family", "heisenberg", "--k", "2", "--m", "1"),
+         "unknown verb 'homology'; the verbs are compute, verify, table, decompose, check, dump"),
+        (("check", "--family", "heisenberg", "--k", "2", "--m", "1", "--bogus", "1"),
+         "unknown option '--bogus' for check; its options are "
+         "--family, --input, --k, --m, --n, --j, --inner, --size-cap"),
+        # argparse took a unique prefix silently
+        (("decompose", "--family", "free2", "--k", "2", "--n", "3", "--deg", "2"),
+         "unknown option '--deg' for decompose; its options are "
+         "--family, --input, --k, --m, --n, --j, --inner, --size-cap, --format, --degree"),
+        (("compute", "--family", "heisenberg", "--k", "2", "--m"), "--m expects a value"),
+        (("check", "--input", "--family", "heisenberg", "--k", "2", "--m", "1"),
+         "--input expects a value"),
+        (("compute", "--family", "heisenberg", "--k", "x", "--m", "1"),
+         "--k expects an integer, got 'x'"),
+        (("verify", "--family", "heisenberg", "--k", "2", "--m", "1", "--format", "yaml"),
+         "--format expects one of json, text, got 'yaml'"),
+        (("decompose", "--family", "free2", "--k", "2", "--n", "3"), "decompose requires --degree"),
+    ],
+    ids=[
+        "no-verb", "unknown-verb", "unknown-option", "abbreviation", "no-value",
+        "option-as-value", "k-not-int", "format-yaml", "decompose-without-degree",
+    ],
+)
+def test_usage_error_is_one_line_and_exit_2(capsys, argv, message):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_version(capsys):
+    assert run_cli(capsys, "--version") == (0, "karyhom 0.1.0\n")
+
+
+def test_name_equals_value_form(capsys):
+    spaced = run_cli(capsys, "compute", "--family", "heisenberg", "--k", "3", "--m", "1")
+    joined = run_cli(capsys, "compute", "--family=heisenberg", "--k=3", "--m=1", "--format=json")
+    assert spaced == joined == (0, GOLDEN_HEIS31)
+
+
+def test_verb_help_lists_its_options(capsys):
+    assert main(["decompose", "--family", "free2", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out == build_parser("decompose").format_help()
+    assert captured.out.startswith("usage: karyhom decompose ")
+    for option in ("--family STR", "--size-cap INT  (default 1000000)",
+                   "--format {json,text}  (default json)", "--degree INT  (required)"):
+        assert f"\n    {option}\n" in captured.out, option
+
+
+@pytest.mark.parametrize(
     "params",
     [("--k", "7", "--m", "9", "--j", "2"), ("--m", "2"), ("--n", "3"), ("--j", "2"),
      ("--inner", "acj")],
@@ -527,6 +581,15 @@ def test_size_cap_exit_code(capsys):
         "--degree", "3", "--size-cap", "2",
     )
     assert code == 3
+
+
+def test_dump_takes_the_size_cap(capsys):
+    # free3small(999) counts 1000999 basis elements and bracket terms
+    argv = ["dump", "--family", "free3small", "--k", "999"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("error: building free_three_step_small(999) exceeds")
+    code, out = run_cli(capsys, *argv, "--size-cap", "1001000")
+    assert code == 0 and json.loads(out)["dim"] == 1999
 
 
 def test_size_cap_admits_a_chain_space_of_exactly_cap_monomials(capsys):
