@@ -13,9 +13,10 @@ from karyhom import (
     refinement_bound,
     verify_toral,
 )
-from karyhom.toral import toral_table_text
+from karyhom.cli import main
 
-print(toral_table_text(12))
+main(["table", "--nmax", "12"])  # the table as `karyhom table --nmax 12` prints it
+print()
 
 print("full bound with a center of dimension z just scales by 2^z:")
 print("  refinement_bound(10, 2, 5) =", refinement_bound(10, 2, 5),

@@ -257,16 +257,20 @@ def check_jacobi(alg: KaryAlgebra, *, cap=DEFAULT_SIZE_CAP):
 
     The loop makes |rows| * (|keys| + |rows|) row visits: |rows| products
     over the stored keys and |rows|^2 products of table rows.  Each key
-    gives k rows, so |rows| <= k * |keys| and the visits are at most
-    (k+1) * |keys| * |rows|; more than cap is refused before they start
-    (cap None: no limit).
+    gives k distinct rows, so k <= |rows| <= k * |keys| and the visits
+    are at most (k+1) * |keys| * |rows|; more than cap is refused before
+    they start (cap None: no limit), and so is (k+1) * k * |keys| > cap
+    before the table, of about k^2 * |keys| entries, is built.
     """
-    ad = _adjoint(alg)
-    bound = (alg.arity + 1) * len(alg.brackets) * len(ad)
-    if cap is not None and bound > cap:
+    k, keys = alg.arity, len(alg.brackets)
+    if cap is not None and (k + 1) * k * keys > cap:
         raise ResourceCapError(
-            f"Jacobi check visits up to {bound} (inner, outer) pairs (cap {cap})"
+            f"Jacobi check visits at least {(k + 1) * k * keys} (inner, outer) pairs (cap {cap})"
         )
+    ad = _adjoint(alg)
+    bound = (k + 1) * keys * len(ad)
+    if cap is not None and bound > cap:
+        raise ResourceCapError(f"Jacobi check visits up to {bound} (inner, outer) pairs (cap {cap})")
     fails = []
     for outer, ad_outer in ad.items():
         residual = _product(alg.brackets, ad_outer)

@@ -45,7 +45,7 @@ from collections import Counter
 from itertools import combinations
 from math import comb
 
-from .algebra import DEFAULT_SIZE_CAP, KaryAlgebra, _adjoint, _product
+from .algebra import DEFAULT_SIZE_CAP, KaryAlgebra, _product
 from .errors import InputError, ResourceCapError
 
 
@@ -314,21 +314,29 @@ class ChainLayout:
     record of d_t reflected, w -> W - w.  Ungraded, W = 0 and the one
     bin keeps its count.
 
-    The condition is checked once, on the adjoint table: a Y in no
-    stored key has ad(Y) = 0.  When it holds, `pivots(t)` with top - t <
-    t reflects the record of d_{top-t}, so only degrees up to top / 2
-    are assembled and eliminated, and ranks and characters read the
-    upper half through that one rule.  Nilpotent ad maps are traceless;
-    an algebra that fails the check (a solvable one, say) eliminates
-    every degree.
+    The condition is checked once, on the diagonal bracket terms, with
+    no adjoint table (k - 1 entries per key and position): for sorted Y
+    the x-coordinate of [x, Y] is nonzero only when Y + {x}, sorted, is
+    a key K holding x at some position i, and then it is (-1)^i [K]_x.
+    So each term [K]_w with w in K adds its signed value to the trace of
+    ad(K - {w}), and every other ad(Y) has trace 0.  When the condition
+    holds, `pivots(t)` with top - t < t reflects the record of
+    d_{top-t}, so only degrees up to top / 2 are assembled and
+    eliminated, and ranks and characters read the upper half through
+    that one rule.  Nilpotent ad maps are traceless; an algebra that
+    fails the check (a solvable one, say) eliminates every degree.
     """
 
     def __init__(self, alg: KaryAlgebra):
         self.algebra = alg
         self.degrees = [0] + list(range(1, alg.dim + 1, alg.arity - 1))
         self._pivots = {}
-        traceless = all(sum(row[x].get(x, 0) for x in row) == 0 for row in _adjoint(alg).values())
-        self.top = alg.dim + alg.arity - 1 if traceless else None
+        traces = Counter()
+        for key, vec in alg.brackets.items():
+            for i, w in enumerate(key):
+                if w in vec:
+                    traces[key[:i] + key[i + 1 :]] += -vec[w] if i % 2 else vec[w]
+        self.top = None if any(traces.values()) else alg.dim + alg.arity - 1
         # packed weight of each basis index, unpack, packed weight of a mask;
         # ungraded, every weight is 0
         codec = _weight_codec(alg) if alg.weights is not None else ([0] * alg.dim, None, lambda mask: 0)

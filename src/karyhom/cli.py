@@ -6,6 +6,11 @@ validator assertion failed, 2 usage error (one line on stderr; this
 includes a character that is not a sum of Schur characters), 3 size
 cap exceeded.  JSON output is byte-deterministic.
 
+Engine modules return exact data (ints, dicts, lists) and this module
+renders it: JSON through `_json_out`, CSV through `_csv`, the one CSV
+writer, and text.  The log2 column of `table` is added here, and it is
+the one use of floating point in the package.
+
 Only the algebra core is imported with this module: `families` loads
 only for --family, and each verb imports the engine modules it runs
 when it runs, so a process pays start-up only for what it runs.
@@ -14,6 +19,7 @@ when it runs, so a process pays start-up only for what it runs.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from types import SimpleNamespace
@@ -29,6 +35,12 @@ def _json_out(payload) -> None:
     doc = {"schema": SCHEMA}
     doc.update(payload)
     sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def _csv(header, rows) -> str:
+    """A header line, then one line per row; cells are names and numbers,
+    written by str, so none needs quoting."""
+    return "".join(",".join(map(str, line)) + "\n" for line in [header, *rows])
 
 
 def _family_spec(args):
@@ -168,9 +180,17 @@ def _cmd_compute(args) -> int:
         return 0
     report = betti_all(alg, description=desc, cap=args.size_cap)
     if args.format == "json":
-        _json_out({"report": report.to_json_dict()})
+        # degrees become str keys before sort_keys orders them, so "10"
+        # precedes "3" as it always has in karyhom-report/3
+        fields = {
+            name: {str(t): v for t, v in value.items()} if isinstance(value, dict) else value
+            for name, value in report._asdict().items()
+        }
+        _json_out({"report": {"schema": "karyhom-report/3", **fields}})
     elif args.format == "csv":
-        sys.stdout.write(report.to_csv())
+        columns = (report.chain_dims, report.kernel_dims, report.image_dims, report.betti)
+        rows = ([t, *(c[t] for c in columns)] for t in report.degrees)
+        sys.stdout.write(_csv(("degree", "chain_dim", "kernel", "image", "betti"), rows))
     else:
         sys.stdout.write(f"algebra: {desc}\n")
         for t in report.degrees:
@@ -229,19 +249,36 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _log2(bound: int) -> str:
+    """log2 of a bound to 10 significant digits; one within 1e-12 of an
+    integer shown as that integer, 'n.0'."""
+    x = math.log2(bound)
+    if abs(x - round(x)) < 1e-12:
+        return f"{round(x):.1f}"
+    return f"{x:.{max(1, 10 - len(str(int(x))))}f}"
+
+
 def _cmd_table(args) -> int:
-    from .toral import toral_table_csv, toral_table_rows, toral_table_text
+    from .toral import toral_table_rows
 
     try:
         k_list = tuple(int(x) for x in args.k.split(","))
     except ValueError:
         raise InputError(f"--k expects comma-separated integers, got {args.k!r}")
+    # each bound column k<k> is followed by its log2 column k<k>_log2
+    header = ["n", *(key for k in k_list for key in (f"k{k}", f"k{k}_log2"))]
+    rows = []
+    for n, *bounds in (row.values() for row in toral_table_rows(args.nmax, k_list)):
+        rows.append([n, *(cell for b in bounds for cell in (b, _log2(b)))])
     if args.format == "json":
-        _json_out({"table": toral_table_rows(args.nmax, k_list)})
+        _json_out({"table": [dict(zip(header, row)) for row in rows]})
     elif args.format == "csv":
-        sys.stdout.write(toral_table_csv(args.nmax, k_list))
+        sys.stdout.write(_csv(header, rows))
     else:
-        sys.stdout.write(toral_table_text(args.nmax, k_list))
+        table = [["n", *(key for k in k_list for key in (f"k={k}", "log2"))]]
+        table += [list(map(str, row)) for row in rows]
+        widths = [max(map(len, column)) for column in zip(*table)]
+        sys.stdout.write("".join("  ".join(map(str.rjust, line, widths)) + "\n" for line in table))
     return 0
 
 

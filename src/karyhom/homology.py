@@ -7,9 +7,11 @@ ranks this is Betti(t) = (C(dim, t) - rank d_t) - rank d_{t+k-1}.  H^0 is
 Besides per-degree reports, this module carries the closed-form
 validators for the Heisenberg, ACJ and free 3-step families, the ACJ
 adjoint contraction theta_j, and the current-algebra total-homology
-comparison used to probe the tensor-power property.  The validators take
-every rank from the algebra's `ChainLayout`, so nothing here eliminates;
-`theta_matrix` indexes theta_j for demos, tests and outside checks.
+comparison used to probe the tensor-power property.  Reports and
+validator records are exact data (ints, dicts and lists); `cli` renders
+them.  The validators take every rank from the algebra's `ChainLayout`,
+so nothing here eliminates; `theta_matrix` indexes theta_j for demos,
+tests and outside checks.
 """
 
 from __future__ import annotations
@@ -30,34 +32,13 @@ def betti(alg: KaryAlgebra, t: int, *, cap=DEFAULT_SIZE_CAP) -> int:
     return layout.betti(t)
 
 
-class HomologyReport(
-    namedtuple(
-        "HomologyReport",
-        "algebra arity dim degrees chain_dims kernel_dims image_dims betti"
-        " total total_excluding_h0",
-    )
-):
-    """Per-degree Betti numbers of one algebra, plus totals.
-
-    The dicts are keyed by layout degree; image_dims holds the rank of
-    the boundary leaving each degree.
-    """
-
-    __slots__ = ()
-
-    def to_json_dict(self) -> dict:
-        doc = {"schema": "karyhom-report/3"}
-        for name, value in self._asdict().items():
-            if isinstance(value, dict):
-                value = {str(t): v for t, v in sorted(value.items())}
-            doc[name] = value
-        return doc
-
-    def to_csv(self) -> str:
-        columns = (self.chain_dims, self.kernel_dims, self.image_dims, self.betti)
-        lines = ["degree,chain_dim,kernel,image,betti"]
-        lines += [",".join(map(str, [t] + [c.get(t, "") for c in columns])) for t in self.degrees]
-        return "\n".join(lines) + "\n"
+# Per-degree Betti numbers of one algebra, plus totals.  The dicts are
+# keyed by layout degree; image_dims holds the rank of the boundary
+# leaving each degree.  `cli` renders it.
+HomologyReport = namedtuple(
+    "HomologyReport",
+    "algebra arity dim degrees chain_dims kernel_dims image_dims betti total total_excluding_h0",
+)
 
 
 def betti_all(

@@ -6,12 +6,13 @@ algebras with center z and complement v there is a sharper bound
     total >= sum_{i=0}^{k-1} | sum_j (-1)^j C(|v|, kj+i) | * 2^|z|
 
 obtained from Euler characteristics of the mod-k graded subcomplexes of
-the full exterior algebra.  `toral_table_rows` tabulates the z-free factor.
+the full exterior algebra.  `toral_table_rows` tabulates the z-free
+factor as exact ints; `cli` renders the table and adds its log2 column.
+Like every engine module this one uses no floating point.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from itertools import islice
 
@@ -19,40 +20,33 @@ from .algebra import DEFAULT_SIZE_CAP, KaryAlgebra, center, lower_central_series
 from .errors import InputError, ResourceCapError
 
 
-def _bounds(k: int):
-    """The z-free bounds for |v| = 0, 1, 2, ...
+def _bounds(k: int, n_max: int):
+    """The z-free bounds for |v| = 0, 1, ..., n_max.
 
     The inner sums are the coefficients of (1+x)^|v| mod (x^k + 1), since
     x^(kj+i) = (-1)^j x^i there; each power is the last one times 1+x,
-    k additions with x * x^(k-1) = -1.
+    with x * x^(k-1) = -1.  For |v| < k the reduction does nothing and
+    the bound is 2^|v|, so an arity above n_max + 1 runs as n_max + 1:
+    a column costs at most n_max + 1 coefficients, whatever k is.
     """
     if k < 2:
         raise InputError(f"arity must be at least 2, got {k}")
-    coeffs = [1] + [0] * (k - 1)
-    while True:
-        yield sum(map(abs, coeffs))
+    coeffs = [1] + [0] * min(k - 1, n_max)
+    yield 1
+    for _ in range(n_max):
         coeffs = [coeffs[0] - coeffs[-1]] + [a + b for a, b in zip(coeffs[1:], coeffs)]
+        yield sum(map(abs, coeffs))
 
 
 def refinement_bound(dim_v: int, dim_z: int, k: int) -> int:
     """The 2-step lower bound for given complement/center dimensions."""
     if dim_v < 0 or dim_z < 0:
         raise InputError("dimensions must be nonnegative")
-    return next(islice(_bounds(k), dim_v, None)) * 2**dim_z
-
-
-def log2_display(x: float) -> str:
-    """10 significant digits; exact integers shown as 'n.0'."""
-    if abs(x - round(x)) < 1e-12:
-        return f"{round(x):.1f}"
-    int_digits = max(1, len(str(int(x))))
-    decimals = max(1, 10 - int_digits)
-    return f"{x:.{decimals}f}"
+    return next(islice(_bounds(k, dim_v), dim_v, None)) * 2**dim_z
 
 
 def toral_table_rows(n_max: int, k_list=(2, 3, 4, 5)):
-    """One dict per n with bound and log2 per arity (serialization-friendly);
-    the renderers below take their columns from the first row.
+    """One dict per n, {"n": n, "k<k>": bound, ...} in k_list order.
 
     Every bound is a sum of |coefficients| of (1+x)^n, so at most 2^n_max.
     A table whose 2^n_max has more digits than the interpreter converts
@@ -63,35 +57,15 @@ def toral_table_rows(n_max: int, k_list=(2, 3, 4, 5)):
     if n_max < 1:
         raise InputError(f"the table needs n_max >= 1, got {n_max}")
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and n_max * math.log10(2) >= limit:
+    # 2^n_max has more than limit digits iff 2^n_max >= 10^limit, as it
+    # is from n_max = 4 * limit on (16^limit > 10^limit); the clamp keeps
+    # a huge n_max from building its power
+    if limit and 2 ** min(n_max, 4 * limit) >= 10**limit:
         raise ResourceCapError(f"table bounds up to 2^{n_max} exceed the {limit}-digit str limit")
     if len(set(k_list)) != len(k_list):
         raise InputError(f"arities must be distinct, got {list(k_list)}")
-    columns = [(k, islice(_bounds(k), 1, None)) for k in k_list]
-    rows = []
-    for n in range(1, n_max + 1):
-        row = {"n": n}
-        for k, bounds in columns:
-            b = next(bounds)
-            row[f"k{k}"] = b
-            row[f"k{k}_log2"] = log2_display(math.log2(b))
-        rows.append(row)
-    return rows
-
-
-def toral_table_csv(n_max: int, k_list=(2, 3, 4, 5)) -> str:
-    rows = toral_table_rows(n_max, k_list)
-    lines = [",".join(rows[0])] + [",".join(map(str, row.values())) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def toral_table_text(n_max: int, k_list=(2, 3, 4, 5)) -> str:
-    rows = toral_table_rows(n_max, k_list)
-    header = ["log2" if key.endswith("_log2") else key.replace("k", "k=") for key in rows[0]]
-    table = [header] + [[str(v) for v in row.values()] for row in rows]
-    widths = [max(map(len, column)) for column in zip(*table)]
-    lines = ["  ".join(cell.rjust(w) for cell, w in zip(r, widths)) for r in table]
-    return "\n".join(lines) + "\n"
+    columns = [(f"k{k}", islice(_bounds(k, n_max), 1, None)) for k in k_list]
+    return [{"n": n, **{name: next(bounds) for name, bounds in columns}} for n in range(1, n_max + 1)]
 
 
 def verify_toral(alg: KaryAlgebra, *, description: str = "", cap=DEFAULT_SIZE_CAP) -> dict:

@@ -32,6 +32,9 @@ CHARACTER = ("tests/test_schur.py", "-k", "character and not straightening")
 MATRICES = ("tests/test_matrices.py",)
 CHAINS = ("tests/test_chains.py",)
 PARSER = ("tests/test_cli.py", "-k", "usage or version or name_equals or verb_help")
+TORAL = ("tests/test_toral.py", "-k", "table")
+SIZE_CAP = ("tests/test_cli.py", "-k", "size_cap")
+RENDER = ("tests/test_cli.py", "-k", "csv or table")
 
 # (name, file, old, new, pytest arguments)
 MUTANTS = [
@@ -64,6 +67,18 @@ MUTANTS = [
      'flag, eq, value = word.partition("=")', 'flag, eq, value = word, "", None', PARSER),
     ("missing-value check dropped", "cli.py",
      'if value is None or value.startswith("--"):', "if False:", PARSER),
+    # 2^n never equals 10^limit, so reading the digit limit's >= as > changes
+    # nothing; its off-by-one is a digit too many or too few
+    ("digit limit one digit late", "toral.py",
+     ">= 10**limit:", ">= 10**(limit + 1):", TORAL),
+    ("digit limit one digit early", "toral.py",
+     ">= 10**limit:", ">= 10**(limit - 1):", TORAL),
+    ("trace sign dropped", "chains.py",
+     "+= -vec[w] if i % 2 else vec[w]", "+= vec[w]", CHAINS),
+    ("chain-space cap counts its own size", "chains.py",
+     "if size > cap:", "if size >= cap:", SIZE_CAP),
+    ("CSV writer drops its header", "cli.py",
+     "for line in [header, *rows])", "for line in rows)", RENDER),
 ]
 
 

@@ -4,7 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 appear.  All integer comparisons are exact; there are no tolerances
 anywhere except the log2 display columns of the bound table, which are
 compared to the reference digits within 2 units of their last place
-(the digits themselves carry 10-digit floating-point noise).
+(the digits themselves carry 10-digit floating-point noise), and whose
+shown digits must round log2 correctly.
 
 The closed forms behind C2, C3 and C5 are the proved oracles in
 `conftest.py`, which import nothing from the engine.  Each of the three
@@ -12,8 +13,11 @@ replaces a candidate that exact computation disproved; C2's docstring
 keeps the candidate it replaced.
 """
 
+import io
+import json
 import math
 import random
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -198,15 +202,26 @@ def test_c5_acj_formulas():
 
 
 def test_c6_toral_table():
+    # the table as the CLI renders it: exact bounds and their log2 digits
+    from karyhom.cli import main
     from test_toral import GOLDEN, log_matches_display
 
+    with redirect_stdout(io.StringIO()) as out:
+        assert main(["table", "--nmax", "20", "--format", "json"]) == 0
+    table = json.loads(out.getvalue())["table"]
+    assert [row["n"] for row in table] == list(range(1, 21))
     bad = []
     for k, column in GOLDEN.items():
-        for n, (bound, logstr) in enumerate(column, start=1):
-            if refinement_bound(n, 0, k) != bound:
-                bad.append((n, k, "bound"))
-            if not log_matches_display(math.log2(bound), logstr):
-                bad.append((n, k, "log"))
+        for row, (bound, logstr) in zip(table, column):
+            if row[f"k{k}"] != bound or refinement_bound(row["n"], 0, k) != bound:
+                bad.append((row["n"], k, "bound"))
+            # the reference digits within 2 units of their last place, and
+            # the shown digits log2(bound) correctly rounded
+            exact = math.log2(bound)
+            if not log_matches_display(exact, logstr):
+                bad.append((row["n"], k, "log"))
+            if not log_matches_display(exact, row[f"k{k}_log2"], ulps=0.5 + 1e-6):
+                bad.append((row["n"], k, "shown"))
     ok = not bad
     print(f"C6 toral table, 80 exact bounds + log2 digits: {'PASS' if ok else 'FAIL ' + str(bad)}")
     assert ok

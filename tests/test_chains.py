@@ -367,8 +367,12 @@ def test_boundary_ranks_are_dual():
         (KaryAlgebra(2, 2, "xy", {(0, 1): {1: 1}}), {2: 1}),
         # [a, b, c] = c: tr ad(a, b) = 1; d_3, d_4 have rank 1, 1, mirrors 1, 0
         (KaryAlgebra(3, 4, "abcd", {(0, 1, 2): {2: 1}}), {3: 1, 4: 1}),
+        # [a, b] = a, [b, c] = -c: tr ad(b) = 1 + 1, read off [a, b]_a at
+        # position 0 of its key and -[b, c]_c at position 1, whose unsigned
+        # values cancel; d_3 has rank 1, its mirror d_1 rank 0
+        (KaryAlgebra(2, 3, "abc", {(0, 1): {0: 1}, (1, 2): {2: -1}}), {2: 2, 3: 1}),
     ],
-    ids=["solvable-2d", "arity-3-trace"],
+    ids=["solvable-2d", "arity-3-trace", "signed-trace"],
 )
 def test_layout_ranks_every_degree_when_an_ad_has_trace(alg, ranks):
     direct, top = _direct_ranks(alg), alg.dim + alg.arity - 1

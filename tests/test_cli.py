@@ -76,6 +76,59 @@ def test_compute_csv_and_text(capsys):
     assert "total = 6" in out
 
 
+def test_compute_csv_and_text_golden(capsys):
+    acj32 = ("compute", "--family", "acj", "--k", "3", "--m", "2", "--format")
+    assert run_cli(capsys, *acj32, "csv") == (0, (
+        "degree,chain_dim,kernel,image,betti\n"
+        "0,1,1,0,1\n1,7,7,0,5\n3,35,33,2,28\n5,21,16,5,16\n7,1,1,0,1\n"
+    ))
+    assert run_cli(capsys, *acj32, "text") == (0, (
+        "algebra: acj(k=3, m=2)\n"
+        "  H^0 = 1\n  H^1 = 5\n  H^3 = 28\n  H^5 = 16\n  H^7 = 1\n  total = 51\n"
+    ))
+
+
+def test_compute_json_sorts_degrees_as_strings(capsys):
+    # karyhom-report/3 keys its per-degree dicts by str(degree): "10" before "2"
+    code, out = run_cli(capsys, "compute", "--family", "free2", "--k", "2", "--n", "4")
+    assert code == 0
+    assert '"betti":{"0":1,"1":4,"10":1,"2":20,"3":56,"4":84,"5":90,"6":84,"7":56,"8":20,"9":4}' in out
+
+
+def test_compute_never_builds_the_adjoint_table(capsys, monkeypatch):
+    # the layout reads traces off the diagonal bracket terms; the table
+    # {R: {x: [x, R]}} would hold k - 1 entries per key and position
+    import karyhom.algebra
+
+    def refuse(alg):
+        raise AssertionError("the adjoint table was built")
+
+    monkeypatch.setattr(karyhom.algebra, "_adjoint", refuse)
+    for fmt in ("json", "csv", "text"):
+        code, out = run_cli(capsys, "compute", "--family", "heisenberg", "--k", "3", "--m", "2",
+                            "--format", fmt)
+        assert code == 0 and out
+    code, out = run_cli(capsys, "compute", "--family", "heisenberg", "--k", "400", "--m", "1")
+    assert code == 0
+    assert json.loads(out)["report"]["betti"] == {"0": 1, "1": 400, "400": 400}
+
+
+def test_jacobi_cap_refuses_a_huge_arity_before_the_adjoint_table(capsys, monkeypatch):
+    # heisenberg(10^4, 1) has one key: the Jacobi check visits at least
+    # (k+1) * k row pairs, 10^8 > 10^6, known from k and the key count
+    import karyhom.algebra
+
+    def refuse(alg):
+        raise AssertionError("the adjoint table was built")
+
+    monkeypatch.setattr(karyhom.algebra, "_adjoint", refuse)
+    for verb in ("check", "verify"):
+        code = main([verb, "--family", "heisenberg", "--k", "10000", "--m", "1"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "", verb
+        assert captured.err == "error: Jacobi check visits at least 100010000 (inner, outer) pairs (cap 1000000)\n"
+
+
 def test_verify_heisenberg_ok(capsys):
     code, out = run_cli(capsys, "verify", "--family", "heisenberg", "--k", "2", "--m", "2")
     assert code == 0
@@ -281,6 +334,46 @@ def test_table_text_and_json(capsys):
     assert out.splitlines()[0] == "n,k2,k2_log2,k3,k3_log2,k4,k4_log2,k5,k5_log2"
 
 
+GOLDEN_TABLE_5_2_9 = {
+    "json": '{"schema":"karyhom-cli/1","table":['
+            '{"k2":2,"k2_log2":"1.0","k9":2,"k9_log2":"1.0","n":1},'
+            '{"k2":2,"k2_log2":"1.0","k9":4,"k9_log2":"2.0","n":2},'
+            '{"k2":4,"k2_log2":"2.0","k9":8,"k9_log2":"3.0","n":3},'
+            '{"k2":4,"k2_log2":"2.0","k9":16,"k9_log2":"4.0","n":4},'
+            '{"k2":8,"k2_log2":"3.0","k9":32,"k9_log2":"5.0","n":5}]}\n',
+    "csv": "n,k2,k2_log2,k9,k9_log2\n"
+           "1,2,1.0,2,1.0\n2,2,1.0,4,2.0\n3,4,2.0,8,3.0\n4,4,2.0,16,4.0\n5,8,3.0,32,5.0\n",
+    "text": "n  k=2  log2  k=9  log2\n"
+            "1    2   1.0    2   1.0\n"
+            "2    2   1.0    4   2.0\n"
+            "3    4   2.0    8   3.0\n"
+            "4    4   2.0   16   4.0\n"
+            "5    8   3.0   32   5.0\n",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_table_golden(capsys, fmt):
+    assert run_cli(capsys, "table", "--nmax", "5", "--k", "2,9", "--format", fmt) == (0, GOLDEN_TABLE_5_2_9[fmt])
+
+
+def test_table_log2_column():
+    from karyhom.cli import _log2
+
+    assert _log2(2) == "1.0" and _log2(2**40) == "40.0"
+    assert _log2(6) == "2.584962501"  # 10 significant digits
+    assert _log2(1120) == "10.12928302"
+    assert _log2(30) == "4.906890596"
+    assert _log2(3**700) == "1109.473751"  # past the float range, 2**1024
+
+
+def test_table_of_a_huge_arity_costs_its_rows_only(capsys):
+    # for n < k every bound is 2^n; a column holds n_max + 1 coefficients, not k
+    code, out = run_cli(capsys, "table", "--nmax", "3", "--k", "100000000", "--format", "csv")
+    assert code == 0
+    assert out == "n,k100000000,k100000000_log2\n1,2,1.0\n2,4,2.0\n3,8,3.0\n"
+
+
 def test_decompose(capsys):
     code, out = run_cli(
         capsys, "decompose", "--family", "free2", "--k", "3", "--n", "4", "--degree", "3"
@@ -295,7 +388,7 @@ def test_decompose(capsys):
 def test_table_past_the_int_str_digit_limit_exits_3(capsys, monkeypatch):
     # each bound is at most 2^nmax, and 2^16000 and 2^30000 have more than
     # the 4300 digits int-to-str gives by default; refused from nmax alone
-    def refuse(k):
+    def refuse(k, n_max):
         raise AssertionError("a bound was computed")
 
     monkeypatch.setattr(karyhom.toral, "_bounds", refuse)

@@ -13,8 +13,9 @@ DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 SRC = str(Path(karyhom.__file__).resolve().parent.parent)
 
 
-# the printed consumers of `theta_matrix` (02) and of
-# `differential_matrix` and its MatrixMarket export (03), pinned whole
+# the printed consumers of `theta_matrix` (02), of `differential_matrix`
+# and its MatrixMarket export (03), and of the CLI's table renderer and
+# `verify_toral` (05), pinned whole
 GOLDEN_STDOUT = {
     "02_acj_adjoint_contraction": (
         "acj(k=2, m=2)\n"
@@ -74,6 +75,30 @@ GOLDEN_STDOUT = {
         "   Betti: {0: 1, 1: 4, 3: 44, 5: 44, 7: 4}\n"
         "free2(k=3, n=5) (dim 15): total homology 10619\n"
         "   Betti: {0: 1, 1: 5, 3: 274, 5: 1935, 7: 4228, 9: 3250, 11: 870, 13: 55, 15: 1}\n"
+    ),
+    "05_toral_bounds": (
+        " n  k=2  log2  k=3         log2   k=4         log2   k=5         log2\n"
+        " 1    2   1.0    2          1.0     2          1.0     2          1.0\n"
+        " 2    2   1.0    4          2.0     4          2.0     4          2.0\n"
+        " 3    4   2.0    6  2.584962501     8          3.0     8          3.0\n"
+        " 4    4   2.0   12  3.584962501    14  3.807354922    16          4.0\n"
+        " 5    8   3.0   18  4.169925001    28  4.807354922    30  4.906890596\n"
+        " 6    8   3.0   36  5.169925001    48  5.584962501    60  5.906890596\n"
+        " 7   16   4.0   54  5.754887502    96  6.584962501   110  6.781359714\n"
+        " 8   16   4.0  108  6.754887502   164  7.357552005   220  7.781359714\n"
+        " 9   32   5.0  162  7.339850003   328  8.357552005   400  8.643856190\n"
+        "10   32   5.0  324  8.339850003   560  9.129283017   800  9.643856190\n"
+        "11   64   6.0  486  8.924812504  1120  10.12928302  1450  10.50183718\n"
+        "12   64   6.0  972  9.924812504  1912  10.90086681  2900  11.50183718\n"
+        "\n"
+        "full bound with a center of dimension z just scales by 2^z:\n"
+        "  refinement_bound(10, 2, 5) = 3200 = 800 * 4\n"
+        "\n"
+        "heisenberg(3,1): total 7 >= 2^1 = 2 [ok], refined bound 12 vs all-degree total 14\n"
+        "heisenberg(2,3): total 70 >= 2^1 = 2 [ok], refined bound 16 vs all-degree total 70\n"
+        "acj(3,2): total 51 >= 2^2 = 4 [ok], refined bound 72 vs all-degree total 100\n"
+        "free2(3,4): total 97 >= 2^4 = 16 [ok], refined bound 192 vs all-degree total 196\n"
+        "free3(4): total 140 >= 2^4 = 16 [ok]\n"
     ),
 }
 

@@ -213,9 +213,9 @@ def test_annotations_of_every_exported_function_resolve():
             typing.get_type_hints(obj)
 
 
-# The computational core.  `toral` is the one module of the engine left
-# out: its bound is an exact integer, but its table shows a log2 column.
-CORE = ("algebra", "chains", "matrices", "homology", "schur", "families")
+# The computational core: every engine module.  Only `cli`, which
+# renders the engine's exact data, shows floats (the table's log2 column).
+CORE = ("algebra", "chains", "matrices", "homology", "schur", "families", "toral")
 MATH_ALLOWED = {"comb", "gcd", "lcm"}
 
 
@@ -239,15 +239,15 @@ def _float_uses(tree):
 
 def test_computational_core_uses_no_floating_point():
     package = Path(karyhom.__file__).resolve().parent
-    assert {p.stem for p in package.glob("*.py")} == set(CORE) | {"toral", "cli", "errors", "__init__"}
+    assert {p.stem for p in package.glob("*.py")} == set(CORE) | {"cli", "errors", "__init__"}
     found = [
         f"{name}.py:{line}: {what}"
         for name in CORE
         for line, what in _float_uses(ast.parse((package / f"{name}.py").read_text()))
     ]
     assert not found, found
-    # the scan does see toral's display floats
-    assert list(_float_uses(ast.parse((package / "toral.py").read_text())))
+    # the scan does see the CLI's display floats
+    assert list(_float_uses(ast.parse((package / "cli.py").read_text())))
 
 
 # Monomial masks are `chains`' own format: no other module shifts bits or

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -15,14 +16,7 @@ from karyhom.families import (
 )
 from karyhom import homology
 from karyhom.algebra import KaryAlgebra
-from karyhom.toral import (
-    log2_display,
-    refinement_bound,
-    toral_table_csv,
-    toral_table_rows,
-    toral_table_text,
-    verify_toral,
-)
+from karyhom.toral import refinement_bound, toral_table_rows, verify_toral
 
 # Golden table: lower-bound factor (center split off) for n = 1..20 and
 # each arity, with reference log2 digits alongside (these digits were
@@ -83,6 +77,17 @@ def test_refinement_bound_validation():
         refinement_bound(-1, 0, 2)
     with pytest.raises(InputError):
         refinement_bound(3, 0, 1)
+    with pytest.raises(InputError):
+        refinement_bound(0, 0, 1)
+    assert refinement_bound(0, 3, 2) == 8
+
+
+def test_refinement_bound_of_a_huge_arity_is_a_power_of_two():
+    # (1+x)^n is already reduced mod x^k + 1 for n < k, so the bound is
+    # 2^n, computed from n + 1 coefficients rather than k
+    assert refinement_bound(5, 0, 10**9) == 32
+    assert refinement_bound(5, 2, 6) == refinement_bound(5, 2, 10**12) == 128
+    assert refinement_bound(6, 0, 6) == 62 < 2**6
 
 
 def test_golden_table_all_entries():
@@ -117,30 +122,42 @@ def test_bound_factor_at_least_two():
             assert refinement_bound(n, 0, k) >= 2
 
 
-def test_table_outputs():
+def test_table_rows_are_exact():
     rows = toral_table_rows(2)
-    assert rows[0]["n"] == 1 and rows[0]["k5"] == 2
-    csv_text = toral_table_csv(2)
-    assert csv_text.splitlines()[0].startswith("n,k2,k2_log2")
-    text = toral_table_text(5)
-    assert "4.906890596" in text  # n=5, k=5: log2(30)
-    # the renderers take their columns from the first row: a repeated
-    # arity would print a column pair twice, and no rows has no header
-    for render in (toral_table_rows, toral_table_csv, toral_table_text):
-        with pytest.raises(InputError):
-            render(3, (2, 3, 2))
-        with pytest.raises(InputError):
-            render(0)
+    assert rows == [{"n": 1, "k2": 2, "k3": 2, "k4": 2, "k5": 2},
+                    {"n": 2, "k2": 2, "k3": 4, "k4": 4, "k5": 4}]
+    # the columns follow k_list; a repeated arity and an empty table are refused
+    assert list(toral_table_rows(1, (9, 2))[0]) == ["n", "k9", "k2"]
+    with pytest.raises(InputError):
+        toral_table_rows(3, (2, 3, 2))
+    with pytest.raises(InputError):
+        toral_table_rows(0)
+    with pytest.raises(InputError):
+        toral_table_rows(3, (2, 1))
     # the table steps one power per arity; refinement_bound starts afresh
-    for row in toral_table_rows(300, (2, 3, 4, 5, 6)):
-        for k in (2, 3, 4, 5, 6):
+    for row in toral_table_rows(300, (2, 3, 4, 5, 6, 299, 301, 10**9)):
+        for k in (2, 3, 4, 5, 6, 299, 301, 10**9):
             assert row[f"k{k}"] == refinement_bound(row["n"], 0, k), row["n"]
 
 
-def test_log2_display_format():
-    assert log2_display(1.0) == "1.0"
-    assert log2_display(math.log2(6)) == "2.584962501"
-    assert log2_display(math.log2(1120)) == "10.12928302"
+def test_table_digit_limit_is_exact(monkeypatch):
+    # 2^14284 has 4300 digits and 2^14285 has 4301: the last table under
+    # the default limit ends at n = 14284.  The limit is read through
+    # sys, so it applies also where the interpreter has none.
+    from karyhom.errors import ResourceCapError
+
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    assert 10**4299 < 2**14284 < 10**4300 < 2**14285
+    assert toral_table_rows(14284, (2,))[-1] == {"n": 14284, "k2": 2**7142}
+    for n_max in (14285, 17200, 10**15):
+        with pytest.raises(ResourceCapError):
+            toral_table_rows(n_max, (2,))
+    # at the smallest limit the interpreter allows, 640 digits
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 640)
+    assert 10**639 < 2**2126 < 10**640 < 2**2127
+    assert len(toral_table_rows(2126, (3,))) == 2126
+    with pytest.raises(ResourceCapError):
+        toral_table_rows(2127, (3,))
 
 
 def test_verify_toral_heisenberg():
