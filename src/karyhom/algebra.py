@@ -171,26 +171,6 @@ class KaryAlgebra:
             f"brackets={len(self.brackets)})"
         )
 
-    @classmethod
-    def from_brackets(cls, arity, dim, labels, items):
-        """Build an unweighted algebra from possibly unsorted bracket tuples.
-
-        items is an iterable of (args, vector); unsorted args are
-        normalized with the permutation sign, entries on equal keys are
-        accumulated; keys whose entries all cancel are dropped, and zero
-        entries are left to the constructor.
-        """
-        merged = {}
-        for args, vec in items:
-            key, sign = sort_with_sign(tuple(args))
-            if sign == 0:
-                raise InputError(f"bracket arguments {tuple(args)} repeat an index")
-            acc = merged.setdefault(key, {})
-            for i, c in vec.items():
-                acc[i] = acc.get(i, 0) + sign * c
-        merged = {k: v for k, v in merged.items() if any(v.values())}
-        return cls(arity, dim, labels, merged)
-
 
 # -- structural checkers ----------------------------------------------
 
@@ -438,11 +418,3 @@ def load_algebra(f) -> KaryAlgebra:
         raise LoadError(f"not valid JSON: {exc}") from exc
     return algebra_from_json_dict(doc)
 
-
-def dump_algebra(alg: KaryAlgebra, f) -> None:
-    if isinstance(f, (str, bytes)) or hasattr(f, "__fspath__"):
-        with open(f, "w", encoding="utf-8") as fh:
-            dump_algebra(alg, fh)
-        return
-    json.dump(algebra_to_json_dict(alg), f, indent=2, sort_keys=True)
-    f.write("\n")

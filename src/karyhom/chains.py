@@ -88,10 +88,12 @@ def _boundary_rows(alg: KaryAlgebra, t: int) -> dict:
         key_mask = sum(map(bit.__getitem__, key))
         for w, c in vec.items():
             # sgn is one factor -1 per entry x of R for each key entry
-            # above x, and one more if x < w: the parity of r & odd.
-            odd = sum(bit[x] for x in range(n) if (sum(i > x for i in key) + (x < w)) % 2)
-            pool = [bit[x] for x in range(n) if x != w and x not in key]
+            # above x, and one more if x < w: the parity of r & odd.  The
+            # key entries above x are the key bits below b = bit[x], and
+            # x < w iff b > bit[w].
             w_bit, minus = bit[w], -c
+            odd = sum(b for b in bit if ((key_mask & (b - 1)).bit_count() + (b > w_bit)) & 1)
+            pool = [b for b in bit if not b & (key_mask | w_bit)]
             for r in map(sum, combinations(pool, t - k)):
                 col = r | key_mask
                 v = minus if (r & odd).bit_count() & 1 else c

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations
 
-from .algebra import DEFAULT_SIZE_CAP, KaryAlgebra
+from .algebra import DEFAULT_SIZE_CAP, KaryAlgebra, sort_with_sign
 from .errors import InputError, ResourceCapError
 
 
@@ -137,10 +137,19 @@ def _exponents(k: int, j: int):
 def current_algebra(alg: KaryAlgebra, j: int, *, cap=DEFAULT_SIZE_CAP) -> KaryAlgebra:
     """Truncated current algebra g (x) C[t]/t^j.
 
-    Basis b (x) t^p for p in [0, j); the bracket multiplies exponents
-    additively and vanishes once the exponent sum reaches j, so each
-    bracket of g gives one product per exponent tuple with sum below j:
-    C(j+k-1, k) of them, which the cap counts.
+    Basis b (x) t^p for p in [0, j), at index p * n + b with n = dim g;
+    the bracket multiplies exponents additively and vanishes once the
+    exponent sum reaches j, so each bracket of g gives one product per
+    exponent tuple with sum below j: C(j+k-1, k) of them, which the cap
+    counts.
+
+    The product of a key args with exponents ps has the index set
+    {p_i * n + a_i}.  Each a_i < n, so an index x decodes to the pair
+    (x mod n, x div n) = (a_i, p_i), and since args is strictly
+    increasing the set gives back args and ps.  So no index repeats in
+    a product's key, no two products share a key and no entry cancels:
+    sorting each key with `sort_with_sign` and signing its vector is
+    all that stands between the products and the constructor.
     """
     if j < 1:
         raise InputError(f"truncation must be at least 1, got {j}")
@@ -148,14 +157,12 @@ def current_algebra(alg: KaryAlgebra, j: int, *, cap=DEFAULT_SIZE_CAP) -> KaryAl
     _check_build(f"current({alg!r}, {j})", j * alg.dim + products, cap)
     n = alg.dim
     labels = [f"{lab}.t{p}" for p in range(j) for lab in alg.labels]
-    # p * n + a never repeats an index; from_brackets sorts each key
-    # with its sign
-    items = [
-        (tuple(p * n + a for p, a in zip(ps, args)), {s * n + w: c for w, c in vec.items()})
-        for args, vec in alg.brackets.items()
-        for ps, s in _exponents(alg.arity, j)
-    ]
-    return KaryAlgebra.from_brackets(alg.arity, j * n, labels, items)
+    brackets = {}
+    for args, vec in alg.brackets.items():
+        for ps, s in _exponents(alg.arity, j):
+            key, sign = sort_with_sign(p * n + a for p, a in zip(ps, args))
+            brackets[key] = {s * n + w: sign * c for w, c in vec.items()}
+    return KaryAlgebra(alg.arity, j * n, labels, brackets)
 
 
 def abelian(k: int, n: int, *, cap=DEFAULT_SIZE_CAP) -> KaryAlgebra:

@@ -553,3 +553,22 @@ def flip_bracket_signs(alg: KaryAlgebra, rng) -> KaryAlgebra:
         else:
             new[args] = dict(vec)
     return KaryAlgebra(alg.arity, alg.dim, alg.labels, new, alg.weights)
+
+
+def sorted_with_sign(indices):
+    """(sorted tuple, sign of the sorting permutation), the sign read off
+    the parity of the inversion count; indices must not repeat."""
+    indices = tuple(indices)
+    inversions = sum(a > b for i, a in enumerate(indices) for b in indices[i + 1 :])
+    return tuple(sorted(indices)), -1 if inversions % 2 else 1
+
+
+def relabelled(alg: KaryAlgebra, perm) -> KaryAlgebra:
+    """alg with basis index i renamed perm[i]: each key re-sorted, its
+    vector multiplied by the sign of the sort, and the dict handed to the
+    constructor (labels kept, weights dropped)."""
+    brackets = {}
+    for args, vec in alg.brackets.items():
+        key, sign = sorted_with_sign(perm[i] for i in args)
+        brackets[key] = {perm[j]: sign * c for j, c in vec.items()}
+    return KaryAlgebra(alg.arity, alg.dim, alg.labels, brackets)

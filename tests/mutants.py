@@ -35,6 +35,7 @@ PARSER = ("tests/test_cli.py", "-k", "usage or version or name_equals or verb_he
 TORAL = ("tests/test_toral.py", "-k", "table")
 SIZE_CAP = ("tests/test_cli.py", "-k", "size_cap")
 RENDER = ("tests/test_cli.py", "-k", "csv or table")
+CURRENT = ("tests/test_families.py", "tests/test_cli.py", "-k", "current")
 
 # (name, file, old, new, pytest arguments)
 MUTANTS = [
@@ -79,6 +80,12 @@ MUTANTS = [
      "if size > cap:", "if size >= cap:", SIZE_CAP),
     ("CSV writer drops its header", "cli.py",
      "for line in [header, *rows])", "for line in rows)", RENDER),
+    ("current algebra drops the key sign", "families.py",
+     "sign * c for w, c", "c for w, c", CURRENT),
+    ("boundary sign reads x > w for x < w", "chains.py",
+     "(b > w_bit)", "(b < w_bit)", CHAINS),
+    ("boundary pool keeps the output", "chains.py",
+     "if not b & (key_mask | w_bit)]", "if not b & key_mask]", CHAINS),
 ]
 
 

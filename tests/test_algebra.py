@@ -1,4 +1,5 @@
 import io
+import json
 import random
 from itertools import combinations, permutations
 from math import comb
@@ -11,6 +12,7 @@ from conftest import (
     jacobi_residuals_exhaustive,
     jacobi_residuals_increasing,
     lower_central_series_by_brackets,
+    relabelled,
 )
 from karyhom.algebra import (
     KaryAlgebra,
@@ -18,7 +20,6 @@ from karyhom.algebra import (
     algebra_to_json_dict,
     center,
     check_jacobi,
-    dump_algebra,
     is_nilpotent,
     load_algebra,
     lower_central_series,
@@ -120,20 +121,6 @@ def test_weight_additivity_enforced():
     bad_weights[2] = (5, 5)
     with pytest.raises(InputError):
         KaryAlgebra(2, 3, good.labels, good.brackets, bad_weights)
-
-
-def test_from_brackets_normalizes():
-    alg = KaryAlgebra.from_brackets(
-        2, 3, list("abc"), [((1, 0), {2: 1})]
-    )
-    assert alg.brackets == {(0, 1): {2: -1}}
-    with pytest.raises(InputError):
-        KaryAlgebra.from_brackets(2, 3, list("abc"), [((1, 1), {2: 1})])
-    # a key whose entries all cancel is dropped; zero entries go to the constructor
-    alg = KaryAlgebra.from_brackets(
-        2, 3, list("abc"), [((0, 1), {2: 1}), ((1, 0), {2: 1}), ((0, 2), {1: 2, 0: 0})]
-    )
-    assert alg.brackets == {(0, 2): {1: 2}}
 
 
 # -- Jacobi ----------------------------------------------------------------
@@ -298,7 +285,7 @@ def test_center_need_not_be_a_coordinate_subspace():
 def test_json_round_trip(tmp_path):
     for alg in (heisenberg(3, 2), free_two_step(2, 3)):
         path = tmp_path / "alg.json"
-        dump_algebra(alg, path)
+        path.write_text(json.dumps(algebra_to_json_dict(alg)))
         back = load_algebra(path)
         assert back.structure_equal(alg)
         assert back.labels == alg.labels
@@ -347,8 +334,6 @@ def test_json_load_errors():
 
 
 def test_json_dict_is_serializable_and_stable():
-    import json
-
     alg = free_two_step(3, 3)
     doc = algebra_to_json_dict(alg)
     text1 = json.dumps(doc, sort_keys=True)
@@ -366,17 +351,6 @@ def test_jacobi_refuses_more_pairs_than_cap():
 
 
 # -- the adjoint table -------------------------------------------------------
-
-
-def _relabel(alg, rng):
-    """alg under a random basis permutation, keys re-sorted with their sign."""
-    perm = list(range(alg.dim))
-    rng.shuffle(perm)
-    items = [
-        (tuple(perm[i] for i in args), {perm[j]: c for j, c in vec.items()})
-        for args, vec in alg.brackets.items()
-    ]
-    return KaryAlgebra.from_brackets(alg.arity, alg.dim, alg.labels, items)
 
 
 def test_jacobi_matches_increasing_oracle_at_arity_4_and_5():
@@ -401,8 +375,10 @@ def test_jacobi_matches_increasing_oracle_at_arity_4_and_5():
     assert 5 <= broken <= 35
     for alg in (heisenberg(4, 1), acj(4, 1), heisenberg(5, 1), acj(5, 1)):
         for _ in range(3):
-            relabelled = _relabel(alg, rng)
-            assert check_jacobi(relabelled) == jacobi_residuals_increasing(relabelled) == []
+            perm = list(range(alg.dim))
+            rng.shuffle(perm)
+            other = relabelled(alg, perm)
+            assert check_jacobi(other) == jacobi_residuals_increasing(other) == []
 
 
 def test_jacobi_multiplies_through_product_per_adjoint_row(monkeypatch):

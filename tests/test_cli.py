@@ -446,6 +446,18 @@ def test_check_and_dump_round_trip(tmp_path, capsys):
     assert json.loads(out)["report"]["total"] == 7
 
 
+def test_dump_current_algebra_golden(capsys):
+    # acj(2, 1) is [z, x1] = x2; in g (x) C[t]/t^2 the product
+    # [z.t1, x1.t0] has key (3, 1), sorted to [1, 3] by one transposition,
+    # so its value carries the sign -1
+    argv = ("dump", "--family", "current", "--inner", "acj", "--k", "2", "--m", "1", "--j", "2")
+    assert run_cli(capsys, *argv) == (0, (
+        '{"arity":2,"brackets":[{"args":[0,1],"value":[[1,2]]},'
+        '{"args":[0,4],"value":[[1,5]]},{"args":[1,3],"value":[[-1,5]]}],"dim":6,'
+        '"labels":["z.t0","x1_1.t0","x2_1.t0","z.t1","x1_1.t1","x2_1.t1"]}\n'
+    ))
+
+
 def test_check_flags_broken_algebra(tmp_path, capsys):
     code, out = run_cli(capsys, "dump", "--family", "heisenberg", "--k", "3", "--m", "2")
     doc = json.loads(out)

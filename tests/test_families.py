@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from conftest import sorted_with_sign
 from karyhom import families
 from karyhom.algebra import (
     KaryAlgebra,
@@ -10,7 +11,6 @@ from karyhom.algebra import (
     center,
     check_jacobi,
     lower_central_series,
-    sort_with_sign,
 )
 from karyhom.errors import InputError, ResourceCapError
 from karyhom.families import (
@@ -104,17 +104,18 @@ def test_current_algebra():
 
 def _current_by_product_and_filter(alg, j):
     """The current algebra built from all j^k exponent tuples, those with
-    sum j or more dropped."""
+    sum j or more dropped, each key sorted with the sign of its
+    inversion count."""
     n = alg.dim
-    items = []
+    brackets = {}
     for args, vec in alg.brackets.items():
         for ps in product(range(j), repeat=alg.arity):
             s = sum(ps)
             if s < j:
-                new_args, sign = sort_with_sign(tuple(p * n + a for p, a in zip(ps, args)))
-                items.append((new_args, {s * n + w: sign * c for w, c in vec.items()}))
+                key, sign = sorted_with_sign(p * n + a for p, a in zip(ps, args))
+                brackets[key] = {s * n + w: sign * c for w, c in vec.items()}
     labels = [f"{lab}.t{p}" for p in range(j) for lab in alg.labels]
-    return KaryAlgebra.from_brackets(alg.arity, j * n, labels, items)
+    return KaryAlgebra(alg.arity, j * n, labels, brackets)
 
 
 @pytest.mark.parametrize(

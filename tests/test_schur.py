@@ -24,7 +24,12 @@ from karyhom.schur import (
     second_homology_summands,
     stability_check,
 )
-from conftest import characters_by_blocks, graded_filiform3, schur_weights_by_tableaux
+from conftest import (
+    characters_by_blocks,
+    graded_filiform3,
+    schur_weights_by_tableaux,
+    sorted_with_sign,
+)
 
 
 # -- dimensions ---------------------------------------------------------
@@ -163,11 +168,9 @@ def _relabelled_document(alg, rng):
     rng.shuffle(perm)
     brackets = []
     for item in doc["brackets"]:
-        args = [perm[a] for a in item["args"]]
-        inversions = sum(a > b for i, a in enumerate(args) for b in args[i + 1:])
-        sign = -1 if inversions % 2 else 1
+        args, sign = sorted_with_sign(perm[a] for a in item["args"])
         value = sorted([sign * c, perm[i]] for c, i in item["value"])
-        brackets.append({"args": sorted(args), "value": value})
+        brackets.append({"args": list(args), "value": value})
     weights = [None] * alg.dim
     for i, w in enumerate(doc["weights"]):
         weights[perm[i]] = w
