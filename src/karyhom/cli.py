@@ -18,6 +18,7 @@ when it runs, so a process pays start-up only for what it runs.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -365,5 +366,29 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry() -> None:
+    """The process entry of ``python -m karyhom.cli`` and of the
+    ``karyhom`` console script: run `main`, freeze the collector, exit
+    with main's status.
+
+    At shutdown the interpreter runs full cyclic collections over every
+    tracked object of every loaded module: 6-10 ms of a 50-75 ms run on
+    2 cores under Python 3.11.  Freezing the collector once the verb has
+    returned leaves them nothing to walk.  Shutdown still clears the
+    modules, so reference counting frees everything outside a reference
+    cycle as before; only objects in a cycle are left to the operating
+    system, and no finalizer of theirs runs.  That loses nothing here:
+    karyhom defines no ``__del__``, and `load_algebra` and
+    `write_matrix_market` close the files they open with ``with``.
+    The exit goes through `sys.exit`, so atexit handlers, the flush of
+    stdout and stderr and exit status 120 on a failed flush are
+    unchanged.  `main` never freezes: tests and the bench trace mode
+    call it in-process and keep a collectable heap.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -13,7 +13,9 @@ replaces the one occurrence of old by new there and runs pytest on the
 subset.  A test of the subset must fail: a mutant whose subset passes
 survived, and the runner exits 1; any other pytest error exits 2.  Each
 subset is first run on the unchanged copy, where it must pass, so a
-broken subset cannot count as a kill.
+broken subset cannot count as a kill.  A mutant whose subset runs more
+than ten times as long as on the unchanged copy, plus 10 s, has hung (a
+loop that never ends fails CI's job time limit) and is killed.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,6 +39,7 @@ TORAL = ("tests/test_toral.py", "-k", "table")
 SIZE_CAP = ("tests/test_cli.py", "-k", "size_cap")
 RENDER = ("tests/test_cli.py", "-k", "csv or table")
 CURRENT = ("tests/test_families.py", "tests/test_cli.py", "-k", "current")
+ENTRY = ("tests/test_cli.py", "-k", "entry")
 
 # (name, file, old, new, pytest arguments)
 MUTANTS = [
@@ -86,6 +90,13 @@ MUTANTS = [
      "(b > w_bit)", "(b < w_bit)", CHAINS),
     ("boundary pool keeps the output", "chains.py",
      "if not b & (key_mask | w_bit)]", "if not b & key_mask]", CHAINS),
+    ("entry skips the freeze", "cli.py",
+     "gc.freeze()", "pass", ENTRY),
+    ("rank_mod_p without its initial reduction", "matrices.py",
+     "if (r := v % p)}", "if (r := v)}", MATRICES),
+    # a pivot other than 1 never leaves its column, so the reduction loops
+    ("rank_mod_p pivot row left unscaled", "matrices.py",
+     "row[c] = row[c] * inv % p", "row[c] = row[c] % p", MATRICES),
 ]
 
 
@@ -95,11 +106,15 @@ def _copy(into: Path) -> None:
     shutil.copy(ROOT / "pyproject.toml", into / "pyproject.toml")
 
 
-def _pytest(tree: Path, args) -> int:
+def _pytest(tree: Path, args, timeout=None) -> int | None:
     """pytest's exit status: 0 passed, 1 a test failed, other codes an
-    error (a collection error, say), which is not a kill."""
+    error (a collection error, say), which is not a kill; None when the
+    run outlasts timeout seconds."""
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *args]
-    return subprocess.run(command, cwd=tree, capture_output=True).returncode
+    try:
+        return subprocess.run(command, cwd=tree, capture_output=True, timeout=timeout).returncode
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def main(names) -> int:
@@ -111,10 +126,13 @@ def main(names) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         clean = Path(tmp) / "clean"
         _copy(clean)
+        limit = {}  # pytest arguments -> seconds a mutant's run may take
         for args in dict.fromkeys(m[4] for m in mutants):
+            start = time.perf_counter()
             if _pytest(clean, args) != 0:
                 print(f"subset fails on the unchanged source: {' '.join(args)}")
                 return 2
+            limit[args] = 10 * (time.perf_counter() - start) + 10
         survivors = []
         for i, (name, file, old, new, args) in enumerate(mutants):
             tree = Path(tmp) / f"mutant{i}"
@@ -125,12 +143,12 @@ def main(names) -> int:
                 print(f"{name}: {old!r} occurs {text.count(old)} times in {file}, not once")
                 return 2
             path.write_text(text.replace(old, new))
-            status = _pytest(tree, args)
-            if status not in (0, 1):
+            status = _pytest(tree, args, limit[args])
+            if status not in (0, 1, None):
                 print(f"{name}: pytest exited {status}, neither a pass nor a test failure")
                 return 2
-            killed = status == 1
-            print(f"{'killed  ' if killed else 'SURVIVED'}  {name}")
+            killed = status != 0
+            print(f"{'killed  ' if killed else 'SURVIVED'}  {name}{' (hung)' if status is None else ''}")
             if not killed:
                 survivors.append(name)
             shutil.rmtree(tree)

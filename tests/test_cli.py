@@ -1,6 +1,9 @@
+import gc
 import io
 import json
 import os
+import re
+import runpy
 import subprocess
 import sys
 from collections import Counter
@@ -17,7 +20,7 @@ import pytest
 import karyhom.schur  # noqa: F401
 import karyhom.toral  # noqa: F401
 from conftest import read_matrix_market
-from karyhom import families
+from karyhom import cli, families
 from karyhom.chains import differential_matrix
 from karyhom.cli import build_parser, main
 
@@ -798,6 +801,68 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1] == "1,2,1.0,2,1.0,2,1.0,2,1.0"
+
+
+def test_in_process_verbs_leave_the_collector_unfrozen(tmp_path):
+    # tests and the bench trace mode call main in-process; only the process
+    # entry freezes the collector
+    source = ["--family", "heisenberg", "--k", "2", "--m", "2"]
+    runs = {
+        "compute": ["compute", *source, "--export-mm", str(tmp_path / "mm")],
+        "verify": ["verify", *source],
+        "table": ["table", "--nmax", "3"],
+        "decompose": ["decompose", "--family", "free2", "--k", "2", "--n", "3", "--degree", "2"],
+        "check": ["check", *source],
+        "dump": ["dump", *source],
+    }
+    assert set(runs) == set(cli._VERBS)
+    before = gc.get_freeze_count()
+    for verb, argv in runs.items():
+        assert main(argv) == 0, verb
+        assert gc.get_freeze_count() == before, verb
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (("check", "--family", "heisenberg", "--k", "2", "--m", "1"), 0),
+        (("verify", "--family", "acj", "--k", "2", "--m", "2"), 1),
+        (("compute",), 2),
+        (("check", "--family", "heisenberg", "--k", "3", "--m", "2", "--size-cap", "40"), 3),
+    ],
+    ids=["ok", "validator-fails", "usage-error", "size-cap"],
+)
+def test_entry_freezes_after_main_and_exits_with_its_status(monkeypatch, argv, status):
+    events = []
+
+    def recording_main():
+        code = main()
+        events.append(("main returned", code))
+        return code
+
+    monkeypatch.setattr(cli, "main", recording_main)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(sys, "argv", ["karyhom", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert events == [("main returned", status), "freeze"]
+    assert exc.value.code == status
+
+
+def test_module_run_and_console_script_go_through_the_entry(monkeypatch, capsys):
+    frozen = []
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(True))
+    monkeypatch.setattr(sys, "argv", ["karyhom", "--version"])
+    # runpy warns that it runs karyhom.cli again, as __main__
+    with pytest.warns(RuntimeWarning, match="karyhom.cli"), pytest.raises(SystemExit) as exc:
+        runpy.run_module("karyhom.cli", run_name="__main__")
+    assert exc.value.code == 0 and frozen == [True]
+    assert capsys.readouterr().out == "karyhom 0.1.0\n"
+    # read with a regex: Python 3.10 has no tomllib
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as f:
+        script = re.search(r'^karyhom = "karyhom\.cli:(\w+)"$', f.read(), re.M)
+    assert getattr(cli, script.group(1)) is cli.entry
 
 
 def test_jacobi_check_obeys_size_cap(capsys):

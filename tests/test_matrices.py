@@ -62,6 +62,43 @@ def test_rank_against_dense_oracle_randomized():
             assert rank_mod_p(m.row_dicts(), p) == expected
 
 
+def _dense_rank_mod_p(dense, p):
+    """Rank over GF(p) by Gauss-Jordan elimination of the reduced rows."""
+    rows = [[v % p for v in row] for row in dense]
+    r = 0
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c] * inv
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def test_rank_mod_p_at_small_primes():
+    # at the large PRIMES no small entry is a multiple of p; here entries
+    # vanish mod p, pivots other than 1 need scaling, and the rank drops
+    assert rank_mod_p({0: {0: 3}}, 3) == 0
+    assert rank_mod_p({0: {0: 2, 1: 6}, 1: {1: 5}}, 2) == 1
+    assert rank_mod_p({0: {0: 1, 1: 1}, 1: {0: 1, 1: -1}}, 2) == 1
+    assert rank_mod_p({0: {0: 2, 1: 1}, 1: {0: 1, 1: 2}}, 5) == 2
+    rng = random.Random(20261021)
+    drops = 0
+    for trial in range(60):
+        rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
+        dense = [[rng.randrange(-6, 7) for _ in range(cols)] for _ in range(rows)]
+        for p in (2, 3, 5, 7):
+            expected = _dense_rank_mod_p(dense, p)
+            drops += expected < dense_rank(dense)
+            assert rank_mod_p(from_dense(dense).row_dicts(), p) == expected, (trial, p)
+    assert drops >= 20
+
+
 def _with_dependent_rows(rng, dense):
     """dense plus repeated, scaled and summed copies of its rows."""
     dense = [list(row) for row in dense]
