@@ -18,8 +18,6 @@ through `_product`, the one sparse row product, which
 `chains.verify_d_squared` also uses.
 """
 
-from __future__ import annotations
-
 import json
 import re
 from math import lcm
@@ -27,6 +25,24 @@ from math import lcm
 from .errors import InputError, LoadError, ResourceCapError
 
 DEFAULT_SIZE_CAP = 10**6
+_PRINTED_BELOW = 10**18
+
+
+def refuse_over_cap(count: int, cap: int, what: str, *, at_least: bool = False) -> None:
+    """Raise `ResourceCapError` when count exceeds cap.
+
+    The one comparison of a count with the size cap.  `what` says what
+    was counted, with `{}` where the count goes; at_least marks a count
+    that only bounds the true one from below.  A count of 10^18 or more
+    is written "over 10^18", so no refusal converts an unbounded int
+    to str.
+    """
+    if count > cap:
+        if count >= _PRINTED_BELOW:
+            shown = "over 10^18"
+        else:
+            shown = f"at least {count}" if at_least else str(count)
+        raise ResourceCapError(f"{what.replace('{}', shown)} (cap {cap})")
 
 
 def _all_int(values) -> bool:
@@ -239,18 +255,14 @@ def check_jacobi(alg: KaryAlgebra, *, cap=DEFAULT_SIZE_CAP):
     over the stored keys and |rows|^2 products of table rows.  Each key
     gives k distinct rows, so k <= |rows| <= k * |keys| and the visits
     are at most (k+1) * |keys| * |rows|; more than cap is refused before
-    they start (cap None: no limit), and so is (k+1) * k * |keys| > cap
-    before the table, of about k^2 * |keys| entries, is built.
+    they start, and so is (k+1) * k * |keys| > cap before the table, of
+    about k^2 * |keys| entries, is built.
     """
     k, keys = alg.arity, len(alg.brackets)
-    if cap is not None and (k + 1) * k * keys > cap:
-        raise ResourceCapError(
-            f"Jacobi check visits at least {(k + 1) * k * keys} (inner, outer) pairs (cap {cap})"
-        )
+    what = "Jacobi check visits {} (inner, outer) pairs"
+    refuse_over_cap((k + 1) * k * keys, cap, what, at_least=True)
     ad = _adjoint(alg)
-    bound = (k + 1) * keys * len(ad)
-    if cap is not None and bound > cap:
-        raise ResourceCapError(f"Jacobi check visits up to {bound} (inner, outer) pairs (cap {cap})")
+    refuse_over_cap((k + 1) * keys * len(ad), cap, "Jacobi check visits up to {} (inner, outer) pairs")
     fails = []
     for outer, ad_outer in ad.items():
         residual = _product(alg.brackets, ad_outer)

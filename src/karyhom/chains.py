@@ -39,14 +39,12 @@ The condition is checked on each algebra's brackets; a custom algebra
 that fails it eliminates every degree.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from itertools import combinations
 from math import comb
 
-from .algebra import DEFAULT_SIZE_CAP, KaryAlgebra, _product
-from .errors import InputError, ResourceCapError
+from .algebra import DEFAULT_SIZE_CAP, KaryAlgebra, _product, refuse_over_cap
+from .errors import InputError
 
 
 def comb0(n: int, r: int) -> int:
@@ -56,14 +54,10 @@ def comb0(n: int, r: int) -> int:
     return comb(n, r)
 
 
-def check_cap(alg: KaryAlgebra, degrees, cap) -> None:
-    """Refuse chain spaces of more than cap monomials (cap None: no limit)."""
-    if cap is None:
-        return
+def check_cap(alg: KaryAlgebra, degrees, cap: int) -> None:
+    """Refuse chain spaces of more than cap monomials."""
     for t in degrees:
-        size = comb0(alg.dim, t)
-        if size > cap:
-            raise ResourceCapError(f"chain space at degree {t} has {size} monomials (cap {cap})")
+        refuse_over_cap(comb0(alg.dim, t), cap, f"chain space at degree {t} has {{}} monomials")
 
 
 def _boundary_rows(alg: KaryAlgebra, t: int) -> dict:

@@ -16,8 +16,6 @@ only for --family, and each verb imports the engine modules it runs
 when it runs, so a process pays start-up only for what it runs.
 """
 
-from __future__ import annotations
-
 import gc
 import json
 import math

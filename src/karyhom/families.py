@@ -8,33 +8,28 @@ Each constructor checks its parameters, then counts the terms it would
 allocate (basis elements plus bracket-key entries; for free2, also the
 n entries of each basis element's weight vector; for a current
 algebra, basis elements plus the C(j+k-1, k) products it forms per
-bracket of its base) and refuses a count above cap (None: no limit)
-before allocating anything.
+bracket of its base) and refuses a count above cap before allocating
+anything.  The free2 and current counts take C(n, k) from `_subsets`,
+which may stop short of it, so their refusals say "at least".
 """
-
-from __future__ import annotations
 
 from collections import namedtuple
 from itertools import combinations
 
-from .algebra import DEFAULT_SIZE_CAP, KaryAlgebra, sort_with_sign
-from .errors import InputError, ResourceCapError
+from .algebra import DEFAULT_SIZE_CAP, KaryAlgebra, refuse_over_cap, sort_with_sign
+from .errors import InputError
+
+# a build's refusal, once its name is filled in; `refuse_over_cap` puts the count at {}
+_BUILD = "building {} exceeds the size cap: {{}} basis elements and bracket terms"
 
 
-def _check_build(name: str, size: int, cap) -> None:
-    if cap is not None and size > cap:
-        raise ResourceCapError(
-            f"building {name} exceeds the size cap: over {cap} basis elements and bracket terms"
-        )
-
-
-def _subsets(n: int, k: int, cap) -> int:
+def _subsets(n: int, k: int, cap: int) -> int:
     """C(n, k), or a partial product C(n, i) > cap with i <= min(k, n-k)
     once one passes cap, which C(n, k) then does too."""
     c = 1
     for i in range(min(k, n - k)):
         c = c * (n - i) // (i + 1)
-        if cap is not None and c > cap:
+        if c > cap:
             break
     return c
 
@@ -43,7 +38,7 @@ def heisenberg(k: int, m: int, *, cap=DEFAULT_SIZE_CAP) -> KaryAlgebra:
     """k-ary Heisenberg algebra: dim km+1, brackets [x^1_i,...,x^k_i] = z."""
     if k < 2 or m < 1:
         raise InputError(f"heisenberg needs k >= 2 and m >= 1, got ({k}, {m})")
-    _check_build(f"heisenberg({k}, {m})", 2 * k * m + 1, cap)
+    refuse_over_cap(2 * k * m + 1, cap, _BUILD.format(f"heisenberg({k}, {m})"))
     labels = [f"x{j}_{i}" for j in range(1, k + 1) for i in range(1, m + 1)] + ["z"]
     z = k * m
     brackets = {}
@@ -57,7 +52,7 @@ def acj(k: int, m: int, *, cap=DEFAULT_SIZE_CAP) -> KaryAlgebra:
     """ACJ-type algebra: dim km+1, brackets [z, x^1_i,...,x^{k-1}_i] = x^k_i."""
     if k < 2 or m < 1:
         raise InputError(f"acj needs k >= 2 and m >= 1, got ({k}, {m})")
-    _check_build(f"acj({k}, {m})", 2 * k * m + 1, cap)
+    refuse_over_cap(2 * k * m + 1, cap, _BUILD.format(f"acj({k}, {m})"))
     labels = ["z"] + [
         f"x{j}_{i}" for j in range(1, k + 1) for i in range(1, m + 1)
     ]
@@ -80,11 +75,9 @@ def free_two_step(k: int, n: int, *, cap=DEFAULT_SIZE_CAP) -> KaryAlgebra:
     if n < k:
         raise InputError(f"free_two_step needs n >= k, got n={n} < k={k}")
     c = _subsets(n, k, cap)  # weights: n + c vectors of n entries
-    if cap is not None and n + (k + 1) * c + (n + c) * n > cap:
-        raise ResourceCapError(
-            f"building free_two_step({k}, {n}) exceeds the size cap: "
-            f"over {cap} basis elements, bracket terms and weight entries"
-        )
+    what = f"building free_two_step({k}, {n}) exceeds the size cap: "
+    what += "{} basis elements, bracket terms and weight entries"
+    refuse_over_cap(n + (k + 1) * c + (n + c) * n, cap, what, at_least=True)
     subsets = list(combinations(range(n), k))
     labels = [f"e{i + 1}" for i in range(n)] + [
         "w_" + "_".join(str(i + 1) for i in s) for s in subsets
@@ -108,7 +101,7 @@ def free_three_step_small(k: int, *, cap=DEFAULT_SIZE_CAP) -> KaryAlgebra:
     """
     if k < 3:
         raise InputError(f"free_three_step_small needs k >= 3, got {k}")
-    _check_build(f"free_three_step_small({k})", 2 * k + 1 + k * (k + 1), cap)
+    refuse_over_cap(2 * k + 1 + k * (k + 1), cap, _BUILD.format(f"free_three_step_small({k})"))
     labels = (
         [f"x{i + 1}" for i in range(k)]
         + ["y"]
@@ -154,7 +147,8 @@ def current_algebra(alg: KaryAlgebra, j: int, *, cap=DEFAULT_SIZE_CAP) -> KaryAl
     if j < 1:
         raise InputError(f"truncation must be at least 1, got {j}")
     products = len(alg.brackets) * _subsets(j + alg.arity - 1, alg.arity, cap)
-    _check_build(f"current({alg!r}, {j})", j * alg.dim + products, cap)
+    what = _BUILD.format(f"current({alg!r}, {j})")
+    refuse_over_cap(j * alg.dim + products, cap, what, at_least=True)
     n = alg.dim
     labels = [f"{lab}.t{p}" for p in range(j) for lab in alg.labels]
     brackets = {}
@@ -169,7 +163,7 @@ def abelian(k: int, n: int, *, cap=DEFAULT_SIZE_CAP) -> KaryAlgebra:
     """Abelian algebra of dimension n with arity-k (vanishing) bracket."""
     if k < 2 or n < 1:
         raise InputError(f"abelian needs k >= 2 and n >= 1, got ({k}, {n})")
-    _check_build(f"abelian({k}, {n})", n, cap)
+    refuse_over_cap(n, cap, _BUILD.format(f"abelian({k}, {n})"))
     return KaryAlgebra(k, n, [f"a{i + 1}" for i in range(n)], {})
 
 

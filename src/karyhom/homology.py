@@ -14,14 +14,10 @@ so nothing here eliminates; `theta_matrix` indexes theta_j for demos,
 tests and outside checks.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
-from .algebra import KaryAlgebra, lower_central_series
-from .chains import (
-    DEFAULT_SIZE_CAP, ChainLayout, _boundary_rows, _drop_factor, _indexed, check_cap, comb0,
-)
+from .algebra import DEFAULT_SIZE_CAP, KaryAlgebra, lower_central_series
+from .chains import ChainLayout, _boundary_rows, _drop_factor, _indexed, check_cap, comb0
 from .errors import InputError
 
 

@@ -28,8 +28,6 @@ them before `_eliminate` reduces them in place.
 reads it.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from math import gcd
 

@@ -11,12 +11,10 @@ Schur character is ever tabled.  All of it is exact integer
 combinatorics; dimensions come from the hook content formula.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 
-from .algebra import KaryAlgebra, sort_with_sign
-from .chains import DEFAULT_SIZE_CAP, ChainLayout, comb0
+from .algebra import DEFAULT_SIZE_CAP, KaryAlgebra, sort_with_sign
+from .chains import ChainLayout, comb0
 from .errors import ConsistencyError, InputError
 
 # -- partitions and Schur dimensions -------------------------------------

@@ -11,8 +11,6 @@ factor as exact ints; `cli` renders the table and adds its log2 column.
 Like every engine module this one uses no floating point.
 """
 
-from __future__ import annotations
-
 import sys
 from itertools import islice
 

@@ -80,8 +80,10 @@ MUTANTS = [
      ">= 10**limit:", ">= 10**(limit - 1):", TORAL),
     ("trace sign dropped", "chains.py",
      "+= -vec[w] if i % 2 else vec[w]", "+= vec[w]", CHAINS),
-    ("chain-space cap counts its own size", "chains.py",
-     "if size > cap:", "if size >= cap:", SIZE_CAP),
+    ("size-cap refusal reads > as >=", "algebra.py",
+     "if count > cap:", "if count >= cap:", SIZE_CAP),
+    ("size-cap refusal never refuses", "algebra.py",
+     "if count > cap:", "if False:", SIZE_CAP),
     ("CSV writer drops its header", "cli.py",
      "for line in [header, *rows])", "for line in rows)", RENDER),
     ("current algebra drops the key sign", "families.py",

@@ -23,6 +23,7 @@ from karyhom.algebra import (
     is_nilpotent,
     load_algebra,
     lower_central_series,
+    refuse_over_cap,
 )
 from karyhom.errors import InputError, LoadError, ResourceCapError
 from karyhom.families import (
@@ -347,7 +348,22 @@ def test_jacobi_refuses_more_pairs_than_cap():
     with pytest.raises(ResourceCapError):
         check_jacobi(alg, cap=47)
     assert check_jacobi(alg, cap=48) == []
-    assert check_jacobi(alg, cap=None) == []
+
+
+def test_refusal_prints_a_count_only_below_10_18():
+    what = "space has {} monomials"
+    refuse_over_cap(7, 7, what)
+    for count, at_least, shown in (
+        (8, False, "8"),
+        (8, True, "at least 8"),
+        (10**18 - 1, True, f"at least {10**18 - 1}"),
+        (10**18, False, "over 10^18"),
+        (10**18, True, "over 10^18"),
+        (1 << 100_000, False, "over 10^18"),  # 30103 digits, past the str limit
+    ):
+        with pytest.raises(ResourceCapError) as info:
+            refuse_over_cap(count, 7, what, at_least=at_least)
+        assert str(info.value) == f"space has {shown} monomials (cap 7)"
 
 
 # -- the adjoint table -------------------------------------------------------

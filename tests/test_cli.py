@@ -21,8 +21,10 @@ import karyhom.schur  # noqa: F401
 import karyhom.toral  # noqa: F401
 from conftest import read_matrix_market
 from karyhom import cli, families
+from karyhom.algebra import check_jacobi
 from karyhom.chains import differential_matrix
 from karyhom.cli import build_parser, main
+from karyhom.errors import ResourceCapError
 
 
 def run_cli(capsys, *argv):
@@ -753,6 +755,65 @@ def test_size_cap_reaches_chain_space_and_jacobi_checks(capsys):
         captured = capsys.readouterr()
         assert code == 3, argv
         assert captured.err.startswith(f"error: {check}"), argv
+
+
+def test_size_cap_admits_a_build_of_exactly_cap_terms(capsys):
+    # heisenberg(2, 3): 7 basis elements and 3 keys of 2 entries each
+    argv = ["dump", "--family", "heisenberg", "--k", "2", "--m", "3"]
+    code, out = run_cli(capsys, *argv, "--size-cap", "13")
+    assert code == 0 and json.loads(out)["dim"] == 7
+    assert main([*argv, "--size-cap", "12"]) == 3
+    assert capsys.readouterr().err == (
+        "error: building heisenberg(2, 3) exceeds the size cap: 13 basis elements and bracket terms (cap 12)\n"
+    )
+
+
+def test_size_cap_admits_a_jacobi_floor_of_exactly_cap_pairs():
+    # heisenberg(3, 2): the floor is (3 + 1) * 3 * 2 keys = 24 pairs, and
+    # the bound (3 + 1) * 2 keys * 6 table rows = 48
+    alg = families.heisenberg(3, 2)
+    with pytest.raises(ResourceCapError) as info:
+        check_jacobi(alg, cap=23)
+    assert str(info.value) == "Jacobi check visits at least 24 (inner, outer) pairs (cap 23)"
+    with pytest.raises(ResourceCapError) as info:
+        check_jacobi(alg, cap=24)
+    assert str(info.value) == "Jacobi check visits up to 48 (inner, outer) pairs (cap 24)"
+
+
+# counts with hundreds to thousands of digits: C(20000, 10000) has 6019,
+# past the 4300 that int-to-str allows by default
+_HUGE_COUNTS = (
+    ("compute", "--family", "abelian", "--k", "2", "--n", "20000", "--degree", "10000"),
+    ("compute", "--family", "heisenberg", "--k", "2", "--m", "8000", "--degree", "8000"),
+    ("compute", "--family", "heisenberg", "--k", "2", "--m", "3000", "--degree", "3000"),
+    ("decompose", "--family", "free2", "--k", "2", "--n", "100", "--degree", "2600"),
+)
+
+
+def _assert_short_refusal(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 3, argv
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and len(captured.err.encode()) < 200, captured.err
+    assert captured.err.endswith(" over 10^18 monomials (cap 1000000)\n")
+
+
+@pytest.mark.parametrize("argv", _HUGE_COUNTS, ids=["abelian", "heisenberg-8000", "heisenberg-3000", "free2"])
+def test_size_cap_refusal_of_a_huge_count_is_one_short_line(capsys, argv):
+    _assert_short_refusal(capsys, argv)
+
+
+def test_size_cap_refusal_under_the_smallest_str_digit_limit(capsys):
+    # C(2400, 1200) has 722 digits, over 640, the lowest limit a host can set
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        _assert_short_refusal(
+            capsys, ("compute", "--family", "abelian", "--k", "2", "--n", "2400", "--degree", "1200")
+        )
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 _MM_HEADER = "%%MatrixMarket matrix coordinate integer general\n"

@@ -4,14 +4,16 @@ The footprint test counts modules in a fresh interpreter, not time, so
 it does not depend on the host's speed.  ``python -S`` skips the site
 module, so no host ``.pth`` file adds modules of its own.  The source
 scans at the end keep floating point out of the computational core,
-monomial-mask bit arithmetic inside ``chains``, and the elimination of
-whole boundaries inside ``chains`` and ``matrices``.
+monomial-mask bit arithmetic inside ``chains``, the elimination of
+whole boundaries inside ``chains`` and ``matrices``, and every size-cap
+refusal inside one function.
 """
 
 import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -77,7 +79,10 @@ sys.stdout = out
 print(json.dumps({"codes": codes, "stages": stages}))
 """
 
-PARSING = {"argparse", "gettext", "locale"}
+# the CLI reads argv from its verb table, and no module imports
+# annotations from __future__: each annotation names an object defined
+# before it is read
+UNLOADED = {"argparse", "gettext", "locale", "__future__"}
 HEAVY_STDLIB = {"dataclasses", "inspect", "typing", "fractions", "decimal", "random"}
 ENGINE = {f"karyhom.{m}" for m in ("chains", "homology", "schur", "toral")}
 
@@ -154,9 +159,8 @@ def test_dump_and_check_load_no_matrices(input_footprint, footprint):
 
 
 def test_no_run_loads_argparse_gettext_or_locale(footprint, input_footprint):
-    # the CLI reads argv from its verb table
     for stage, modules in [*footprint.items(), *input_footprint.items()]:
-        assert not modules & PARSING, stage
+        assert not modules & UNLOADED, stage
 
 
 def test_parser_of_one_verb_and_of_all(capsys):
@@ -178,7 +182,7 @@ def test_parser_of_one_verb_and_of_all(capsys):
 def test_table_loads_neither_homology_nor_chains():
     doc = _run_fresh(TABLE)
     assert doc["code"] == 0
-    assert "karyhom.toral" in doc["modules"] and not PARSING & set(doc["modules"])
+    assert "karyhom.toral" in doc["modules"] and not UNLOADED & set(doc["modules"])
     assert not {"karyhom.homology", "karyhom.chains"} & set(doc["modules"])
 
 
@@ -313,3 +317,43 @@ def test_only_matrices_and_chains_name_eliminate():
     probe = "from .matrices import _eliminate as e\n_eliminate(r)\nm._eliminate\ngetattr(m, '_eliminate')\n"
     kinds = [(1, "import"), (2, "name"), (3, "attribute"), (4, "string")]
     assert sorted(_eliminate_uses(ast.parse(probe))) == kinds
+
+
+# The size cap is an int with one refusal, `algebra.refuse_over_cap`: no
+# other code compares a count with it or raises ResourceCapError for it.
+def _cap_uses(tree, function="<module>"):
+    """(function, what) for each call of ResourceCapError ("construct")
+    and each comparison naming `cap` ("compare") in a module's AST, with
+    the name of the innermost enclosing function."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _cap_uses(node, node.name)
+            continue
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ResourceCapError":
+            yield function, "construct"
+        elif isinstance(node, ast.Compare):
+            if any(isinstance(x, ast.Name) and x.id == "cap" for x in (node.left, *node.comparators)):
+                yield function, "compare"
+        yield from _cap_uses(node, function)
+
+
+def test_one_refusal_compares_counts_with_the_size_cap():
+    package = Path(karyhom.__file__).resolve().parent
+    found = sorted(
+        (path.stem, function, what)
+        for path in package.glob("*.py")
+        for function, what in _cap_uses(ast.parse(path.read_text()))
+    )
+    assert found == [
+        ("algebra", "refuse_over_cap", "compare"),
+        ("algebra", "refuse_over_cap", "construct"),
+        ("families", "_subsets", "compare"),  # its loop guard, not a refusal
+        ("toral", "toral_table_rows", "construct"),  # the str digit limit, not the cap
+    ]
+    named = [path.name for path in package.glob("*.py") if re.search(r"cap is (not )?None", path.read_text())]
+    assert not named, named
+    # the scan sees every form it looks for
+    probe = "raise ResourceCapError('x')\ndef f(cap):\n    if n > cap or cap is None:\n        g(cap is not None)\n"
+    assert sorted(_cap_uses(ast.parse(probe))) == [
+        ("<module>", "construct"), ("f", "compare"), ("f", "compare"), ("f", "compare"),
+    ]

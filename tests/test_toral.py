@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from conftest import refinement_bound_by_binomials
-from karyhom.errors import InputError
+from karyhom.errors import InputError, ResourceCapError
 from karyhom.families import (
     abelian,
     acj,
@@ -14,7 +14,6 @@ from karyhom.families import (
     free_two_step,
     heisenberg,
 )
-from karyhom import homology
 from karyhom.algebra import KaryAlgebra
 from karyhom.toral import refinement_bound, toral_table_rows, verify_toral
 
@@ -144,8 +143,6 @@ def test_table_digit_limit_is_exact(monkeypatch):
     # 2^14284 has 4300 digits and 2^14285 has 4301: the last table under
     # the default limit ends at n = 14284.  The limit is read through
     # sys, so it applies also where the interpreter has none.
-    from karyhom.errors import ResourceCapError
-
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
     assert 10**4299 < 2**14284 < 10**4300 < 2**14285
     assert toral_table_rows(14284, (2,))[-1] == {"n": 14284, "k2": 2**7142}
@@ -206,6 +203,9 @@ def test_verify_toral_power_bound_reads_all_degrees(k, n):
     assert rec["holds_power"] and rec["ok"]
 
 
-def test_verify_toral_cap_none_means_no_limit(monkeypatch):
-    monkeypatch.setattr(homology, "DEFAULT_SIZE_CAP", 10)
-    assert verify_toral(heisenberg(3, 2), cap=None)["ok"]
+def test_verify_toral_takes_its_cap_to_every_degree():
+    # heisenberg(3, 2) has 7 dimensions: its largest chain spaces, at
+    # degrees 3 and 4, hold C(7, 3) = 35 monomials
+    assert verify_toral(heisenberg(3, 2), cap=35)["ok"]
+    with pytest.raises(ResourceCapError, match="has 35 monomials"):
+        verify_toral(heisenberg(3, 2), cap=34)
