@@ -6,7 +6,7 @@ chain degrees 1, k, 2k-1, ... and every rank below is an exact integer
 computation (no floating point anywhere).
 """
 
-from karyhom import betti_all, heisenberg, verify_heisenberg
+from karyhom import betti_all, heisenberg, verify_family
 
 for k, m in ((2, 1), (2, 3), (3, 1), (3, 2), (5, 1)):
     rep = betti_all(heisenberg(k, m), description=f"heisenberg(k={k}, m={m})")
@@ -17,13 +17,15 @@ print()
 print("Comparison with the closed form C(km, i(k-1)+1) - C(km, (i-1)(k-1)),")
 print("asserted only inside its validity range (degrees up to the middle):")
 for k, m in ((2, 2), (3, 1), (3, 2), (3, 3)):
-    rec = verify_heisenberg(heisenberg(k, m))
+    rec = verify_family(heisenberg(k, m), "heisenberg")
     for row in rec["rows"]:
-        tag = "asserted" if row["in_range"] else "report-only"
-        mark = "ok" if row["betti_match"] else "MISMATCH"
+        if row["quantity"] != "betti":
+            continue
+        tag = "asserted" if row["asserted"] else "report-only"
+        mark = "ok" if row["match"] else "MISMATCH"
         print(
-            f"  (k={k}, m={m}) H^{row['degree']}: direct {row['betti']}, "
-            f"formula {row['formula']} [{tag}: {mark}]"
+            f"  (k={k}, m={m}) H^{row['degree']}: direct {row['value']}, "
+            f"formula {row['expected']} [{tag}: {mark}]"
         )
 
 print()

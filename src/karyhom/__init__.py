@@ -52,9 +52,7 @@ _EXPORTS = {
         "property_m_check",
         "theta_matrix",
         "total_homology_all_degrees",
-        "verify_acj",
-        "verify_free3",
-        "verify_heisenberg",
+        "verify_family",
     ),
     "matrices": ("rank", "rank_mod_p", "write_matrix_market"),
     "schur": (

@@ -22,10 +22,9 @@ import json
 import re
 from math import lcm
 
-from .errors import InputError, LoadError, ResourceCapError
+from .errors import PRINTED_BELOW, InputError, LoadError, ResourceCapError, shown
 
 DEFAULT_SIZE_CAP = 10**6
-_PRINTED_BELOW = 10**18
 
 
 def refuse_over_cap(count: int, cap: int, what: str, *, at_least: bool = False) -> None:
@@ -33,16 +32,13 @@ def refuse_over_cap(count: int, cap: int, what: str, *, at_least: bool = False) 
 
     The one comparison of a count with the size cap.  `what` says what
     was counted, with `{}` where the count goes; at_least marks a count
-    that only bounds the true one from below.  A count of 10^18 or more
-    is written "over 10^18", so no refusal converts an unbounded int
-    to str.
+    that only bounds the true one from below.  The count and the cap are
+    written by `errors.shown`, so one of 10^18 or more is "over 10^18"
+    and no refusal converts an unbounded int to str.
     """
     if count > cap:
-        if count >= _PRINTED_BELOW:
-            shown = "over 10^18"
-        else:
-            shown = f"at least {count}" if at_least else str(count)
-        raise ResourceCapError(f"{what.replace('{}', shown)} (cap {cap})")
+        text = f"at least {count}" if at_least and count < PRINTED_BELOW else shown(count)
+        raise ResourceCapError(f"{what.replace('{}', text)} (cap {shown(cap)})")
 
 
 def _all_int(values) -> bool:

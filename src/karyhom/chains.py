@@ -44,7 +44,7 @@ from itertools import combinations
 from math import comb
 
 from .algebra import DEFAULT_SIZE_CAP, KaryAlgebra, _product, refuse_over_cap
-from .errors import InputError
+from .errors import InputError, shown
 
 
 def comb0(n: int, r: int) -> int:
@@ -349,7 +349,7 @@ class ChainLayout:
         """Refuse t unless it is a layout degree whose chain spaces t-k+1,
         t and t+k-1 are under cap (`check_cap`)."""
         if t not in self.degrees:
-            raise InputError(f"degree {t} is not in the layout {self.degrees}")
+            raise InputError(f"degree {shown(t)} is not in the layout {self.degrees}")
         k = self.algebra.arity
         check_cap(self.algebra, (t, t - k + 1, t + k - 1), cap)
 

@@ -20,12 +20,13 @@ import gc
 import json
 import math
 import os
+import re
 import sys
 from types import SimpleNamespace
 
 from . import __version__
 from .algebra import DEFAULT_SIZE_CAP, algebra_to_json_dict, check_jacobi, load_algebra
-from .errors import ConsistencyError, InputError, ResourceCapError
+from .errors import ConsistencyError, InputError, ResourceCapError, shown
 
 SCHEMA = "karyhom-cli/1"
 
@@ -114,7 +115,7 @@ class _Parser:
             text = f"karyhom {__version__}\n" if verb == "--version" else self.format_help()
             return SimpleNamespace(command=None, text=text)
         if verb not in _VERBS:
-            raise InputError(f"unknown verb {verb!r}; the verbs are {', '.join(_VERBS)}")
+            raise InputError(f"unknown verb {shown(verb)}; the verbs are {', '.join(_VERBS)}")
         options = _VERBS[verb][2]
         values = {name: default for name, (_, default) in options.items()}
         words = iter(words)
@@ -124,7 +125,7 @@ class _Parser:
             flag, eq, value = word.partition("=")
             if flag[:2] != "--" or flag[2:] not in options:
                 listed = ", ".join(f"--{name}" for name in options)
-                raise InputError(f"unknown option {word!r} for {verb}; its options are {listed}")
+                raise InputError(f"unknown option {shown(word)} for {verb}; its options are {listed}")
             if not eq:
                 value = next(words, None)
                 if value is None or value.startswith("--"):
@@ -134,9 +135,12 @@ class _Parser:
                 try:
                     value = int(value)
                 except ValueError:
-                    raise InputError(f"{flag} expects an integer, got {value!r}") from None
+                    # a well-formed literal fails only past the interpreter's digit limit
+                    if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", value):
+                        raise InputError(f"{flag} has too many digits to read as an integer") from None
+                    raise InputError(f"{flag} expects an integer, got {shown(value)}") from None
             elif isinstance(kind, tuple) and value not in kind:
-                raise InputError(f"{flag} expects one of {', '.join(kind)}, got {value!r}")
+                raise InputError(f"{flag} expects one of {', '.join(kind)}, got {shown(value)}")
             values[flag[2:]] = value
         for name, value in values.items():
             if value is REQUIRED:
@@ -200,7 +204,7 @@ def _cmd_compute(args) -> int:
 
 def _verify_checks(alg, desc, spec, cap):
     from .chains import verify_d_squared
-    from .homology import verify_acj, verify_free3, verify_heisenberg
+    from .homology import FAMILY_FORMS, verify_family
     from .toral import verify_toral
 
     checks = []
@@ -223,15 +227,9 @@ def _verify_checks(alg, desc, spec, cap):
         tor = {"ok": False, "error": str(exc)}
     checks.append({"check": "toral", "ok": tor["ok"], "detail": tor})
 
-    family_checks = {
-        "heisenberg": ("heisenberg_formula", verify_heisenberg),
-        "acj": ("acj_formulas", verify_acj),
-        "free3small": ("free3_formula", verify_free3),
-    }
-    if spec is not None and spec.tag in family_checks:
-        name, validator = family_checks[spec.tag]
-        rec = validator(alg, cap=cap)
-        checks.append({"check": name, "ok": rec["ok"], "detail": rec})
+    if spec is not None and spec.tag in FAMILY_FORMS:
+        rec = verify_family(alg, spec.tag, cap=cap)
+        checks.append({"check": FAMILY_FORMS[spec.tag][0], "ok": rec["ok"], "detail": rec})
     return checks
 
 
@@ -263,7 +261,7 @@ def _cmd_table(args) -> int:
     try:
         k_list = tuple(int(x) for x in args.k.split(","))
     except ValueError:
-        raise InputError(f"--k expects comma-separated integers, got {args.k!r}")
+        raise InputError(f"--k expects comma-separated integers, got {shown(args.k)}")
     # each bound column k<k> is followed by its log2 column k<k>_log2
     header = ["n", *(key for k in k_list for key in (f"k{k}", f"k{k}_log2"))]
     rows = []
@@ -354,7 +352,7 @@ def main(argv=None) -> int:
             sys.stdout.write(args.text)
             return 0
         if getattr(args, "size_cap", 0) < 0:
-            raise InputError(f"--size-cap must be at least 0, got {args.size_cap}")
+            raise InputError(f"--size-cap must be at least 0, got {shown(args.size_cap)}")
         return _VERBS[args.command][0](args)
     except ResourceCapError as exc:
         sys.stderr.write(f"error: {exc}\n")

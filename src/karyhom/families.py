@@ -17,10 +17,13 @@ from collections import namedtuple
 from itertools import combinations
 
 from .algebra import DEFAULT_SIZE_CAP, KaryAlgebra, refuse_over_cap, sort_with_sign
-from .errors import InputError
+from .errors import InputError, shown
 
-# a build's refusal, once its name is filled in; `refuse_over_cap` puts the count at {}
-_BUILD = "building {} exceeds the size cap: {{}} basis elements and bracket terms"
+
+def _build(family, *params, counted="basis elements and bracket terms"):
+    """A build's refusal, each parameter written by `errors.shown`;
+    `refuse_over_cap` puts the count at {}."""
+    return f"building {family}({', '.join(map(shown, params))}) exceeds the size cap: {{}} {counted}"
 
 
 def _subsets(n: int, k: int, cap: int) -> int:
@@ -37,8 +40,8 @@ def _subsets(n: int, k: int, cap: int) -> int:
 def heisenberg(k: int, m: int, *, cap=DEFAULT_SIZE_CAP) -> KaryAlgebra:
     """k-ary Heisenberg algebra: dim km+1, brackets [x^1_i,...,x^k_i] = z."""
     if k < 2 or m < 1:
-        raise InputError(f"heisenberg needs k >= 2 and m >= 1, got ({k}, {m})")
-    refuse_over_cap(2 * k * m + 1, cap, _BUILD.format(f"heisenberg({k}, {m})"))
+        raise InputError(f"heisenberg needs k >= 2 and m >= 1, got ({shown(k)}, {shown(m)})")
+    refuse_over_cap(2 * k * m + 1, cap, _build("heisenberg", k, m))
     labels = [f"x{j}_{i}" for j in range(1, k + 1) for i in range(1, m + 1)] + ["z"]
     z = k * m
     brackets = {}
@@ -51,8 +54,8 @@ def heisenberg(k: int, m: int, *, cap=DEFAULT_SIZE_CAP) -> KaryAlgebra:
 def acj(k: int, m: int, *, cap=DEFAULT_SIZE_CAP) -> KaryAlgebra:
     """ACJ-type algebra: dim km+1, brackets [z, x^1_i,...,x^{k-1}_i] = x^k_i."""
     if k < 2 or m < 1:
-        raise InputError(f"acj needs k >= 2 and m >= 1, got ({k}, {m})")
-    refuse_over_cap(2 * k * m + 1, cap, _BUILD.format(f"acj({k}, {m})"))
+        raise InputError(f"acj needs k >= 2 and m >= 1, got ({shown(k)}, {shown(m)})")
+    refuse_over_cap(2 * k * m + 1, cap, _build("acj", k, m))
     labels = ["z"] + [
         f"x{j}_{i}" for j in range(1, k + 1) for i in range(1, m + 1)
     ]
@@ -71,12 +74,11 @@ def free_two_step(k: int, n: int, *, cap=DEFAULT_SIZE_CAP) -> KaryAlgebra:
     e_i -> epsilon_i, w_S -> sum over S.
     """
     if k < 2:
-        raise InputError(f"arity must be at least 2, got {k}")
+        raise InputError(f"arity must be at least 2, got {shown(k)}")
     if n < k:
-        raise InputError(f"free_two_step needs n >= k, got n={n} < k={k}")
+        raise InputError(f"free_two_step needs n >= k, got n={shown(n)} < k={shown(k)}")
     c = _subsets(n, k, cap)  # weights: n + c vectors of n entries
-    what = f"building free_two_step({k}, {n}) exceeds the size cap: "
-    what += "{} basis elements, bracket terms and weight entries"
+    what = _build("free_two_step", k, n, counted="basis elements, bracket terms and weight entries")
     refuse_over_cap(n + (k + 1) * c + (n + c) * n, cap, what, at_least=True)
     subsets = list(combinations(range(n), k))
     labels = [f"e{i + 1}" for i in range(n)] + [
@@ -100,8 +102,8 @@ def free_three_step_small(k: int, *, cap=DEFAULT_SIZE_CAP) -> KaryAlgebra:
     z_i vanish.  Dimension 2k+1.
     """
     if k < 3:
-        raise InputError(f"free_three_step_small needs k >= 3, got {k}")
-    refuse_over_cap(2 * k + 1 + k * (k + 1), cap, _BUILD.format(f"free_three_step_small({k})"))
+        raise InputError(f"free_three_step_small needs k >= 3, got {shown(k)}")
+    refuse_over_cap(2 * k + 1 + k * (k + 1), cap, _build("free_three_step_small", k))
     labels = (
         [f"x{i + 1}" for i in range(k)]
         + ["y"]
@@ -145,10 +147,9 @@ def current_algebra(alg: KaryAlgebra, j: int, *, cap=DEFAULT_SIZE_CAP) -> KaryAl
     all that stands between the products and the constructor.
     """
     if j < 1:
-        raise InputError(f"truncation must be at least 1, got {j}")
+        raise InputError(f"truncation must be at least 1, got {shown(j)}")
     products = len(alg.brackets) * _subsets(j + alg.arity - 1, alg.arity, cap)
-    what = _BUILD.format(f"current({alg!r}, {j})")
-    refuse_over_cap(j * alg.dim + products, cap, what, at_least=True)
+    refuse_over_cap(j * alg.dim + products, cap, _build("current", alg, j), at_least=True)
     n = alg.dim
     labels = [f"{lab}.t{p}" for p in range(j) for lab in alg.labels]
     brackets = {}
@@ -162,8 +163,8 @@ def current_algebra(alg: KaryAlgebra, j: int, *, cap=DEFAULT_SIZE_CAP) -> KaryAl
 def abelian(k: int, n: int, *, cap=DEFAULT_SIZE_CAP) -> KaryAlgebra:
     """Abelian algebra of dimension n with arity-k (vanishing) bracket."""
     if k < 2 or n < 1:
-        raise InputError(f"abelian needs k >= 2 and n >= 1, got ({k}, {n})")
-    refuse_over_cap(n, cap, _BUILD.format(f"abelian({k}, {n})"))
+        raise InputError(f"abelian needs k >= 2 and n >= 1, got ({shown(k)}, {shown(n)})")
+    refuse_over_cap(n, cap, _build("abelian", k, n))
     return KaryAlgebra(k, n, [f"a{i + 1}" for i in range(n)], {})
 
 
@@ -195,7 +196,7 @@ class FamilySpec(namedtuple("FamilySpec", "tag k m n j inner", defaults=(None,) 
         """Build the algebra, refusing a parameter its family does not
         take and a build over cap (see the module docstring)."""
         if self.tag not in _FAMILIES:
-            raise InputError(f"unknown family {self.tag!r} (expected one of {FAMILY_TAGS})")
+            raise InputError(f"unknown family {shown(self.tag)} (expected one of {FAMILY_TAGS})")
         constructor, params = _FAMILIES[self.tag]
         for name in ("k", "m", "n", "j", "inner"):
             given = getattr(self, name) is not None

@@ -4,13 +4,14 @@ The homology at a layout degree t is ker d_t / im d_{t+k-1}; with exact
 ranks this is Betti(t) = (C(dim, t) - rank d_t) - rank d_{t+k-1}.  H^0 is
 1 (trivial coefficients, zero augmentation) and is included in totals.
 
-Besides per-degree reports, this module carries the closed-form
-validators for the Heisenberg, ACJ and free 3-step families, the ACJ
-adjoint contraction theta_j, and the current-algebra total-homology
+Besides per-degree reports, this module carries the closed forms of
+the Heisenberg, ACJ and free 3-step families and `verify_family`, the
+one comparison of a report with them (one table, `FAMILY_FORMS`), the
+ACJ adjoint contraction theta_j, and the current-algebra total-homology
 comparison used to probe the tensor-power property.  Reports and
-validator records are exact data (ints, dicts and lists); `cli` renders
-them.  The validators take every rank from the algebra's `ChainLayout`,
-so nothing here eliminates; `theta_matrix` indexes theta_j for demos,
+comparison records are exact data (ints, dicts and lists); `cli`
+renders them.  Every rank comes from the algebra's `ChainLayout`, so
+nothing here eliminates; `theta_matrix` indexes theta_j for demos,
 tests and outside checks.
 """
 
@@ -80,7 +81,7 @@ def total_homology_all_degrees(alg: KaryAlgebra, *, cap=DEFAULT_SIZE_CAP) -> int
     return 2**alg.dim - 2 * total_rank
 
 
-# -- Heisenberg validator ----------------------------------------------
+# -- Heisenberg closed forms --------------------------------------------
 
 
 def heisenberg_betti_formula(k: int, m: int, i: int) -> int:
@@ -94,41 +95,6 @@ def heisenberg_image_formula(k: int, m: int, i: int) -> int:
 def heisenberg_in_range(k: int, m: int, i: int) -> bool:
     """Degrees up to the middle of the exterior algebra."""
     return i * (k - 1) + 1 <= (k * m + 1) // 2
-
-
-def verify_heisenberg(alg: KaryAlgebra, *, cap=DEFAULT_SIZE_CAP) -> dict:
-    """Compare direct Betti numbers and boundary ranks of heisenberg(k, m)
-    with the closed forms; k and m are read off alg.
-
-    Rows inside the validity range are asserted (feed `ok`); outside it
-    both values are reported without judgement.
-    """
-    k = alg.arity
-    m = (alg.dim - 1) // k
-    report = betti_all(alg, cap=cap)
-    rows = []
-    for t in report.degrees[2:]:  # degrees k, 2k-1, ...: i = 1, 2, ...
-        idx = (t - 1) // (k - 1)
-        brow = {
-            "i": idx,
-            "degree": t,
-            "betti": report.betti[t],
-            "formula": heisenberg_betti_formula(k, m, idx),
-            "image": report.image_dims[t],
-            "image_formula": heisenberg_image_formula(k, m, idx),
-            "in_range": heisenberg_in_range(k, m, idx),
-        }
-        brow["betti_match"] = brow["betti"] == brow["formula"]
-        brow["image_match"] = brow["image"] == brow["image_formula"]
-        rows.append(brow)
-    return {
-        "family": "heisenberg",
-        "k": k,
-        "m": m,
-        "rows": rows,
-        "total": report.total,
-        "ok": all(r["betti_match"] and r["image_match"] for r in rows if r["in_range"]),
-    }
 
 
 # -- ACJ: theta maps and closed forms -----------------------------------
@@ -193,42 +159,7 @@ def acj_classical_betti(m: int, i: int) -> int:
     return comb0(m + 1, (i + 1) // 2) * comb0(m, i // 2)
 
 
-def verify_acj(alg: KaryAlgebra, *, cap=DEFAULT_SIZE_CAP) -> dict:
-    """Compare direct Betti numbers of acj(k, m) with the closed forms
-    (arity-2 per-degree formula; degree-k candidate); k and m are read
-    off alg.  theta_j is d_{j+1} with signed columns, so ranking it
-    would only restate the layout's ranks; `theta_matrix` holds it."""
-    k = alg.arity
-    m = (alg.dim - 1) // k
-    report = betti_all(alg, cap=cap)
-    hk = {
-        "degree": k,
-        "betti": report.betti.get(k),
-        "closed_form": acj_second_homology_formula(k, m),
-    }
-    hk["match"] = hk["betti"] == hk["closed_form"]
-
-    classical = None
-    if k == 2:
-        classical = []
-        for t in report.degrees:
-            b, f = report.betti[t], acj_classical_betti(m, t)
-            classical.append({"degree": t, "betti": b, "formula": f, "match": b == f})
-    classical_ok = classical is None or all(row["match"] for row in classical)
-
-    return {
-        "family": "acj",
-        "k": k,
-        "m": m,
-        "h_k": hk,
-        "classical": classical,
-        "classical_ok": classical_ok,
-        "total": report.total,
-        "ok": hk["match"] and classical_ok,
-    }
-
-
-# -- free 3-step validator ----------------------------------------------
+# -- free 3-step closed forms --------------------------------------------
 
 
 def free3_expected_betti(k: int) -> dict:
@@ -243,23 +174,60 @@ def free3_expected_betti(k: int) -> dict:
     return expected
 
 
-def verify_free3(alg: KaryAlgebra, *, cap=DEFAULT_SIZE_CAP) -> dict:
-    """Compare direct Betti numbers of free3small(k), k = alg.arity, with
-    `free3_expected_betti`."""
+# -- the closed-form comparison --------------------------------------------
+#
+# A family's row generator takes (k, m, layout degrees) and yields rows
+# (degree, quantity, expected, asserted): quantity "betti" or "image"
+# (the rank of the boundary leaving the degree); a row not asserted is
+# reported without judgement.
+
+
+def _heisenberg_rows(k, m, degrees):
+    for t in degrees[2:]:  # degrees k, 2k-1, ...: i = 1, 2, ...
+        i = (t - 1) // (k - 1)
+        asserted = heisenberg_in_range(k, m, i)
+        yield t, "betti", heisenberg_betti_formula(k, m, i), asserted
+        yield t, "image", heisenberg_image_formula(k, m, i), asserted
+
+
+def _acj_rows(k, m, degrees):
+    yield k, "betti", acj_second_homology_formula(k, m), True
+    if k == 2:
+        for t in degrees:
+            yield t, "betti", acj_classical_betti(m, t), True
+
+
+def _free3_rows(k, m, degrees):
+    for t, expected in sorted(free3_expected_betti(k).items()):
+        yield t, "betti", expected, True
+
+
+# family tag -> (the name of its `verify` check, its row generator)
+FAMILY_FORMS = {
+    "heisenberg": ("heisenberg_formula", _heisenberg_rows),
+    "acj": ("acj_formulas", _acj_rows),
+    "free3small": ("free3_formula", _free3_rows),
+}
+
+
+def verify_family(alg: KaryAlgebra, tag: str, *, cap=DEFAULT_SIZE_CAP) -> dict:
+    """Compare the Betti numbers and boundary ranks of alg, a member of
+    family tag built with k = alg.arity and m = (alg.dim - 1) // k, with
+    the rows of its closed forms in `FAMILY_FORMS`.
+
+    Each row reports value (the computed quantity), expected and match;
+    ok means every asserted row matches.
+    """
     k = alg.arity
     report = betti_all(alg, cap=cap)
-    rows = [
-        {"degree": t, "betti": report.betti.get(t), "formula": f, "match": report.betti.get(t) == f}
-        for t, f in sorted(free3_expected_betti(k).items())
-    ]
-    return {
-        "family": "free3small",
-        "k": k,
-        "rows": rows,
-        "total": report.total,
-        "total_excluding_h0": report.total_excluding_h0,
-        "ok": all(r["match"] for r in rows),
-    }
+    values = {"betti": report.betti, "image": report.image_dims}
+    rows = []
+    for t, quantity, expected, asserted in FAMILY_FORMS[tag][1](k, (alg.dim - 1) // k, report.degrees):
+        value = values[quantity].get(t)
+        rows.append({"degree": t, "quantity": quantity, "value": value, "expected": expected,
+                     "asserted": asserted, "match": value == expected})
+    return {"family": tag, "k": k, "rows": rows, "total": report.total,
+            "ok": all(row["match"] for row in rows if row["asserted"])}
 
 
 # -- current algebras and the tensor-power property ----------------------

@@ -40,6 +40,7 @@ SIZE_CAP = ("tests/test_cli.py", "-k", "size_cap")
 RENDER = ("tests/test_cli.py", "-k", "csv or table")
 CURRENT = ("tests/test_families.py", "tests/test_cli.py", "-k", "current")
 ENTRY = ("tests/test_cli.py", "-k", "entry")
+VERIFY = ("tests/test_homology.py", "tests/test_cli.py", "-k", "verify or heisenberg_image or acj_classical")
 
 # (name, file, old, new, pytest arguments)
 MUTANTS = [
@@ -99,6 +100,12 @@ MUTANTS = [
     # a pivot other than 1 never leaves its column, so the reduction loops
     ("rank_mod_p pivot row left unscaled", "matrices.py",
      "row[c] = row[c] * inv % p", "row[c] = row[c] % p", MATRICES),
+    ("verify ok read over every row", "homology.py",
+     'for row in rows if row["asserted"])', "for row in rows)", VERIFY),
+    ("heisenberg image rows dropped", "homology.py",
+     'yield t, "image", heisenberg_image_formula(k, m, i), asserted', "pass", VERIFY),
+    ("k = 2 classical ACJ rows dropped", "homology.py",
+     "if k == 2:", "if False:", VERIFY),
 ]
 
 

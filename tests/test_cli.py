@@ -168,6 +168,34 @@ def test_verify_text_format(capsys):
     )
 
 
+# (family, k, m, the verdict of its closed-form check) of every pinned
+# family instance; jacobi, d_squared and toral pass on all of them
+PINNED_VERDICTS = [
+    ("heisenberg", 2, 2, True), ("heisenberg", 2, 5, True), ("heisenberg", 3, 1, True),
+    ("heisenberg", 3, 2, False), ("heisenberg", 3, 3, False), ("heisenberg", 4, 2, False),
+    ("heisenberg", 5, 2, False),
+    ("acj", 2, 1, True), ("acj", 2, 2, False), ("acj", 2, 5, False), ("acj", 3, 1, True),
+    ("acj", 3, 2, False), ("acj", 3, 3, False), ("acj", 4, 2, False),
+    ("free3small", 3, None, True), ("free3small", 4, None, False), ("free3small", 5, None, False),
+]
+FORMULA_CHECK = {"heisenberg": "heisenberg_formula", "acj": "acj_formulas", "free3small": "free3_formula"}
+
+
+@pytest.mark.parametrize("family, k, m, formula_ok", PINNED_VERDICTS)
+def test_verify_verdicts_are_pinned(capsys, family, k, m, formula_ok):
+    # the check names, ok flags, exit status and text bytes of verify
+    argv = ["verify", "--family", family, "--k", str(k), *(["--m", str(m)] if m else [])]
+    verdicts = {"jacobi": True, "d_squared": True, "toral": True, FORMULA_CHECK[family]: formula_ok}
+    code, out = run_cli(capsys, *argv)
+    assert {c["check"]: c["ok"] for c in json.loads(out)["checks"]} == verdicts
+    assert code == (0 if formula_ok else 1)
+    code, out = run_cli(capsys, *argv, "--format", "text")
+    assert code == (0 if formula_ok else 1)
+    desc = f"{family}(k={k}{f', m={m}' if m else ''})"
+    lines = (f"  {name}: {'PASS' if ok else 'FAIL'}\n" for name, ok in verdicts.items())
+    assert out == f"algebra: {desc}\n" + "".join(lines)
+
+
 def test_verify_reports_formula_failures(capsys):
     # the degree-k ACJ closed form overcounts for m >= 2: exit 1, honest record
     code, out = run_cli(capsys, "verify", "--family", "acj", "--k", "3", "--m", "2")
@@ -175,11 +203,15 @@ def test_verify_reports_formula_failures(capsys):
     doc = json.loads(out)
     acj_check = next(c for c in doc["checks"] if c["check"] == "acj_formulas")
     assert not acj_check["ok"]
-    assert acj_check["detail"]["h_k"] == {
-        "degree": 3,
-        "betti": 28,
-        "closed_form": 26,
-        "match": False,
+    assert acj_check["detail"] == {
+        "family": "acj",
+        "k": 3,
+        "rows": [
+            {"degree": 3, "quantity": "betti", "value": 28, "expected": 26,
+             "asserted": True, "match": False},
+        ],
+        "total": 51,
+        "ok": False,
     }
     jac = next(c for c in doc["checks"] if c["check"] == "jacobi")
     assert jac["ok"]
@@ -494,6 +526,9 @@ def test_usage_errors(capsys):
     assert err.startswith("error: unknown family 'nosuch'") and err.count("\n") == 1
 
 
+_LONG = "x" + "9" * 5000
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -515,10 +550,31 @@ def test_usage_errors(capsys):
         (("verify", "--family", "heisenberg", "--k", "2", "--m", "1", "--format", "yaml"),
          "--format expects one of json, text, got 'yaml'"),
         (("decompose", "--family", "free2", "--k", "2", "--n", "3"), "decompose requires --degree"),
+        # an integer past the default 4300-digit limit of int(), and values
+        # whose echo stops at 40 characters or at 10^18 in size
+        (("dump", "--family", "heisenberg", "--k", "2", "--m", "9" * 5000),
+         "--m has too many digits to read as an integer"),
+        ((_LONG,), f"unknown verb {_LONG[:40]!r}...; the verbs are "
+         "compute, verify, table, decompose, check, dump"),
+        (("dump", f"--{_LONG}", "1"), f"unknown option {'--' + _LONG[:38]!r}... for dump; its options are "
+         "--family, --input, --k, --m, --n, --j, --inner, --size-cap"),
+        (("dump", "--family", "acj", "--k", "2", "--m", f"1{_LONG}"),
+         f"--m expects an integer, got {'1' + _LONG[:39]!r}..."),
+        (("verify", "--family", "acj", "--k", "2", "--m", "1", "--format", _LONG),
+         f"--format expects one of json, text, got {_LONG[:40]!r}..."),
+        (("table", "--k", f"2,{_LONG}"), f"--k expects comma-separated integers, got {'2,' + _LONG[:38]!r}..."),
+        (("dump", "--family", _LONG), f"unknown family {_LONG[:40]!r}... (expected one of "
+         "('heisenberg', 'acj', 'free2', 'free3small', 'current', 'abelian'))"),
+        (("check", "--family", "acj", "--k", "2", "--m", "1", "--size-cap", "-" + "9" * 4000),
+         "--size-cap must be at least 0, got below -10^18"),
+        (("dump", "--family", "acj", "--k", "2", "--m", "-" + "9" * 4000),
+         "acj needs k >= 2 and m >= 1, got (2, below -10^18)"),
     ],
     ids=[
         "no-verb", "unknown-verb", "unknown-option", "abbreviation", "no-value",
         "option-as-value", "k-not-int", "format-yaml", "decompose-without-degree",
+        "past-digit-limit", "long-verb", "long-option", "long-int", "long-choice", "long-table-k",
+        "long-family", "huge-size-cap", "huge-family-parameter",
     ],
 )
 def test_usage_error_is_one_line_and_exit_2(capsys, argv, message):
@@ -814,6 +870,30 @@ def test_size_cap_refusal_under_the_smallest_str_digit_limit(capsys):
         )
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (("dump", "--family", "heisenberg", "--k", "2", "--m", "9" * 4000),
+         "building heisenberg(2, over 10^18) exceeds the size cap: over 10^18 basis elements"
+         " and bracket terms (cap 1000000)"),
+        (("compute", "--family", "current", "--inner", "heisenberg", "--k", "2", "--m", "1",
+          "--j", "9" * 4000),
+         "building current(KaryAlgebra(arity=2, dim=3, brackets=1), over 10^18) exceeds the"
+         " size cap: over 10^18 basis elements and bracket terms (cap 1000000)"),
+        (("dump", "--family", "abelian", "--k", "2", "--n", "9" * 4000, "--size-cap", "9" * 3000),
+         "building abelian(2, over 10^18) exceeds the size cap: over 10^18 basis elements"
+         " and bracket terms (cap over 10^18)"),
+    ],
+    ids=["heisenberg", "current", "cap"],
+)
+def test_size_cap_refusal_of_a_huge_family_parameter_is_one_short_line(capsys, argv, shown):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == f"error: {shown}\n"
+    assert len(captured.err.encode()) < 200
 
 
 _MM_HEADER = "%%MatrixMarket matrix coordinate integer general\n"

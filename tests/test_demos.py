@@ -13,10 +13,37 @@ DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 SRC = str(Path(karyhom.__file__).resolve().parent.parent)
 
 
-# the printed consumers of `theta_matrix` (02), of `differential_matrix`
-# and its MatrixMarket export (03), and of the CLI's table renderer and
-# `verify_toral` (05), pinned whole
+# the printed consumers of `verify_family` (01), of `theta_matrix` (02),
+# of `differential_matrix` and its MatrixMarket export (03), and of the
+# CLI's table renderer and `verify_toral` (05), pinned whole
 GOLDEN_STDOUT = {
+    "01_heisenberg_homology": (
+        "heisenberg(k=2, m=1): H^0=1, H^1=2, H^2=2, H^3=1  (total 6)\n"
+        "heisenberg(k=2, m=3): H^0=1, H^1=6, H^2=14, H^3=14, H^4=14, H^5=14, H^6=6, H^7=1  (total 70)\n"
+        "heisenberg(k=3, m=1): H^0=1, H^1=3, H^3=3  (total 7)\n"
+        "heisenberg(k=3, m=2): H^0=1, H^1=6, H^3=28, H^5=15, H^7=1  (total 51)\n"
+        "heisenberg(k=5, m=1): H^0=1, H^1=5, H^5=5  (total 11)\n"
+        "\n"
+        "Comparison with the closed form C(km, i(k-1)+1) - C(km, (i-1)(k-1)),\n"
+        "asserted only inside its validity range (degrees up to the middle):\n"
+        "  (k=2, m=2) H^2: direct 5, formula 5 [asserted: ok]\n"
+        "  (k=2, m=2) H^3: direct 5, formula 0 [report-only: MISMATCH]\n"
+        "  (k=2, m=2) H^4: direct 4, formula -5 [report-only: MISMATCH]\n"
+        "  (k=2, m=2) H^5: direct 1, formula -4 [report-only: MISMATCH]\n"
+        "  (k=3, m=1) H^3: direct 3, formula 0 [report-only: MISMATCH]\n"
+        "  (k=3, m=2) H^3: direct 28, formula 19 [asserted: MISMATCH]\n"
+        "  (k=3, m=2) H^5: direct 15, formula -9 [report-only: MISMATCH]\n"
+        "  (k=3, m=2) H^7: direct 1, formula -15 [report-only: MISMATCH]\n"
+        "  (k=3, m=3) H^3: direct 83, formula 83 [asserted: ok]\n"
+        "  (k=3, m=3) H^5: direct 180, formula 90 [asserted: MISMATCH]\n"
+        "  (k=3, m=3) H^7: direct 83, formula -90 [report-only: MISMATCH]\n"
+        "  (k=3, m=3) H^9: direct 9, formula -83 [report-only: MISMATCH]\n"
+        "\n"
+        "The mismatches are real: the formula's inductive image count assumes\n"
+        "every z ^ (monomial) is reachable, which fails once a monomial can\n"
+        "meet every bracket block; the boundary ranks themselves (the\n"
+        "in-range image column) always agree.\n"
+    ),
     "02_acj_adjoint_contraction": (
         "acj(k=2, m=2)\n"
         "  H^1: direct 3, via theta kernels 3 [ok]\n"

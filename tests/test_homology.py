@@ -37,9 +37,7 @@ from karyhom.homology import (
     property_m_check,
     theta_matrix,
     total_homology_all_degrees,
-    verify_acj,
-    verify_free3,
-    verify_heisenberg,
+    verify_family,
 )
 from karyhom.matrices import SparseIntMatrix, rank
 
@@ -121,38 +119,52 @@ def test_block_and_monolithic_ranks_agree():
     assert graded.betti == ungraded.betti
 
 
-# -- Heisenberg validator ----------------------------------------------------
+# -- Heisenberg closed forms ---------------------------------------------------
+
+
+def _row(rec, degree, quantity="betti"):
+    return next(r for r in rec["rows"] if (r["degree"], r["quantity"]) == (degree, quantity))
 
 
 def test_verify_heisenberg_in_range_cases():
-    rec = verify_heisenberg(heisenberg(2, 2))
-    assert rec["ok"]
-    row = next(r for r in rec["rows"] if r["i"] == 1)
-    assert row["betti"] == 5 and row["in_range"]
+    rec = verify_family(heisenberg(2, 2), "heisenberg")
+    assert rec["ok"] and (rec["family"], rec["k"], rec["total"]) == ("heisenberg", 2, 20)
+    row = _row(rec, 2)
+    assert row["value"] == 5 and row["asserted"]
 
-    rec31 = verify_heisenberg(heisenberg(3, 1))
+    rec31 = verify_family(heisenberg(3, 1), "heisenberg")
     assert rec31["ok"]  # nothing is asserted: no index is in range
-    assert not any(r["in_range"] for r in rec31["rows"])
-    row = next(r for r in rec31["rows"] if r["i"] == 1)
-    assert row["betti"] == 3 and row["formula"] == 0  # reported, not asserted
+    assert rec31["rows"] and not any(r["asserted"] for r in rec31["rows"])
+    row = _row(rec31, 3)
+    assert row["value"] == 3 and row["expected"] == 0  # reported, not asserted
+    assert not row["match"]
 
 
 def test_verify_heisenberg_flags_formula_gap():
     # the closed form undercounts when a complementary monomial set can
     # meet every bracketing block; smallest case (3, 2)
-    rec = verify_heisenberg(heisenberg(3, 2))
+    rec = verify_family(heisenberg(3, 2), "heisenberg")
     assert not rec["ok"]
-    row = next(r for r in rec["rows"] if r["i"] == 1)
-    assert row["in_range"] and row["betti"] == 28 and row["formula"] == 19
-    assert row["image_match"]  # the in-range image rank itself is fine
+    row = _row(rec, 3)
+    assert row["asserted"] and row["value"] == 28 and row["expected"] == 19
+    image = _row(rec, 3, "image")
+    assert image["asserted"] and image["match"]  # the in-range image rank itself is fine
 
 
 def test_heisenberg_image_ranks_in_range():
+    # one betti and one image row per degree k, 2k-1, ...; every
+    # asserted image row matches
     for k, m in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2)):
-        rec = verify_heisenberg(heisenberg(k, m))
-        for row in rec["rows"]:
-            if row["in_range"]:
-                assert row["image_match"], (k, m, row)
+        alg = heisenberg(k, m)
+        rec = verify_family(alg, "heisenberg")
+        layout = ChainLayout.of(alg).degrees[2:]
+        images = [r for r in rec["rows"] if r["quantity"] == "image"]
+        assert [r["degree"] for r in images] == layout, (k, m)
+        assert [r["degree"] for r in rec["rows"] if r["quantity"] == "betti"] == layout
+        assert any(r["asserted"] for r in images)
+        for row in images:
+            if row["asserted"]:
+                assert row["match"], (k, m, row)
 
 
 # -- theta maps and ACJ -------------------------------------------------------
@@ -261,23 +273,32 @@ def test_acj_closed_form_matches_only_for_m_1():
 
 
 def test_acj_classical_formula_k2():
+    # arity 2: the degree-k row, then one classical row per layout degree
     for m in (1, 2, 3):
-        rec = verify_acj(acj(2, m))
-        assert rec["classical_ok"], rec
+        rec = verify_family(acj(2, m), "acj")
         rep = betti_all(acj(2, m))
+        assert [r["degree"] for r in rec["rows"]] == [2, *rep.degrees]
+        classical = rec["rows"][1:]
+        assert all(r["asserted"] and r["match"] for r in classical), rec
         for t in rep.degrees:
             assert rep.betti[t] == acj_classical_betti(m, t)
+    # arity 3 has the degree-k row alone
+    assert [r["degree"] for r in verify_family(acj(3, 2), "acj")["rows"]] == [3]
 
 
 def test_verify_acj_structure():
-    rec = verify_acj(acj(3, 1))
-    assert rec["ok"] and rec["h_k"]["match"]
-    rec32 = verify_acj(acj(3, 2))
-    assert not rec32["ok"] and not rec32["h_k"]["match"]
-    assert rec32["h_k"]["betti"] == 28 and rec32["h_k"]["closed_form"] == 26
+    rec = verify_family(acj(3, 1), "acj")
+    assert rec["ok"] and rec["rows"][0]["match"]
+    rec32 = verify_family(acj(3, 2), "acj")
+    assert not rec32["ok"]
+    assert rec32["rows"] == [
+        {"degree": 3, "quantity": "betti", "value": 28, "expected": 26, "asserted": True, "match": False}
+    ]
+    # arity 2 at m = 1: the degree-k form and every classical row hold
+    assert verify_family(acj(2, 1), "acj")["ok"]
 
 
-# -- free 3-step validator -----------------------------------------------------
+# -- free 3-step closed forms -------------------------------------------------
 
 
 def test_free3_expected_values():
@@ -286,18 +307,20 @@ def test_free3_expected_values():
 
 
 def test_verify_free3_k3_matches():
-    rec = verify_free3(free_three_step_small(3))
+    rec = verify_family(free_three_step_small(3), "free3small")
     assert rec["ok"]
-    assert rec["total"] == 43 and rec["total_excluding_h0"] == 42
+    assert rec["total"] == 43
+    assert [(r["degree"], r["value"]) for r in rec["rows"]] == [(1, 3), (3, 24), (5, 14), (7, 1)]
 
 
 def test_verify_free3_k4_reports_overcount():
     # the top boundary image is k + C(k,2) + 1, which exceeds 2k+1 for
     # k >= 4, so the stated closed forms overshoot: direct values below
-    rec = verify_free3(free_three_step_small(4))
+    rec = verify_family(free_three_step_small(4), "free3small")
     assert not rec["ok"]
-    direct = {r["degree"]: r["betti"] for r in rec["rows"]}
+    direct = {r["degree"]: r["value"] for r in rec["rows"]}
     assert direct == {1: 4, 4: 110, 7: 25}
+    assert [r["match"] for r in rec["rows"]] == [True, False, False]
 
 
 def test_free3_direct_values_k5():
