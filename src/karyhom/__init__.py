@@ -21,7 +21,6 @@ _EXPORTS = {
         "algebra_to_json_dict",
         "center",
         "check_jacobi",
-        "is_nilpotent",
         "load_algebra",
         "lower_central_series",
     ),

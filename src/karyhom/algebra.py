@@ -2,20 +2,21 @@
 
 An algebra is given by its bracket on basis elements.  Antisymmetry is
 built into the storage: brackets are kept only on strictly increasing
-index tuples, and evaluation at any other tuple routes through the sign
-of the sorting permutation.  The generalized (Filippov) Jacobi identity
+index tuples, and the bracket at any other tuple is the stored one
+times the sign of the sorting permutation.  The generalized (Filippov)
+Jacobi identity
 
     [[x_1,...,x_k], y_2,...,y_k]
         = sum_i [x_1,...,[x_i, y_2,...,y_k],...,x_k]
 
 is not assumed; `check_jacobi` verifies it on basis tuples, which
-suffices by multilinearity.  The structural checkers (`check_jacobi`,
-`lower_central_series`, `center`) read brackets from one signed adjoint
-table {R: {x: [x, R]}} built from the stored keys, not through
-`KaryAlgebra.bracket`; a tuple R in no stored key has ad_R = 0, so every
-term it could enter vanishes.  The first two multiply rows of the table
-through `_product`, the one sparse row product, which
-`chains.verify_d_squared` also uses.
+suffices by multilinearity.  The engine reads brackets only as stored
+keys and through one signed adjoint table {R: {x: [x, R]}} built from
+them (`_adjoint`), which the structural checkers (`check_jacobi`,
+`lower_central_series`, `center`) read; a tuple R in no stored key has
+ad_R = 0, so every term it could enter vanishes.  The first two
+multiply rows of the table through `_product`, the one sparse row
+product, which `chains.verify_d_squared` also uses.
 """
 
 import json
@@ -136,31 +137,6 @@ class KaryAlgebra:
         self.weights = weights
         self._chain_layout = None
 
-    # -- evaluation ---------------------------------------------------
-
-    def bracket(self, indices):
-        """Bracket of basis elements, as a sparse integer vector.
-
-        Accepts any k-tuple of basis indices; repeated indices give the
-        zero vector, unsorted tuples pick up the permutation sign.
-        """
-        indices = tuple(indices)
-        if len(indices) != self.arity:
-            raise InputError(
-                f"bracket needs {self.arity} arguments, got {len(indices)}"
-            )
-        if any(not 0 <= i < self.dim for i in indices):
-            raise InputError(f"basis index out of range in {indices}")
-        key, sign = sort_with_sign(indices)
-        if sign == 0:
-            return {}
-        vec = self.brackets.get(key)
-        if not vec:
-            return {}
-        if sign == 1:
-            return dict(vec)
-        return {i: -c for i, c in vec.items()}
-
     # -- misc ---------------------------------------------------------
 
     @property
@@ -168,14 +144,6 @@ class KaryAlgebra:
         if self.weights is None:
             return 0
         return len(self.weights[0])
-
-    def structure_equal(self, other) -> bool:
-        """Same arity/dimension/brackets, ignoring labels and weights."""
-        return (
-            self.arity == other.arity
-            and self.dim == other.dim
-            and self.brackets == other.brackets
-        )
 
     def __repr__(self):
         return (
@@ -301,10 +269,6 @@ def lower_central_series(alg: KaryAlgebra):
         if len(series[-1]) == len(series[-2]):
             break
     return series
-
-
-def is_nilpotent(alg: KaryAlgebra) -> bool:
-    return not lower_central_series(alg)[-1]
 
 
 def center(alg: KaryAlgebra) -> list:

@@ -347,9 +347,12 @@ class ChainLayout:
 
     def check_degree(self, t: int, cap) -> None:
         """Refuse t unless it is a layout degree whose chain spaces t-k+1,
-        t and t+k-1 are under cap (`check_cap`)."""
+        t and t+k-1 are under cap (`check_cap`).  The refusal names a
+        layout of more than six degrees by its first three and its last."""
         if t not in self.degrees:
-            raise InputError(f"degree {shown(t)} is not in the layout {self.degrees}")
+            d = self.degrees
+            named = d if len(d) <= 6 else [*d[:3], "...", d[-1]]
+            raise InputError(f"degree {shown(t)} is not in the layout [{', '.join(map(str, named))}]")
         k = self.algebra.arity
         check_cap(self.algebra, (t, t - k + 1, t + k - 1), cap)
 

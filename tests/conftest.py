@@ -400,16 +400,36 @@ def characters_by_blocks(alg: KaryAlgebra, degrees):
     return out
 
 
+def sorted_with_sign(indices):
+    """(sorted tuple, sign of the sorting permutation), the sign read off
+    the parity of the inversion count; indices must not repeat."""
+    indices = tuple(indices)
+    inversions = sum(a > b for i, a in enumerate(indices) for b in indices[i + 1 :])
+    return tuple(sorted(indices)), -1 if inversions % 2 else 1
+
+
+def bracket(alg: KaryAlgebra, indices):
+    """[e_i1, ..., e_ik] as a sparse vector {index: int}, read off the
+    stored keys alone: zero on a repeated index, else the stored vector
+    of the sorted tuple times the sign of `sorted_with_sign`.  The one
+    bracket evaluator of the definition oracles, sharing no sign code
+    with the engine they check."""
+    if len(set(indices)) < len(indices):
+        return {}
+    key, sign = sorted_with_sign(indices)
+    return {i: sign * c for i, c in alg.brackets.get(key, {}).items()}
+
+
 def _jacobi_residual(alg: KaryAlgebra, inner, outer):
     """[[inner], outer] - sum_i [inner_1, ..., [inner_i, outer], ..., inner_k]."""
     residual = {}
-    for w, c in alg.bracket(inner).items():
-        for j, cj in alg.bracket((w,) + outer).items():
+    for w, c in bracket(alg, inner).items():
+        for j, cj in bracket(alg, (w,) + outer).items():
             residual[j] = residual.get(j, 0) + c * cj
     for i in range(alg.arity):
-        for w, c in alg.bracket((inner[i],) + outer).items():
+        for w, c in bracket(alg, (inner[i],) + outer).items():
             replaced = inner[:i] + (w,) + inner[i + 1 :]
-            for j, cj in alg.bracket(replaced).items():
+            for j, cj in bracket(alg, replaced).items():
                 residual[j] = residual.get(j, 0) - c * cj
     return residual
 
@@ -449,13 +469,13 @@ def shuffles(t, k):
 def boundary_by_definition(alg: KaryAlgebra, chain):
     """d of a chain {increasing index tuple: coefficient} by the shuffle
     sum: sgn(s) [x_s(1), ..., x_s(k)] ^ x_s(k+1) ^ ... ^ x_s(t), read
-    through `alg.bracket` alone.  The one per-monomial definition of the
+    through `bracket` alone.  The one per-monomial definition of the
     boundary; the assembled matrices are checked against it."""
     out = {}
     for mono, c in chain.items():
         for pos, sign in shuffles(len(mono), alg.arity):
             rest = [x for i, x in enumerate(mono) if i not in pos]
-            for w, cw in alg.bracket(tuple(mono[i] for i in pos)).items():
+            for w, cw in bracket(alg, tuple(mono[i] for i in pos)).items():
                 if w not in rest:
                     below = sum(x < w for x in rest)
                     merged = tuple(sorted(rest + [w]))
@@ -501,7 +521,7 @@ def _reduced_rows(rows):
 
 
 def lower_central_series_by_brackets(alg: KaryAlgebra):
-    """Bases (dense rows) of g, C^2, C^3, ... from `alg.bracket` on every
+    """Bases (dense rows) of g, C^2, C^3, ... from `bracket` on every
     (k-1)-combination, stopping at zero or at the first repeat."""
     n = alg.dim
     rests = list(combinations(range(n), alg.arity - 1))
@@ -513,7 +533,7 @@ def lower_central_series_by_brackets(alg: KaryAlgebra):
                 img = [0] * n
                 for x, c in enumerate(v):
                     if c:
-                        for j, cj in alg.bracket((x,) + rest).items():
+                        for j, cj in bracket(alg, (x,) + rest).items():
                             img[j] += c * cj
                 images.append(img)
         series.append(list(_reduced_rows(images).values()))
@@ -524,10 +544,10 @@ def lower_central_series_by_brackets(alg: KaryAlgebra):
 
 def center_by_brackets(alg: KaryAlgebra):
     """A basis (dense rows) of {v : [v, b_R] = 0 for every (k-1)-combination R},
-    from `alg.bracket`: the null space of the stacked ad matrices."""
+    from `bracket`: the null space of the stacked ad matrices."""
     n = alg.dim
     rows = [
-        [alg.bracket((j,) + rest).get(out, 0) for j in range(n)]
+        [bracket(alg, (j,) + rest).get(out, 0) for j in range(n)]
         for rest in combinations(range(n), alg.arity - 1)
         for out in range(n)
     ]
@@ -553,14 +573,6 @@ def flip_bracket_signs(alg: KaryAlgebra, rng) -> KaryAlgebra:
         else:
             new[args] = dict(vec)
     return KaryAlgebra(alg.arity, alg.dim, alg.labels, new, alg.weights)
-
-
-def sorted_with_sign(indices):
-    """(sorted tuple, sign of the sorting permutation), the sign read off
-    the parity of the inversion count; indices must not repeat."""
-    indices = tuple(indices)
-    inversions = sum(a > b for i, a in enumerate(indices) for b in indices[i + 1 :])
-    return tuple(sorted(indices)), -1 if inversions % 2 else 1
 
 
 def relabelled(alg: KaryAlgebra, perm) -> KaryAlgebra:

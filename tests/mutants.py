@@ -41,6 +41,9 @@ RENDER = ("tests/test_cli.py", "-k", "csv or table")
 CURRENT = ("tests/test_families.py", "tests/test_cli.py", "-k", "current")
 ENTRY = ("tests/test_cli.py", "-k", "entry")
 VERIFY = ("tests/test_homology.py", "tests/test_cli.py", "-k", "verify or heisenberg_image or acj_classical")
+SORT_SIGN = ("tests/test_algebra.py", "-k", "sort_with_sign")
+THETA = ("tests/test_homology.py", "-k", "theta")
+SHOWN = ("tests/test_algebra.py", "-k", "refusal_prints")
 
 # (name, file, old, new, pytest arguments)
 MUTANTS = [
@@ -106,6 +109,17 @@ MUTANTS = [
      'yield t, "image", heisenberg_image_formula(k, m, i), asserted', "pass", VERIFY),
     ("k = 2 classical ACJ rows dropped", "homology.py",
      "if k == 2:", "if False:", VERIFY),
+    ("sort_with_sign never flips its sign", "algebra.py",
+     "sign = -sign", "sign = sign", SORT_SIGN),
+    ("_drop_factor without its sign", "chains.py",
+     "-v if (c >> (pos + 1)).bit_count() & 1 else v", "v", THETA),
+    ("mirrored record left unreflected", "chains.py",
+     "Counter({whole - w: c for w, c in", "Counter({w: c for w, c in", CHARACTER),
+    # the 9-dimensional arity-3 example fails only from degree 2k = 6
+    ("d squared decided at degree 2k-1 only", "chains.py",
+     "for t in (2 * k - 1, 2 * k) if", "for t in (2 * k - 1,) if", CHAINS),
+    ("shown bound read as 10^19", "errors.py",
+     "PRINTED_BELOW = 10**18", "PRINTED_BELOW = 10**19", SHOWN),
 ]
 
 

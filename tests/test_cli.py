@@ -569,12 +569,15 @@ _LONG = "x" + "9" * 5000
          "--size-cap must be at least 0, got below -10^18"),
         (("dump", "--family", "acj", "--k", "2", "--m", "-" + "9" * 4000),
          "acj needs k >= 2 and m >= 1, got (2, below -10^18)"),
+        # a layout of 2001 degrees is named by its first three and its last
+        (("compute", "--family", "abelian", "--k", "2", "--n", "2000", "--degree", "2001"),
+         "degree 2001 is not in the layout [0, 1, 2, ..., 2000]"),
     ],
     ids=[
         "no-verb", "unknown-verb", "unknown-option", "abbreviation", "no-value",
         "option-as-value", "k-not-int", "format-yaml", "decompose-without-degree",
         "past-digit-limit", "long-verb", "long-option", "long-int", "long-choice", "long-table-k",
-        "long-family", "huge-size-cap", "huge-family-parameter",
+        "long-family", "huge-size-cap", "huge-family-parameter", "long-layout",
     ],
 )
 def test_usage_error_is_one_line_and_exit_2(capsys, argv, message):

@@ -121,11 +121,11 @@ GOLDEN_STDOUT = {
         "full bound with a center of dimension z just scales by 2^z:\n"
         "  refinement_bound(10, 2, 5) = 3200 = 800 * 4\n"
         "\n"
-        "heisenberg(3,1): total 7 >= 2^1 = 2 [ok], refined bound 12 vs all-degree total 14\n"
-        "heisenberg(2,3): total 70 >= 2^1 = 2 [ok], refined bound 16 vs all-degree total 70\n"
-        "acj(3,2): total 51 >= 2^2 = 4 [ok], refined bound 72 vs all-degree total 100\n"
-        "free2(3,4): total 97 >= 2^4 = 16 [ok], refined bound 192 vs all-degree total 196\n"
-        "free3(4): total 140 >= 2^4 = 16 [ok]\n"
+        "heisenberg(3,1): all-degree total 14 >= 2^1 = 2, >= refined bound 12 [ok]\n"
+        "heisenberg(2,3): all-degree total 70 >= 2^1 = 2, >= refined bound 16 [ok]\n"
+        "acj(3,2): all-degree total 100 >= 2^2 = 4, >= refined bound 72 [ok]\n"
+        "free2(3,4): all-degree total 196 >= 2^4 = 16, >= refined bound 192 [ok]\n"
+        "free3(4): all-degree total 420 >= 2^4 = 16 [ok]\n"
     ),
 }
 

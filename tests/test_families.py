@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from conftest import sorted_with_sign
+from conftest import bracket, sorted_with_sign
 from karyhom import families
 from karyhom.algebra import (
     KaryAlgebra,
@@ -96,7 +96,8 @@ def test_current_algebra():
     assert [len(s) for s in series] == [12, 2, 0]  # 2-step
     assert check_jacobi(cur) == []
     # truncation 1 reproduces the original structure
-    assert current_algebra(h, 1).structure_equal(h)
+    one = current_algebra(h, 1)
+    assert (one.arity, one.dim, one.brackets) == (h.arity, h.dim, h.brackets)
     # abelian stays abelian
     ab = current_algebra(abelian(2, 3), 3)
     assert ab.dim == 9 and not ab.brackets
@@ -144,9 +145,9 @@ def test_current_bracket_grading():
     h = heisenberg(2, 1)  # [x, y] = z on indices 0, 1 -> 2
     cur = current_algebra(h, 2)
     # [x t^0, y t^1] lands in z t^1
-    assert cur.bracket((0, 4)) == {5: 1}
+    assert bracket(cur, (0, 4)) == {5: 1}
     # exponent overflow kills the bracket
-    assert cur.bracket((3, 4)) == {}
+    assert bracket(cur, (3, 4)) == {}
 
 
 def test_all_constructors_satisfy_jacobi():

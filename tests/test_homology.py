@@ -14,9 +14,9 @@ from conftest import (
     flip_bracket_signs,
     heisenberg_betti_closed_form,
     relabelled,
+    sorted_with_sign,
     to_dense,
 )
-from karyhom.algebra import sort_with_sign
 from karyhom.chains import ChainLayout, differential_matrix
 from karyhom.errors import InputError, ResourceCapError
 from karyhom.families import (
@@ -230,7 +230,7 @@ def test_theta_matrix_matches_definition_oracle():
             rows = {mono: r for r, mono in enumerate(combinations(a, j - k + 2))}
             entries = {}
             for c, combo in enumerate(combinations(a, j)):
-                mono, sign = sort_with_sign((z,) + combo)
+                mono, sign = sorted_with_sign((z,) + combo)
                 for out, v in boundary_by_definition(alg, {mono: 1}).items():
                     entries[(rows[out], c)] = sign * v
             expected = SparseIntMatrix(len(rows), comb(len(a), j), entries)

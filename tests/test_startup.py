@@ -5,8 +5,9 @@ it does not depend on the host's speed.  ``python -S`` skips the site
 module, so no host ``.pth`` file adds modules of its own.  The source
 scans at the end keep floating point out of the computational core,
 monomial-mask bit arithmetic inside ``chains``, the elimination of
-whole boundaries inside ``chains`` and ``matrices``, and every size-cap
-refusal inside one function.
+whole boundaries inside ``chains`` and ``matrices``, every size-cap
+refusal inside one function, and the engine's sign code out of the
+test oracles.
 """
 
 import ast
@@ -356,4 +357,37 @@ def test_one_refusal_compares_counts_with_the_size_cap():
     probe = "raise ResourceCapError('x')\ndef f(cap):\n    if n > cap or cap is None:\n        g(cap is not None)\n"
     assert sorted(_cap_uses(ast.parse(probe))) == [
         ("<module>", "construct"), ("f", "compare"), ("f", "compare"), ("f", "compare"),
+    ]
+
+
+# The definition oracles of tests/conftest.py evaluate brackets through
+# their own sign rule: none of them reads the engine's sorting sign, its
+# adjoint table or its row product, so an error there cannot hide in the
+# oracle that checks it.
+ENGINE_SIGN_CODE = {"sort_with_sign", "_adjoint", "_product"}
+
+
+def _engine_sign_uses(tree):
+    """(line, name) for each import from karyhom, and each attribute,
+    naming `sort_with_sign`, `_adjoint` or `_product` in a module's AST."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "karyhom":
+            yield from ((node.lineno, a.name) for a in node.names if a.name in ENGINE_SIGN_CODE)
+        elif isinstance(node, ast.Attribute) and node.attr in ENGINE_SIGN_CODE:
+            yield node.lineno, node.attr
+
+
+def test_conftest_oracles_share_no_sign_code_with_the_engine():
+    conftest = Path(__file__).resolve().parent / "conftest.py"
+    found = list(_engine_sign_uses(ast.parse(conftest.read_text())))
+    assert not found, found
+    # the scan sees every form it looks for, and no import from elsewhere
+    probe = (
+        "from karyhom.algebra import sort_with_sign, KaryAlgebra\n"
+        "from karyhom import _adjoint\n"
+        "import karyhom.algebra\nkaryhom.algebra._product(a, b)\n"
+        "from itertools import product as _product\n"
+    )
+    assert sorted(_engine_sign_uses(ast.parse(probe))) == [
+        (1, "sort_with_sign"), (2, "_adjoint"), (4, "_product"),
     ]
